@@ -1,10 +1,13 @@
 """Ferromagnetic Ising model: exact enumeration oracle plus Metropolis.
 
 Instances are explicit coupling matrices (n_sites x n_sites, symmetric,
-nonnegative, zero diagonal).  The helper coupling_matrix_from_torus folds a
-translation-invariant coupling table onto a torus; note that on very small
-tori distinct offsets can alias onto the same pair, in which case their
-couplings add.
+nonnegative, zero diagonal).  Up to EXACT_SPIN_LIMIT (20) spins, the exact
+oracle sums all 2^n configurations in one pass of the shared enumerator
+(exact.bit_chunks), giving <phi_i phi_j> and <phi_0> together; a running
+log-sum-exp keeps the weights finite under any field.  The helper
+coupling_matrix_from_torus folds a translation-invariant coupling table
+onto a torus; note that on very small tori distinct offsets can alias onto
+the same pair, in which case their couplings add.
 """
 
 import math
@@ -12,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import EXACT_LIMIT, bit_chunks
 from .kernels import metropolis_run
 from .perc import batch_means_se
 from .torus import TorusGrid
 
-EXACT_SPIN_LIMIT = 20
+EXACT_SPIN_LIMIT = EXACT_LIMIT
 
 
 @dataclass
@@ -97,52 +101,43 @@ class SpinSample:
 def exact_ising(config: IsingConfig) -> SpinSample:
     """Exact expectations by summing all 2^n spin configurations."""
     n = config.n_sites
-    corr = exact_correlation_matrix(config)
-    mag = _exact_magnetization(config)
+    corr, mag = _exact_moments(config)
     chi = float(np.sum(corr[0]))
     return SpinSample(g=corr[0].copy(), g_se=np.zeros(n), chi_hat=chi,
                       chi_se=0.0, m_hat=mag, m_se=0.0, samples=1 << n)
 
 
-def _exact_magnetization(config: IsingConfig) -> float:
-    n = config.n_sites
-    num, den = 0.0, 0.0
-    ref = None
-    for start in range(0, 1 << n, 1 << 16):
-        idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-        phi = 2.0 * bits - 1.0
-        energy = -0.5 * np.einsum("ci,ij,cj->c", phi, config.J, phi)
-        logw = -config.z * energy + config.h * phi.sum(axis=1)
-        if ref is None:
-            ref = float(logw.max())
-        w = np.exp(logw - ref)
-        den += w.sum()
-        num += float(w @ phi[:, 0])
-    return num / den
-
-
 def exact_correlation_matrix(config: IsingConfig) -> np.ndarray:
     """Full <phi_i phi_j> matrix from the exact sum."""
+    return _exact_moments(config)[0]
+
+
+def _exact_moments(config: IsingConfig):
+    """<phi_i phi_j> and <phi_0> in one pass of exact.bit_chunks.
+
+    Weights are exp(log w - ref) with ref the largest log-weight seen so
+    far (a running log-sum-exp): when a later chunk holds a larger one, the
+    sums so far are rescaled, so no weight overflows however strong the
+    field.
+    """
     n = config.n_sites
-    if n > EXACT_SPIN_LIMIT:
-        raise ValueError("exact enumeration limited to %d spins"
-                         % EXACT_SPIN_LIMIT)
-    corr = np.zeros((n, n))
-    total_w = 0.0
-    ref = None
-    for start in range(0, 1 << n, 1 << 16):
-        idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-        phi = 2.0 * bits - 1.0
-        energy = -0.5 * np.einsum("ci,ij,cj->c", phi, config.J, phi)
-        logw = -config.z * energy + config.h * phi.sum(axis=1)
-        if ref is None:
-            ref = float(logw.max())
+    corr, mag, total, ref = np.zeros((n, n)), 0.0, 0.0, -np.inf
+    for _, bits in bit_chunks(n, "spins"):
+        phi = np.where(bits, 1.0, -1.0)
+        logw = (0.5 * config.z * np.einsum("ic,ic->c", config.J @ phi, phi)
+                + config.h * phi.sum(axis=0))
+        top = float(logw.max())
+        if top > ref:
+            scale = math.exp(ref - top)
+            corr *= scale
+            mag *= scale
+            total *= scale
+            ref = top
         w = np.exp(logw - ref)
-        total_w += w.sum()
-        corr += np.einsum("c,ci,cj->ij", w, phi, phi)
-    return corr / total_w
+        total += float(w.sum())
+        mag += float(phi[0] @ w)
+        corr += (phi * w) @ phi.T
+    return corr / total, mag / total
 
 
 def metropolis(config: IsingConfig) -> SpinSample:

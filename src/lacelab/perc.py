@@ -5,8 +5,13 @@ independently with probability z * D_M(y - x) (clipped to [0,1] with a loud
 warning when clipping binds).  The Monte Carlo sampler reveals the origin's
 cluster lazily; bond randomness is counter-based and keyed by
 (seed, replica, bond id), so the revelation order cannot change the sample.
-Tiny instances get an exact 2^bonds oracle, which also drives the
-derivative/pivotality and magnetization checks.
+Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
+exact_small runs the shared enumerator (exact.bit_chunks) once over all
+2^bonds configurations, labels every cluster by min-label propagation,
+and yields chi, the cluster-size law, the pair-connectivity matrix, dchi/dz
+and the pivotal sum together.  exact_pair_matrix, exact_triangle and
+russo_check read their numbers from it, and the size law drives the
+magnetization checks.
 """
 
 import itertools
@@ -16,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import EXACT_LIMIT, bit_chunks
 from .kernels import percolation_clusters
 from .steps import StepDistribution
 from .torus import TorusField, TorusGrid, convolve, field_at_zero
 
-EXACT_BOND_LIMIT = 20
+EXACT_BOND_LIMIT = EXACT_LIMIT
 
 
 @dataclass
@@ -155,14 +161,11 @@ class ExactGraph:
 
     bonds: list of (u, v, q) with occupation probability p = clip(z*q, 0, 1);
     q plays the role of D_M(v-u) so dp/dz = q wherever the clip is inactive.
+    A graph may hold any number of bonds; the exact oracles enumerate at
+    most EXACT_BOND_LIMIT of them and raise ValueError beyond.
     """
     n_sites: int
     bonds: list
-
-    def __post_init__(self):
-        if len(self.bonds) > EXACT_BOND_LIMIT:
-            raise ValueError("exact enumeration limited to %d bonds"
-                             % EXACT_BOND_LIMIT)
 
 
 def exact_graph_from_config(config: PercConfig) -> ExactGraph:
@@ -184,93 +187,88 @@ def exact_graph_from_config(config: PercConfig) -> ExactGraph:
     return ExactGraph(n_sites=grid.n_sites, bonds=bonds)
 
 
-def _component(n_sites, open_bonds, start=0):
-    adj = [[] for _ in range(n_sites)]
-    for u, v in open_bonds:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        s = stack.pop()
-        for t in adj[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def _cluster_labels(n_sites: int, ends: list, bits: np.ndarray) -> np.ndarray:
+    """labels[i, r] = the smallest site joined to site i in configuration r.
+
+    Min-label propagation over a whole chunk of configurations at once:
+    every open bond lowers both its ends to the smaller of their labels.
+    The bonds are swept forwards and then backwards, until a sweep changes
+    nothing.
+    """
+    dtype = np.min_scalar_type(max(n_sites - 1, 0))
+    labels = np.repeat(np.arange(n_sites, dtype=dtype)[:, None],
+                       bits.shape[1], axis=1)
+    sweep = list(zip(ends, bits))
+    sweep += sweep[::-1]
+    while True:
+        before = labels.copy()
+        for (u, v), open_b in sweep:
+            low = np.minimum(labels[u], labels[v])
+            np.copyto(labels[u], low, where=open_b)
+            np.copyto(labels[v], low, where=open_b)
+        if np.array_equal(labels, before):
+            return labels
 
 
 def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
-    """Exact chi, cluster law, pair connectivity, and dchi/dz by enumeration.
+    """Exact chi, cluster law, connectivities and dchi/dz by enumeration.
 
-    dchi/dz differentiates the configuration polynomial (log-derivative of
-    the product weights); pivotal_sum recounts it through bond pivotality,
-    sum_b (dp_b/dz) E[|C_on(0)| - |C_off(0)|].  The two must agree exactly.
+    One pass of exact.bit_chunks over all 2^B bond configurations.  In each
+    chunk the weights w and dlog = d(log w)/dz are built with one vectorised
+    multiply (add) per bond, in bond order, and _cluster_labels labels every
+    cluster.  pair_matrix[i, j] = P(i <-> j) sums w over the configurations
+    where i and j share a label; |C(0)| is the number of sites sharing site
+    0's label, so chi = sum w |C(0)| and dchi/dz = sum w dlog |C(0)|.
+
+    pivotal_sum recounts dchi/dz through bond pivotality,
+    sum_b (dp_b/dz) sum_omega w(omega) (|C(0)| in omega with b open
+    - |C(0)| in omega with b closed), read from the stored 2^B cluster
+    sizes; the two must agree to 1e-12.
+    A bond whose probability is clipped at 0 or 1 has dp/dz = 0.
     """
-    B = len(graph.bonds)
-    probs = np.array([min(max(z * q, 0.0), 1.0) for _, _, q in graph.bonds])
-    dprobs = np.array([q if 0.0 < z * q < 1.0 else 0.0
-                       for _, _, q in graph.bonds])
-    size_law = np.zeros(graph.n_sites + 1)
-    chi = 0.0
-    # dchi and pivotal_sum must agree to ~1e-12 after 2^B-term sums, so both
-    # use compensated (Kahan) accumulation
-    dchi, dchi_c = 0.0, 0.0
-    pivotal_weighted, piv_c = 0.0, 0.0
-    pair_conn = np.zeros(graph.n_sites)
-    for cfg in range(1 << B):
-        w = 1.0
-        dlog = 0.0
-        open_bonds = []
-        for b in range(B):
-            u, v, _ = graph.bonds[b]
-            if (cfg >> b) & 1:
-                w *= probs[b]
-                if probs[b] > 0:
-                    dlog += dprobs[b] / probs[b]
-                open_bonds.append((u, v))
-            else:
-                w *= 1.0 - probs[b]
-                if probs[b] < 1:
-                    dlog -= dprobs[b] / (1.0 - probs[b])
-        if w == 0.0:
-            # still need the derivative contribution when exactly one factor
-            # vanishes, but for interior z (0<p<1) this never triggers
-            continue
-        comp = _component(graph.n_sites, open_bonds)
-        size = len(comp)
-        size_law[size] += w
-        chi += w * size
-        y = w * dlog * size - dchi_c
-        t = dchi + y
-        dchi_c = (t - dchi) - y
-        dchi = t
-        for t in comp:
-            pair_conn[t] += w
-        if pivotal:
-            # |C_on| - |C_off| ignores bond b's own state, so summing the
-            # full weights marginalizes it automatically
-            contrib = 0.0
-            for b in range(B):
-                u, v, _ = graph.bonds[b]
-                if dprobs[b] == 0.0:
-                    continue
-                rest = [(x, y) for x, y in open_bonds if (x, y) != (u, v)]
-                c_off = _component(graph.n_sites, rest)
-                c_on = _component(graph.n_sites, rest + [(u, v)])
-                contrib += w * dprobs[b] * (len(c_on) - len(c_off))
-            y = contrib - piv_c
-            t = pivotal_weighted + y
-            piv_c = (t - pivotal_weighted) - y
-            pivotal_weighted = t
-    theta_cut = math.sqrt(graph.n_sites)
+    B, n = len(graph.bonds), graph.n_sites
+    chunks = bit_chunks(B, "bonds")  # raises above the limit, before w
+    ends = [(u, v) for u, v, _ in graph.bonds]
+    q = np.array([bond[2] for bond in graph.bonds], dtype=float)
+    probs = np.clip(z * q, 0.0, 1.0)
+    dprobs = np.where((z * q > 0.0) & (z * q < 1.0), q, 0.0)
+    live = dprobs != 0.0  # implies 0 < p < 1, so both quotients are finite
+    d_on = np.divide(dprobs, probs, out=np.zeros(B), where=live)
+    d_off = np.divide(dprobs, 1.0 - probs, out=np.zeros(B), where=live)
+    w = np.empty(1 << B)
+    sizes = np.empty(1 << B, dtype=np.min_scalar_type(-n))
+    G = np.zeros((n, n))
+    dchi = 0.0
+    for start, bits in chunks:
+        rows = bits.shape[1]
+        wc, dlog = np.ones(rows), np.zeros(rows)
+        for b, open_b in enumerate(bits):
+            wc *= np.where(open_b, probs[b], 1.0 - probs[b])
+            dlog += np.where(open_b, d_on[b], -d_off[b])
+        labels = _cluster_labels(n, ends, bits)
+        size = np.count_nonzero(labels == labels[0], axis=0)
+        G += [(labels == labels[i]) @ wc for i in range(n)]
+        dchi += float(np.sum(wc * dlog * size))
+        w[start:start + rows] = wc
+        sizes[start:start + rows] = size
+    pivotal_sum = 0.0
+    if pivotal:
+        for b in np.flatnonzero(live):
+            # configurations pair up as (bit b closed, bit b open)
+            w3 = w.reshape(-1, 2, 1 << b)
+            s3 = sizes.reshape(-1, 2, 1 << b)
+            pivotal_sum += dprobs[b] * float(np.sum(
+                (w3[:, 0] + w3[:, 1]) * (s3[:, 1] - s3[:, 0])))
+    size_law = np.bincount(sizes, weights=w, minlength=n + 1)
+    theta_cut = math.sqrt(n)
     return {
         "z": z,
-        "chi": chi,
+        "chi": float(np.dot(w, sizes)),
         "dchi_dz": dchi,
-        "pivotal_sum": pivotal_weighted,
+        "pivotal_sum": pivotal_sum,
         "size_law": size_law,
-        "pair_conn": pair_conn,
+        "pair_conn": G[0].copy(),
+        "pair_matrix": G,
         "theta": float(np.sum(size_law[int(theta_cut) + 1:])),
     }
 
@@ -279,14 +277,15 @@ def russo_check(graph: ExactGraph, z: float) -> dict:
     """Derivative identity and the tree-graph bounds on an exact instance.
 
     Checks dchi/dz == pivotal sum (to 1e-12), dchi/dz <= chi^2, and
-    dchi/dz >= chi^2 * sum_b in-range weight - chi^2 * triangle.
+    dchi/dz >= chi^2 * sum_b in-range weight - chi^2 * triangle.  One
+    enumeration serves all three; the triangle reads its pair matrix.
     """
     rec = exact_small(graph, z, pivotal=True)
     chi = rec["chi"]
     # per-site outgoing step weight within range (q doubles as D_M(v-u));
     # ordered-pair convention counts each unordered bond twice
     d_sum = 2.0 * sum(q for _, _, q in graph.bonds) / graph.n_sites
-    nabla = exact_triangle(graph, z)
+    nabla = _triangle(graph, rec["pair_matrix"])
     lower = chi ** 2 * d_sum - chi ** 2 * nabla
     return {
         "z": z,
@@ -309,41 +308,20 @@ def exact_triangle(graph: ExactGraph, z: float) -> float:
     translations of G(v,s) G(s,t) G(t,u), computed from the full exact
     pair-connectivity matrix.
     """
-    n = graph.n_sites
-    G = exact_pair_matrix(graph, z)
+    return _triangle(graph, exact_pair_matrix(graph, z))
+
+
+def _triangle(graph: ExactGraph, G: np.ndarray) -> float:
     total = 0.0
     for u, v, q in graph.bonds:
         for a, b in ((u, v), (v, u)):
             total += q * float(G[b] @ G @ G[:, a])
-    return total / n
+    return total / graph.n_sites
 
 
 def exact_pair_matrix(graph: ExactGraph, z: float) -> np.ndarray:
     """G[i, j] = P(i connected to j), by exhaustive enumeration."""
-    B = len(graph.bonds)
-    n = graph.n_sites
-    probs = [min(max(z * q, 0.0), 1.0) for _, _, q in graph.bonds]
-    G = np.zeros((n, n))
-    for cfg in range(1 << B):
-        w = 1.0
-        open_bonds = []
-        for b in range(B):
-            if (cfg >> b) & 1:
-                w *= probs[b]
-                open_bonds.append(graph.bonds[b][:2])
-            else:
-                w *= 1.0 - probs[b]
-        if w == 0.0:
-            continue
-        remaining = set(range(n))
-        while remaining:
-            start = next(iter(remaining))
-            comp = _component(n, open_bonds, start=start) & remaining
-            idx = sorted(comp)
-            for i in idx:
-                G[i, idx] += w
-            remaining -= comp
-    return G
+    return exact_small(graph, z, pivotal=False)["pair_matrix"]
 
 
 def restricted_triangle(config: PercConfig, g_field: TorusField) -> float:

@@ -1,7 +1,9 @@
 """Acceptance gate: eleven criteria, one test each.
 
-Each test prints a PASS/FAIL line (visible with pytest -s) and asserts the
-criterion's "passed" flag.  Tolerances are fixed inside lacelab.acceptance:
+The suite runs once per session (acceptance.run_all, through the `suite`
+fixture).  Each test prints its criterion's PASS/FAIL line (visible with
+pytest -s) and asserts that criterion's "passed" flag.  Tolerances are
+fixed inside lacelab.acceptance:
   1  closed-form nn transform vs support sum, 1e-14 absolute
   2  four-step return probability vs 3/8, 1e-12 absolute
   3  beta k-space vs x-space, 1e-9 absolute, plus divergence flags
@@ -17,67 +19,77 @@ criterion's "passed" flag.  Tolerances are fixed inside lacelab.acceptance:
  11  cluster-tail sandwich holds on exact size laws, 1e-12 slack
 """
 
+import contextlib
+import io
+
 import pytest
 
 from lacelab import acceptance
 
 
-def _run(num: int) -> None:
-    entry = next(c for c in acceptance.CRITERIA if c[0] == num)
-    _, name, fn = entry
-    res = fn()
-    print("%s criterion %2d: %s" % ("PASS" if res["passed"] else "FAIL",
-                                    num, name))
-    assert res["passed"], res
+@pytest.fixture(scope="session")
+def suite():
+    """acceptance.run_all(verbose=True), run once, and what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        summary = acceptance.run_all(verbose=True)
+    return summary, out.getvalue()
 
 
-def test_criterion_01_fourier_closed_form():
-    _run(1)
+def _check(suite, num: int) -> None:
+    summary, _ = suite
+    row = next(r for r in summary["results"] if r["criterion"] == num)
+    print("%s criterion %2d: %s" % ("PASS" if row["passed"] else "FAIL",
+                                    num, row["name"]))
+    assert row["passed"], row
 
 
-def test_criterion_02_return_probability():
-    _run(2)
+def test_criterion_01_fourier_closed_form(suite):
+    _check(suite, 1)
 
 
-def test_criterion_03_beta_consistency():
-    _run(3)
+def test_criterion_02_return_probability(suite):
+    _check(suite, 2)
 
 
-def test_criterion_04_beta_scaling():
-    _run(4)
+def test_criterion_03_beta_consistency(suite):
+    _check(suite, 3)
 
 
-def test_criterion_05_saw_counts():
-    _run(5)
+def test_criterion_04_beta_scaling(suite):
+    _check(suite, 4)
 
 
-def test_criterion_06_lace_reconstruction():
-    _run(6)
+def test_criterion_05_saw_counts(suite):
+    _check(suite, 5)
 
 
-def test_criterion_07_percolation():
-    _run(7)
+def test_criterion_06_lace_reconstruction(suite):
+    _check(suite, 6)
 
 
-def test_criterion_08_ising():
-    _run(8)
+def test_criterion_07_percolation(suite):
+    _check(suite, 7)
 
 
-def test_criterion_09_bootstrap_base():
-    _run(9)
+def test_criterion_08_ising(suite):
+    _check(suite, 8)
 
 
-def test_criterion_10_inequalities():
-    _run(10)
+def test_criterion_09_bootstrap_base(suite):
+    _check(suite, 9)
 
 
-def test_criterion_11_magnetization_sandwich():
-    _run(11)
+def test_criterion_10_inequalities(suite):
+    _check(suite, 10)
 
 
-def test_run_all_reports_every_criterion(capsys):
-    summary = acceptance.run_all(verbose=True)
-    out = capsys.readouterr().out
+def test_criterion_11_magnetization_sandwich(suite):
+    _check(suite, 11)
+
+
+def test_run_all_reports_every_criterion(suite):
+    summary, out = suite
     assert summary["passed"]
     assert len(summary["results"]) == 11
     for num in range(1, 12):

@@ -65,6 +65,17 @@ def test_perc_subcommand_checks_exact(capsys):
     assert doc["seed"] == 3
 
 
+def test_perc_skips_exact_above_bond_limit(capsys):
+    # the 4x4 torus has 32 nearest-neighbour bonds, above the exact limit
+    code, doc = run_cli(capsys, ["perc", "--family", "nn", "--d", "2",
+                                 "--M", "4", "--z", "0.3", "--R", "1",
+                                 "--replicas", "50", "--seed", "0"])
+    assert code == 0
+    assert "chi_hat" in doc["result"]
+    assert "chi_exact" not in doc["result"]
+    assert "within_4se" not in doc["result"]
+
+
 def test_perc_deterministic_output(capsys):
     argv = ["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
             "--R", "1", "--replicas", "200", "--seed", "9"]

@@ -17,6 +17,25 @@ def ring_correlation(M: int, K: float, r: int) -> float:
     return (t ** r + t ** (M - r)) / (1.0 + t ** M)
 
 
+def ring_transfer_matrix(M: int, K: float, h: float):
+    """chi, m and g(r) of the M-cycle in a field, from the 2x2 transfer matrix.
+
+    T[s, s'] = exp(K s s' + h (s + s') / 2), divided by its largest entry so
+    that no power of it overflows.
+    """
+    s = np.array([1.0, -1.0])
+    log_t = K * np.outer(s, s) + 0.5 * h * (s[:, None] + s[None, :])
+    T = np.exp(log_t - log_t.max())
+    S = np.diag(s)
+
+    def power(r):
+        return np.linalg.matrix_power(T, r)
+    Z = np.trace(power(M))
+    g = np.array([np.trace(S @ power(r) @ S @ power(M - r))
+                  for r in range(M)]) / Z
+    return float(g.sum()), float(np.trace(S @ power(M)) / Z), g
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -69,6 +88,22 @@ class TestExact:
         Jm = coupling_matrix_from_torus(TorusGrid(1, 4), RING_TABLE)
         rec = exact_ising(IsingConfig(J=Jm, z=0.4, h=0.3))
         assert rec.m_hat > 0.0
+
+    @pytest.mark.parametrize("z,h", [(0.1, 400.0), (0.3, 0.2)])
+    def test_odd_ring_in_a_field_matches_transfer_matrix(self, z, h):
+        # 17 spins span two enumeration chunks, and for h > 0 the heaviest
+        # configuration (all up) lies in the second one
+        M = 17
+        Jm = np.zeros((M, M))
+        for i in range(M):
+            Jm[i, (i + 1) % M] = Jm[(i + 1) % M, i] = 1.0
+        rec = exact_ising(IsingConfig(J=Jm, z=z, h=h))
+        chi, m, g = ring_transfer_matrix(M, z, h)
+        assert np.isfinite(rec.chi_hat) and np.isfinite(rec.m_hat)
+        assert np.all(np.isfinite(rec.g))
+        assert rec.chi_hat == pytest.approx(chi, rel=1e-9)
+        assert rec.m_hat == pytest.approx(m, rel=1e-9)
+        np.testing.assert_allclose(rec.g, g, rtol=1e-9)
 
     def test_correlation_matrix_psd(self):
         Jm = coupling_matrix_from_torus(TorusGrid(1, 6), RING_TABLE)

@@ -57,6 +57,41 @@ class TestConfig:
         assert np.max(np.abs(offs)) == 1
 
 
+def scalar_oracle(graph, z):
+    """Per-configuration reference: union-find on each of the 2^B bond sets."""
+    n, B = graph.n_sites, len(graph.bonds)
+    p = [min(max(z * q, 0.0), 1.0) for _, _, q in graph.bonds]
+    dp = [q if 0.0 < z * q < 1.0 else 0.0 for _, _, q in graph.bonds]
+
+    def roots(cfg):
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+        for b, (u, v, _) in enumerate(graph.bonds):
+            if cfg >> b & 1:
+                parent[find(u)] = find(v)
+        return [find(a) for a in range(n)]
+    R = [roots(cfg) for cfg in range(1 << B)]
+    S = [r.count(r[0]) for r in R]
+    rec = {"chi": 0.0, "dchi_dz": 0.0, "pivotal_sum": 0.0,
+           "size_law": np.zeros(n + 1), "pair_matrix": np.zeros((n, n))}
+    for cfg, (r, s) in enumerate(zip(R, S)):
+        on = [cfg >> b & 1 for b in range(B)]
+        w = math.prod(pb if o else 1.0 - pb for pb, o in zip(p, on))
+        rec["chi"] += w * s
+        rec["dchi_dz"] += w * s * sum(d / pb if o else -d / (1.0 - pb)
+                                      for pb, d, o in zip(p, dp, on) if d)
+        rec["pivotal_sum"] += w * sum(
+            d * (S[cfg | 1 << b] - S[cfg & ~(1 << b)])
+            for b, d in enumerate(dp) if d)
+        rec["size_law"][s] += w
+        rec["pair_matrix"] += w * np.equal.outer(r, r)
+    return rec
+
+
 class TestExactOracle:
     def test_single_bond_by_hand(self):
         graph = ExactGraph(2, [(0, 1, 1.0)])
@@ -85,8 +120,39 @@ class TestExactOracle:
         assert np.all(G >= 0) and np.all(G <= 1 + 1e-12)
 
     def test_bond_limit_guard(self):
-        with pytest.raises(ValueError):
-            ExactGraph(30, [(i, i + 1, 1.0) for i in range(25)])
+        # building a large graph is fine; enumerating it is refused
+        graph = ExactGraph(30, [(i, i + 1, 1.0) for i in range(25)])
+        with pytest.raises(ValueError, match="limited to 20 bonds"):
+            exact_small(graph, 0.5)
+        with pytest.raises(ValueError, match="limited to 20 bonds"):
+            exact_pair_matrix(graph, 0.5)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+               st.just(n),
+               st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                                  | st.floats(0.01, 2.0)),
+                        max_size=8))),
+           st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_oracle(self, instance, z):
+        # z in {1, 2, 4} puts some z*q exactly at 1 or clips it above 1
+        graph = ExactGraph(*instance)
+        want = scalar_oracle(graph, z)
+        rec = exact_small(graph, z, pivotal=True)
+
+        def close(a, b):
+            return np.all(np.abs(np.asarray(a) - b)
+                          <= 1e-12 * np.maximum(1.0, np.abs(b)))
+        for key in ("chi", "dchi_dz", "pivotal_sum", "size_law",
+                    "pair_matrix"):
+            assert np.all(np.isfinite(rec[key])), key
+            assert close(rec[key], want[key]), (key, rec[key], want[key])
+        assert close(rec["pair_conn"], want["pair_matrix"][0])
+        assert close(rec["theta"], sum(want["size_law"][
+            int(math.sqrt(graph.n_sites)) + 1:]))
+        assert close(exact_pair_matrix(graph, z), want["pair_matrix"])
+        assert russo_check(graph, z)["match"]
 
     @given(st.floats(0.05, 0.95), st.integers(4, 8))
     @settings(max_examples=20, deadline=None)
