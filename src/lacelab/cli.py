@@ -77,6 +77,8 @@ def _emit(args, subcommand: str, spec: dict, seed, result: dict,
 
 
 def _jsonify(obj):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -104,21 +106,16 @@ def cmd_dist_check(args):
 def cmd_rw_beta(args):
     dist = _dist_from_args(args)
     ms = [int(m) for m in args.M.split(",")]
-    base = TorusGrid(args.d, ms[0])
-    rep = wk.beta(dist, base, args.s, refinements=1)
-    seq = [(m, wk._beta_kspace_on_grid(dist, TorusGrid(args.d, m), args.s))
-           for m in ms]
-    divergent = False
-    if len(seq) >= 3:
-        d1 = abs(seq[1][1] - seq[0][1])
-        d2 = abs(seq[2][1] - seq[1][1])
-        divergent = d2 > wk.CAUCHY_RATIO * d1
+    rep = wk.beta(dist, TorusGrid(args.d, ms[0]), args.s, refinements=1)
+    betas = [rep.beta_kspace] + [
+        wk.beta_kspace(wk.folded_dhat(dist, TorusGrid(args.d, m)), args.s)
+        for m in ms[1:]]
     result = {
         "s": args.s, "M_sequence": ms,
-        "beta_sequence": [v for _, v in seq],
+        "beta_sequence": betas,
         "beta_kspace": rep.beta_kspace, "beta_xspace": rep.beta_xspace,
         "consistency_error": abs(rep.beta_kspace - rep.beta_xspace),
-        "divergent": divergent,
+        "divergent": wk.refinement_divergent(betas),
         "analytic_threshold": rep.analytic_threshold,
         "analytic_finite": rep.analytic_finite,
         "zero_mode_policy": rep.zero_mode_policy,
@@ -195,12 +192,8 @@ def cmd_perc(args):
 
 def cmd_ising(args):
     grid = TorusGrid(args.d, args.M)
-    table = {}
-    for a in range(args.d):
-        for sgn in (1, -1):
-            off = [0] * args.d
-            off[a] = sgn
-            table[tuple(off)] = args.J
+    offs, _ = StepDistribution("nn", args.d).support()
+    table = dict.fromkeys(map(tuple, offs.tolist()), args.J)
     Jm = isg.coupling_matrix_from_torus(grid, table, R=args.R)
     cfg = isg.IsingConfig(J=Jm, z=args.z, h=args.h, sweeps=args.sweeps,
                           burn_in=args.burn_in, thinning=args.thinning,

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .steps import StepDistribution
-from .torus import (TorusField, TorusGrid, convolve, dft, field_at_zero,
-                    idft, one_minus_cos_sum)
-from .walk import folded_dhat
+from .torus import (TorusField, TorusGrid, convolve, delta_k, dft,
+                    field_at_zero, idft, one_minus_cos_sum, reflect)
+from .walk import beta_kspace, folded_dhat, resolvent
 
 F3_EXHAUSTIVE_MAX_SITES = 4096
 U_CONSTANT = 200.0
@@ -54,10 +54,12 @@ class TwoPointInput:
 
 def free_two_point(dist: StepDistribution, grid: TorusGrid,
                    z: float) -> TwoPointInput:
-    """The exactly solvable walk input: Ghat = 1/(1 - z Dhat), tau = z."""
+    """The exactly solvable walk input: Ghat = 1/(1 - z Dhat), tau = z.
+
+    z must lie in [0, 1), as for walk.greens_c.
+    """
     dhat = folded_dhat(dist, grid)
-    return TwoPointInput(grid=grid, ghat=1.0 / (1.0 - z * dhat), tau=z,
-                         dhat=dhat)
+    return TwoPointInput(grid=grid, ghat=resolvent(dhat, z), tau=z, dhat=dhat)
 
 
 @dataclass
@@ -96,7 +98,8 @@ def _mean(grid: TorusGrid, arr: np.ndarray) -> float:
 def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
     """B, T, nabla, B-tilde on the grid, cross-checked in x-space."""
     g = inp.ghat
-    if np.max(np.abs(g - _reflect_k(inp.grid, g))) > 1e-9 * max(
+    g_reflected = reflect(TorusField(inp.grid, g, "k")).values
+    if np.max(np.abs(g - g_reflected)) > 1e-9 * max(
             1.0, float(np.max(np.abs(g)))):
         raise ValueError("ghat must be symmetric")
     grid = inp.grid
@@ -105,8 +108,7 @@ def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
     nabla = _mean(grid, inp.dhat * g ** 3)
     B_tilde = _mean(grid, (inp.tau * inp.dhat * g) ** 2)
 
-    gx = idft(TorusField(grid, g.astype(complex), "k"))
-    gx = TorusField(grid, gx.values.real, "x")
+    gx = _g_x(inp)
     B_x = field_at_zero(convolve(gx, gx))
     if abs(B - B_x) > cross_check_tol * max(1.0, B):
         raise AssertionError("bubble k/x cross-check failed")
@@ -116,9 +118,10 @@ def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
     return B, T, nabla, B_tilde
 
 
-def _reflect_k(grid: TorusGrid, arr: np.ndarray) -> np.ndarray:
-    idx = tuple(slice(None, None, -1) for _ in range(grid.d))
-    return np.roll(arr[idx], 1, axis=tuple(range(grid.d)))
+def _g_x(inp: TwoPointInput) -> TorusField:
+    """G(x), the real inverse transform of Ghat."""
+    gx = idft(TorusField(inp.grid, inp.ghat.astype(complex), "k"))
+    return TorusField(inp.grid, gx.values.real, "x")
 
 
 def g_tilde_field(inp: TwoPointInput) -> TorusField:
@@ -171,30 +174,24 @@ def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
     f3 = 0.0
     if grid.n_sites <= F3_EXHAUSTIVE_MAX_SITES:
         # exhaustive over k: one vectorized pass per k index
-        for k_flat in range(grid.n_sites):
-            k = np.array(np.unravel_index(k_flat, grid.shape))
-            shift_p = g
-            shift_m = g
-            for a in range(grid.d):
-                shift_p = np.roll(shift_p, -int(k[a]), axis=a)
-                shift_m = np.roll(shift_m, int(k[a]), axis=a)
-            num = np.abs(shift_m + shift_p - 2.0 * g)
-            cp = c_lam
-            cm = c_lam
-            for a in range(grid.d):
-                cp = np.roll(cp, -int(k[a]), axis=a)
-                cm = np.roll(cm, int(k[a]), axis=a)
-            den = (U_CONSTANT / c_lam[tuple(k % M)]
+        axes = tuple(range(grid.d))
+        for k in np.ndindex(grid.shape):
+            minus_k = tuple(-a for a in k)
+            num = np.abs(np.roll(g, k, axes) + np.roll(g, minus_k, axes)
+                         - 2.0 * g)
+            cp = np.roll(c_lam, minus_k, axes)
+            cm = np.roll(c_lam, k, axes)
+            den = (U_CONSTANT / c_lam[k]
                    * (cm * c_lam + c_lam * cp + cm * cp))
             f3 = max(f3, float(np.max(num / den)))
         mode = "exhaustive"
     else:
         rng = np.random.default_rng(seed)
+        ghat = TorusField(grid, g, "k")
         for _ in range(rng_pairs):
             k = rng.integers(0, M, size=grid.d)
             l = rng.integers(0, M, size=grid.d)
-            num = abs(g[tuple((l - k) % M)] + g[tuple((l + k) % M)]
-                      - 2.0 * g[tuple(l)])
+            num = abs(delta_k(ghat, k, l))
             f3 = max(f3, num / u_weight(c_lam, grid, k, l))
         mode = "sampled"
     return f1, f2, f3, mode
@@ -260,11 +257,7 @@ def cos_split_check(t_parts) -> dict:
 
 def delta_vs_cos_sum_check(g_field: TorusField, k, l) -> dict:
     """|Delta_k ghat(l)| <= 2 sum_x (1 - cos k.x) |g(x)| for symmetric g."""
-    ghat = TorusField(g_field.grid, dft(g_field).values, "k")
-    lhs = abs(complex(
-        ghat.values[tuple((np.asarray(l) - np.asarray(k)) % g_field.grid.M)]
-        + ghat.values[tuple((np.asarray(l) + np.asarray(k)) % g_field.grid.M)]
-        - 2.0 * ghat.values[tuple(np.asarray(l) % g_field.grid.M)]))
+    lhs = abs(complex(delta_k(dft(g_field), k, l)))
     rhs = 2.0 * one_minus_cos_sum(g_field, k)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-10}
 
@@ -284,8 +277,7 @@ def c_lambda_identity_check(dhat: np.ndarray, lam: float) -> dict:
 def open_vs_closed_bubble_check(inp: TwoPointInput) -> dict:
     """Pointwise (G*G)(x) <= B and (Gt*Gt)(x) <= B_tilde."""
     grid = inp.grid
-    gx = idft(TorusField(grid, inp.ghat.astype(complex), "k"))
-    gx = TorusField(grid, gx.values.real, "x")
+    gx = _g_x(inp)
     open_bubble = convolve(gx, gx).values
     B = _mean(grid, inp.ghat ** 2)
     gt = g_tilde_field(inp)
@@ -303,12 +295,7 @@ def open_vs_closed_bubble_check(inp: TwoPointInput) -> dict:
 def cos_g_bound_check(inp: TwoPointInput, k_index, K: float) -> dict:
     """sup_x (1 - cos k.x) G(x) <= 300 K (1 - lam Dhat(k)) (C*C)(0)."""
     grid = inp.grid
-    gx = idft(TorusField(grid, inp.ghat.astype(complex), "k"))
-    gvals = gx.values.real
-    kvec = 2.0 * np.pi * np.asarray(k_index, dtype=float) / grid.M
-    xc = grid.centered_coords()
-    phase = np.tensordot(kvec, xc, axes=(0, 0))
-    lhs = float(np.max((1.0 - np.cos(phase)) * gvals))
+    lhs = float(np.max(grid.one_minus_cos(k_index) * _g_x(inp).values))
     c_lam = inp.c_lambda()
     cc0 = _mean(grid, c_lam ** 2)  # (C*C)(0) by Parseval
     kidx = tuple(np.mod(np.asarray(k_index, dtype=int), grid.M))
@@ -330,8 +317,7 @@ def b_tilde_beta_bound_check(inp: TwoPointInput) -> dict:
     mask[(0,) * grid.d] = False
     B_tilde = float(np.sum(
         (inp.tau * inp.dhat[mask] * inp.ghat[mask]) ** 2) / grid.n_sites)
-    v = inp.dhat[mask]
-    beta2 = float(np.sum(v ** 2 / (1.0 - v) ** 2) / grid.n_sites)
+    beta2 = beta_kspace(inp.dhat, 2)
     rhs = 4.0 * K ** 4 * beta2
     return {"B_tilde": B_tilde, "rhs": rhs, "K": K,
             "holds": B_tilde <= rhs + 1e-12}

@@ -148,7 +148,7 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     Returns (mag_series, corr_series) with one row per kept sample.
     """
     n_targets = corr_targets.shape[1]
-    kept = (sweeps - burn_in) // thinning
+    kept = (sweeps - burn_in + thinning - 1) // thinning
     mag = np.zeros(kept, dtype=np.float64)
     corr = np.zeros((kept, n_targets), dtype=np.float64)
     spins = np.empty(n_sites, dtype=np.int8)

@@ -67,17 +67,17 @@ def bond_offsets(config: PercConfig):
     for o in itertools.product(axis, repeat=grid.d):
         if not any(o):
             continue
+        r = math.sqrt(sum(v * v for v in o))
+        w = float(dm[tuple(np.mod(o, grid.M))])
         if all((-v) % grid.M == v % grid.M for v in o):
-            if (math.sqrt(sum(v * v for v in o)) <= config.R
-                    and dm[tuple(np.mod(o, grid.M))] > 0.0):
+            if r <= config.R and w > 0.0:
                 warnings.warn("offset at half the torus period excluded; "
                               "use M > 2R", RuntimeWarning)
             continue
-        if o < tuple(-v for v in o):
-            continue  # keep one representative per +-o pair
-        if math.sqrt(sum(v * v for v in o)) > config.R:
+        # keep one representative per +-o pair
+        if o < tuple(-v for v in o) or r > config.R:
             continue
-        p = config.z * float(dm[tuple(np.mod(o, grid.M))])
+        p = config.z * w
         if p <= 0.0:
             continue
         if p > 1.0:
@@ -94,11 +94,13 @@ def bond_offsets(config: PercConfig):
 
 def range_tail(config: PercConfig) -> float:
     """e_R: folded step weight beyond the cutoff R."""
-    grid = config.grid
-    dm = _folded_values(config)
-    xc = grid.centered_coords()
-    r = np.sqrt(np.sum(xc.astype(float) ** 2, axis=0))
-    return float(np.sum(dm[r > config.R]))
+    return float(np.sum(_folded_values(config)[_beyond_range(config)]))
+
+
+def _beyond_range(config: PercConfig) -> np.ndarray:
+    """Sites whose centered displacement from the origin exceeds R."""
+    xc = config.grid.centered_coords()
+    return np.sqrt(np.sum(xc.astype(float) ** 2, axis=0)) > config.R
 
 
 @dataclass
@@ -114,8 +116,11 @@ class ClusterStats:
 
 
 def batch_means_se(x: np.ndarray, batches: int = 25) -> float:
-    """Standard error of the mean from batch means."""
+    """Standard error of the mean from batch means; needs 2 samples."""
     n = len(x)
+    if n < 2:
+        raise ValueError("a standard error needs at least 2 samples, got %d"
+                         % n)
     b = max(2, min(batches, n // 2))
     cut = (n // b) * b
     means = x[:cut].reshape(b, -1).mean(axis=1)
@@ -126,14 +131,11 @@ def sample_cluster(config: PercConfig, targets=None) -> ClusterStats:
     """Monte Carlo cluster-of-origin statistics over independent replicas."""
     grid = config.grid
     offs, probs = bond_offsets(config)
-    strides = np.array([grid.M ** (grid.d - 1 - a) for a in range(grid.d)],
-                       dtype=np.int64)
     if targets is None:
         targets = []
-    target_flat = np.array([int(np.dot(np.mod(t, grid.M), strides))
-                            for t in targets], dtype=np.int64)
+    target_flat = grid.flat_index(np.reshape(targets, (-1, grid.d)))
     sizes, hits = percolation_clusters(
-        offs, strides, probs, grid.M, grid.n_sites, len(offs),
+        offs, grid.strides, probs, grid.M, grid.n_sites, len(offs),
         config.seed, config.replicas, target_flat)
     sizes = np.asarray(sizes, dtype=float)
     if np.any(sizes > grid.n_sites):
@@ -169,22 +171,25 @@ class ExactGraph:
 
 
 def exact_graph_from_config(config: PercConfig) -> ExactGraph:
+    """Every bond of the torus, site-major then offset-minor.
+
+    A pair reached from both ends (or by two offsets that alias on a small
+    torus) is kept at its first occurrence; self-loops are dropped.
+    """
     grid = config.grid
     offs, probs = bond_offsets(config)
-    strides = np.array([grid.M ** (grid.d - 1 - a) for a in range(grid.d)],
-                       dtype=np.int64)
-    seen = set()
-    bonds = []
-    for site in range(grid.n_sites):
-        sv = np.array(np.unravel_index(site, grid.shape))
-        for o, p in zip(offs, probs):
-            nb = int(np.dot((sv + o) % grid.M, strides))
-            key = (min(site, nb), max(site, nb))
-            if nb == site or key in seen:
-                continue
-            seen.add(key)
-            bonds.append((site, nb, float(p) / config.z if config.z else 0.0))
-    return ExactGraph(n_sites=grid.n_sites, bonds=bonds)
+    n = grid.n_sites
+    site = np.repeat(np.arange(n), len(offs))
+    nb = grid.flat_index(grid.sites()[:, None, :] + offs[None, :, :]).ravel()
+    q = np.tile(probs / config.z, n)  # z = 0 leaves no offsets
+    keep = nb != site
+    site, nb, q = site[keep], nb[keep], q[keep]
+    _, first = np.unique(np.minimum(site, nb) * n + np.maximum(site, nb),
+                         return_index=True)
+    first.sort()
+    bonds = list(zip(site[first].tolist(), nb[first].tolist(),
+                     q[first].tolist()))
+    return ExactGraph(n_sites=n, bonds=bonds)
 
 
 def _cluster_labels(n_sites: int, ends: list, bits: np.ndarray) -> np.ndarray:
@@ -330,12 +335,9 @@ def restricted_triangle(config: PercConfig, g_field: TorusField) -> float:
     g_field is a translation-averaged pair connectivity on the torus; the
     step kernel is the folded D cut off at range R.
     """
-    grid = config.grid
     dm = _folded_values(config).copy()
-    xc = grid.centered_coords()
-    r = np.sqrt(np.sum(xc.astype(float) ** 2, axis=0))
-    dm[r > config.R] = 0.0
-    dr = TorusField(grid, config.z * dm, "x")
+    dm[_beyond_range(config)] = 0.0
+    dr = TorusField(config.grid, config.z * dm, "x")
     out = convolve(dr, convolve(g_field, convolve(g_field, g_field)))
     return field_at_zero(out)
 

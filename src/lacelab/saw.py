@@ -62,6 +62,8 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
                     mode: str = "rational",
                     node_budget: int = DEFAULT_NODE_BUDGET) -> WalkSeries:
     """Exact c_n(x) for n <= n_max by self-avoiding DFS."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if mode not in ("rational", "double"):
         raise ValueError("mode must be 'rational' or 'double'")
     if mode == "rational" and dist.family == "power":

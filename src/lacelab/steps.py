@@ -39,6 +39,14 @@ def _power_tail_bound(d: int, L: int, alpha: float, R: float) -> float:
     return 2.0 * _sphere_area(d) * L ** (d + alpha) * r0 ** (-alpha) / alpha
 
 
+def dirichlet_kernel(t, L: int) -> np.ndarray:
+    """sum_{|x| <= L} cos(t x) = sin((2L+1) t/2) / sin(t/2), one axis."""
+    n = 2 * L + 1
+    small = np.abs(np.sin(t / 2)) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, float(n), np.sin(n * t / 2) / np.sin(t / 2))
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     family: str  # "nn" | "uniform" | "power"
@@ -187,20 +195,12 @@ class StepDistribution:
             out = np.mean(np.cos(ks), axis=-1)
         elif self.family == "uniform":
             # product of per-axis Dirichlet kernels, origin term removed
-            n = 2 * self.L + 1
             prod = np.ones(len(ks))
             for a in range(self.d):
-                t = ks[:, a]
-                small = np.abs(np.sin(t / 2)) < 1e-12
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    w = np.where(small, float(n),
-                                 np.sin(n * t / 2) / np.sin(t / 2))
-                prod *= w
-            out = (prod - 1.0) / (n ** self.d - 1)
+                prod *= dirichlet_kernel(ks[:, a], self.L)
+            out = (prod - 1.0) / ((2 * self.L + 1) ** self.d - 1)
         else:
-            out = np.zeros(len(ks))
-            for xs, p in self.support_chunks():
-                out += np.cos(ks @ xs.T.astype(float)) @ p
+            out = self.fourier_d_support_sum(ks)
         return float(out[0]) if single else out
 
     def fourier_d_support_sum(self, k) -> np.ndarray | float:
@@ -219,11 +219,8 @@ class StepDistribution:
         if grid.d != self.d:
             raise ValueError("grid dimension mismatch")
         vals = np.zeros(grid.n_sites)
-        strides = np.array([grid.M ** (self.d - 1 - a) for a in range(self.d)],
-                           dtype=np.int64)
         for xs, p in self.support_chunks():
-            flat = (np.mod(xs, grid.M) @ strides).astype(np.int64)
-            np.add.at(vals, flat, p)
+            np.add.at(vals, grid.flat_index(xs), p)
         return TorusField(grid, vals.reshape(grid.shape), "x")
 
     # -- moments and condition scan -------------------------------------

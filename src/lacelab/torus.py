@@ -43,8 +43,23 @@ class TorusGrid:
         """Per-axis dual variable 2*pi*m/M wrapped to [-pi, pi)."""
         return 2.0 * np.pi * self.centered_coords() / self.M
 
-    def index_vector(self, flat):
-        return np.unravel_index(flat, self.shape)
+    def one_minus_cos(self, k_index) -> np.ndarray:
+        """1 - cos(k.x) per site, k = 2 pi k_index / M, x centered."""
+        k = 2.0 * np.pi * np.asarray(k_index, dtype=float) / self.M
+        return 1.0 - np.cos(np.tensordot(k, self.centered_coords(), axes=(0, 0)))
+
+    @property
+    def strides(self):
+        """Row-major flattening strides (M^(d-1), ..., M, 1)."""
+        return self.M ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+
+    def flat_index(self, coords):
+        """Flat site index of integer coordinates (..., d), wrapped mod M."""
+        return np.mod(np.asarray(coords, dtype=np.int64), self.M) @ self.strides
+
+    def sites(self):
+        """Coordinates of every site in flat-index order, shape (M^d, d)."""
+        return np.indices(self.shape).reshape(self.d, -1).T
 
 
 @dataclass
@@ -112,17 +127,15 @@ def convolve_direct(f: TorusField, g: TorusField) -> TorusField:
     if f.grid.n_sites > DIRECT_CONV_MAX_SITES:
         raise ValueError("direct convolution limited to M^d <= %d"
                          % DIRECT_CONV_MAX_SITES)
-    M, d = f.grid.M, f.grid.d
-    fv = f.values.ravel()
-    out = np.zeros(f.grid.shape, dtype=np.result_type(f.values, g.values))
-    idx = np.indices(f.grid.shape).reshape(d, -1)
-    for y_flat, fy in enumerate(fv):
+    grid = f.grid
+    sites = grid.sites()
+    gv = g.values.ravel()
+    out = np.zeros(grid.n_sites, dtype=np.result_type(f.values, g.values))
+    for y, fy in zip(sites, f.values.ravel()):
         if fy == 0:
             continue
-        y = np.unravel_index(y_flat, f.grid.shape)
-        shifted = tuple((idx[a] - y[a]) % M for a in range(d))
-        out += (fy * g.values[shifted]).reshape(f.grid.shape)
-    return TorusField(f.grid, out, "x")
+        out += fy * gv[grid.flat_index(sites - y)]
+    return TorusField(grid, out.reshape(grid.shape), "x")
 
 
 def delta_k(ghat: TorusField, k_index, l_index) -> complex:
@@ -141,11 +154,7 @@ def one_minus_cos_sum(g: TorusField, k_index) -> float:
     """sum_x [1 - cos(k.x)] |g(x)| with x in the centered domain."""
     if g.space != "x":
         raise ValueError("one_minus_cos_sum expects an x-space field")
-    grid = g.grid
-    k = 2.0 * np.pi * np.asarray(k_index, dtype=float) / grid.M
-    xc = grid.centered_coords()
-    phase = np.tensordot(k, xc, axes=(0, 0))
-    return float(np.sum((1.0 - np.cos(phase)) * np.abs(g.values)))
+    return float(np.sum(g.grid.one_minus_cos(k_index) * np.abs(g.values)))
 
 
 def field_at_zero(f: TorusField) -> float:
@@ -153,7 +162,7 @@ def field_at_zero(f: TorusField) -> float:
 
 
 def reflect(f: TorusField) -> TorusField:
-    """g(x) = f(-x mod M)."""
+    """g(x) = f(-x mod M); the same map reflects k-space fields."""
     idx = tuple(slice(None, None, -1) for _ in range(f.grid.d))
     return TorusField(f.grid, np.roll(f.values[idx], 1, axis=tuple(range(f.grid.d))), f.space)
 

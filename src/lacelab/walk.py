@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steps import StepDistribution
-from .torus import TorusField, TorusGrid, convolve, field_at_zero, real_dft
+from .steps import StepDistribution, dirichlet_kernel
+from .torus import (TorusField, TorusGrid, convolve, field_at_zero, idft,
+                    real_dft, reflect)
 
 # A refinement sequence is flagged divergent when successive increments
 # fail to shrink.  Convergent cases contract geometrically, but barely
@@ -27,22 +28,48 @@ def folded_dhat(dist: StepDistribution, grid: TorusGrid) -> np.ndarray:
     return real_dft(dist.fold(grid))
 
 
-def greens_c(dist: StepDistribution, grid: TorusGrid, z: float) -> TorusField:
-    """C_z-hat(k) = 1/(1 - z Dhat_M(k)); requires 0 <= z < 1."""
+def resolvent(dhat: np.ndarray, z: float) -> np.ndarray:
+    """1/(1 - z Dhat(k)) on the dual grid; requires 0 <= z < 1."""
     if not 0.0 <= z < 1.0:
         raise ValueError("z must lie in [0, 1)")
-    dhat = folded_dhat(dist, grid)
-    return TorusField(grid, 1.0 / (1.0 - z * dhat), "k")
+    return 1.0 / (1.0 - z * dhat)
+
+
+def greens_c(dist: StepDistribution, grid: TorusGrid, z: float) -> TorusField:
+    """C_z-hat(k) = 1/(1 - z Dhat_M(k)); requires 0 <= z < 1."""
+    return TorusField(grid, resolvent(folded_dhat(dist, grid), z), "k")
+
+
+def _nonzero_modes(shape) -> np.ndarray:
+    """Mask of the dual grid with the k = 0 mode left out."""
+    mask = np.ones(shape, dtype=bool)
+    mask[(0,) * len(shape)] = False
+    return mask
+
+
+def _kspace_mean(dhat: np.ndarray, term, region=None) -> float:
+    """M^-d sum of term(Dhat(k)) over k != 0 (and inside region, if given)."""
+    keep = _nonzero_modes(dhat.shape)
+    if region is not None:
+        keep &= region
+    return float(np.sum(term(dhat[keep])) / dhat.size)
+
+
+def beta_kspace(dhat: np.ndarray, s: int, region=None) -> float:
+    """k-space beta = M^-d sum_{k != 0} Dhat(k)^2 / (1 - Dhat(k))^s."""
+    return _kspace_mean(dhat, lambda v: v ** 2 / (1.0 - v) ** s, region)
+
+
+def _critical(dhat: np.ndarray) -> np.ndarray:
+    vals = np.zeros_like(dhat)
+    mask = _nonzero_modes(dhat.shape)
+    vals[mask] = 1.0 / (1.0 - dhat[mask])
+    return vals
 
 
 def greens_c_critical(dist: StepDistribution, grid: TorusGrid) -> TorusField:
     """z = 1 Green's function with the k = 0 mode removed."""
-    dhat = folded_dhat(dist, grid)
-    vals = np.zeros_like(dhat)
-    mask = np.ones_like(dhat, dtype=bool)
-    mask[(0,) * grid.d] = False
-    vals[mask] = 1.0 / (1.0 - dhat[mask])
-    return TorusField(grid, vals, "k")
+    return TorusField(grid, _critical(folded_dhat(dist, grid)), "k")
 
 
 def return_probability(dist: StepDistribution, grid: TorusGrid, n: int) -> float:
@@ -79,55 +106,49 @@ class BetaReport:
     tail_bound: float = 0.0
 
 
-def _beta_kspace_on_grid(dist: StepDistribution, grid: TorusGrid, s: int) -> float:
-    dhat = folded_dhat(dist, grid)
-    mask = np.ones_like(dhat, dtype=bool)
-    mask[(0,) * grid.d] = False
-    v = dhat[mask]
-    return float(np.sum(v ** 2 / (1.0 - v) ** s) / grid.n_sites)
-
-
-def _beta_xspace_on_grid(dist: StepDistribution, grid: TorusGrid, s: int) -> float:
-    from .torus import idft
-    dm = dist.fold(grid)
-    c1 = idft(greens_c_critical(dist, grid))
+def _beta_xspace(dm: TorusField, dhat: np.ndarray, s: int) -> float:
+    """The same beta through x-space convolutions of D_M and C_1."""
+    grid = dm.grid
+    c1 = idft(TorusField(grid, _critical(dhat), "k"))
     c1 = TorusField(grid, c1.values.real, "x")
     u = convolve(dm, c1)  # D * C_1
     if s == 2:
         # (D*C1*D*C1)(0) = sum_x u(x) u(-x)
-        rev = np.roll(u.values[tuple(slice(None, None, -1)
-                                     for _ in range(grid.d))],
-                      1, axis=tuple(range(grid.d)))
-        return float(np.sum(u.values * rev))
+        return float(np.sum(u.values * reflect(u).values))
     uu = convolve(u, u)
     return field_at_zero(convolve(uu, c1))
 
 
+def refinement_divergent(values) -> bool:
+    """The divergence rule on beta at M, 2M, 4M (CAUCHY_RATIO above)."""
+    if len(values) < 3:
+        return False
+    d1 = abs(values[1] - values[0])
+    d2 = abs(values[2] - values[1])
+    return d2 > CAUCHY_RATIO * d1
+
+
 def beta(dist: StepDistribution, grid: TorusGrid, s: int,
          refinements: int = 3) -> BetaReport:
+    """beta in k- and x-space on grid and in k-space on M, 2M, ...; each
+    grid is folded once, the base grid's fold serving all three."""
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
-    aw2 = dist.alpha_wedge_2
-    threshold = aw2 * s
-    seq = []
-    M = grid.M
-    for i in range(refinements):
-        g = TorusGrid(grid.d, M * 2 ** i)
-        seq.append((g.M, _beta_kspace_on_grid(dist, g, s)))
-    bk = _beta_kspace_on_grid(dist, grid, s)
-    bx = _beta_xspace_on_grid(dist, grid, s)
-    divergent = False
-    if len(seq) >= 3:
-        d1 = abs(seq[1][1] - seq[0][1])
-        d2 = abs(seq[2][1] - seq[1][1])
-        divergent = d2 > CAUCHY_RATIO * d1
+    dm = dist.fold(grid)
+    dhat = real_dft(dm)
+    bk = beta_kspace(dhat, s)
+    seq = [(grid.M, bk)][:refinements]
+    for i in range(1, refinements):
+        g = TorusGrid(grid.d, grid.M * 2 ** i)
+        seq.append((g.M, beta_kspace(folded_dhat(dist, g), s)))
     return BetaReport(
-        s=s, M=grid.M, beta_kspace=bk, beta_xspace=bx, sup_d=dist.sup_d,
+        s=s, M=grid.M, beta_kspace=bk, beta_xspace=_beta_xspace(dm, dhat, s),
+        sup_d=dist.sup_d,
         zero_mode_policy="k=0 dual point excluded; x-space C_1 built from "
                          "the transform with its zero mode removed",
-        refinement=seq, divergent=divergent,
-        analytic_threshold=threshold,
-        analytic_finite=dist.d > threshold,
+        refinement=seq, divergent=refinement_divergent([v for _, v in seq]),
+        analytic_threshold=dist.alpha_wedge_2 * s,
+        analytic_finite=dist.d > dist.alpha_wedge_2 * s,
         tail_bound=dist.tail_bound)
 
 
@@ -163,12 +184,8 @@ def beta_separable(dist: StepDistribution, M: int, s: int) -> float:
         keys, cnts = _combine_dp(np.cos(t), dist.d, "+")
         dhat = keys / dist.d
     elif dist.family == "uniform":
-        n = 2 * dist.L + 1
-        small = np.abs(np.sin(t / 2)) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(small, float(n), np.sin(n * t / 2) / np.sin(t / 2))
-        keys, cnts = _combine_dp(w, dist.d, "*")
-        dhat = (keys - 1.0) / (n ** dist.d - 1)
+        keys, cnts = _combine_dp(dirichlet_kernel(t, dist.L), dist.d, "*")
+        dhat = (keys - 1.0) / ((2 * dist.L + 1) ** dist.d - 1)
     else:
         raise ValueError("separable path needs a product-form transform")
     mask = np.abs(1.0 - dhat) > 1e-12
@@ -199,7 +216,8 @@ def beta_scaling_table(family: str, s: int, sweep: dict) -> list:
     elif family == "power":
         d = sweep["d"]
         for L in sweep["L_values"]:
-            dist = StepDistribution("power", d, L=L, alpha=sweep["alpha"])
+            # a missing alpha fails StepDistribution's own check
+            dist = StepDistribution("power", d, L=L, alpha=sweep.get("alpha"))
             grid = TorusGrid(d, sweep.get("M", 16))
             rep = beta(dist, grid, s, refinements=sweep.get("refinements", 3))
             rows.append({"L": L, "M": grid.M, "beta": rep.beta_kspace,
@@ -219,12 +237,9 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
     also split at ||k||_inf = 1/L.
     """
     dhat = folded_dhat(dist, grid)
-    mask = np.ones_like(dhat, dtype=bool)
-    mask[(0,) * grid.d] = False
-    v = dhat[mask]
-    lhs = float(np.sum(v ** 2 / (1.0 - v) ** s) / grid.n_sites)
+    lhs = beta_kspace(dhat, s)
     d4 = float(np.sum(dhat ** 4) / grid.n_sites)
-    inv = float(np.sum(1.0 / (1.0 - v) ** (2 * s)) / grid.n_sites)
+    inv = _kspace_mean(dhat, lambda v: 1.0 / (1.0 - v) ** (2 * s))
     rhs = math.sqrt(d4) * math.sqrt(inv)
 
     record = {"s": s, "M": grid.M, "beta": lhs,
@@ -233,11 +248,7 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
 
     L = dist.L if dist.family != "nn" else 1
     if L > 1:
-        kv = grid.dual_values()
-        kinf = np.max(np.abs(kv), axis=0)[mask]
-        inner = kinf <= 1.0 / L
-        record["inner_region"] = float(
-            np.sum(v[inner] ** 2 / (1.0 - v[inner]) ** s) / grid.n_sites)
-        record["outer_region"] = float(
-            np.sum(v[~inner] ** 2 / (1.0 - v[~inner]) ** s) / grid.n_sites)
+        inner = np.max(np.abs(grid.dual_values()), axis=0) <= 1.0 / L
+        record["inner_region"] = beta_kspace(dhat, s, inner)
+        record["outer_region"] = beta_kspace(dhat, s, ~inner)
     return record

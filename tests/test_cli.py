@@ -1,8 +1,10 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
-from lacelab.cli import main
+from lacelab.cli import _jsonify, main
 
 
 def run_cli(capsys, argv):
@@ -147,3 +149,62 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "rw-beta.json").exists()
     assert (tmp_path / "rw-beta.json.meta.json").exists()
+
+
+@pytest.mark.parametrize("argv, folds", [
+    (["--family", "nn", "--d", "2", "--M", "8"], [8]),
+    (["--family", "nn", "--d", "2", "--M", "8,16,32"], [8, 16, 32]),
+    (["--family", "power", "--alpha", "1.2", "--d", "2", "--truncation", "8",
+      "--M", "4,8"], [4, 8]),
+])
+def test_rw_beta_folds_each_grid_once(capsys, monkeypatch, argv, folds):
+    from lacelab.steps import StepDistribution
+    calls = []
+    fold = StepDistribution.fold
+
+    def counting_fold(self, grid):
+        calls.append(grid.M)
+        return fold(self, grid)
+
+    monkeypatch.setattr(StepDistribution, "fold", counting_fold)
+    code, doc = run_cli(capsys, ["rw-beta", "--s", "2"] + argv)
+    assert code == 0
+    assert calls == folds
+    assert doc["result"]["M_sequence"] == folds
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["saw", "--family", "nn", "--d", "2", "--nmax", "-1"], "n_max"),
+    (["beta-table", "--family", "power", "--s", "2"], "alpha"),
+    (["ising", "--d", "1", "--M", "6", "--z", "0.4", "--thinning", "0",
+      "--seed", "1"], "thinning"),
+    (["ising", "--d", "1", "--M", "6", "--z", "0.4", "--burn-in", "500",
+      "--sweeps", "10", "--seed", "1"], "burn_in"),
+    # these ran, but printed Infinity/NaN or a negative chi
+    (["diag", "--family", "nn", "--d", "2", "--z", "1.0"], r"\[0, 1\)"),
+    (["infrared", "--family", "nn", "--d", "2", "--z", "1.2"], r"\[0, 1\)"),
+    (["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
+      "--R", "1", "--replicas", "1", "--seed", "1"], "2 samples"),
+    (["ising", "--d", "1", "--M", "6", "--z", "0.4", "--sweeps", "502",
+      "--burn-in", "500", "--seed", "1"], "2 samples"),
+])
+def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.search("invalid configuration: .*" + message, captured.err)
+
+
+def test_ising_keeps_a_last_partial_thinning_block(capsys):
+    # sweeps 0, 2, ..., 10 of 11 are kept: six samples, not five
+    code, doc = run_cli(capsys, ["ising", "--d", "1", "--M", "6", "--z", "0.4",
+                                 "--sweeps", "11", "--burn-in", "0",
+                                 "--thinning", "2", "--seed", "1"])
+    assert code == 0
+    assert doc["result"]["samples"] == 6
+
+
+def test_numpy_bools_serialise():
+    assert json.dumps({"holds": np.bool_(True)}, default=_jsonify) == \
+        '{"holds": true}'

@@ -168,3 +168,9 @@ class TestInequalities:
         rec = dg.b_tilde_beta_bound_check(free_input)
         assert rec["holds"]
         assert rec["B_tilde"] <= rec["rhs"]
+
+
+@pytest.mark.parametrize("z", [-0.1, 1.0, 1.2])
+def test_free_two_point_needs_subcritical_z(z):
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 8), z)

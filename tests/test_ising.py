@@ -164,3 +164,65 @@ class TestStepBound:
         rec = tau_and_g_relation_check(cfg, metropolis(cfg), grid,
                                        RING_TABLE, sigma_slack=3.0)
         assert rec["holds"], rec
+
+
+def test_coupling_matrix_aliased_offsets_add_in_offset_order():
+    # on M = 4, (2,0) and (-2,0) name the same pair; each adds val/2 from
+    # both of its ends, offsets in table order
+    grid = TorusGrid(2, 4)
+    J = coupling_matrix_from_torus(
+        grid, {(1, 0): 0.3, (2, 0): 0.1, (0, -1): 0.2, (-2, 0): 0.2,
+               (0, 0): 5.0})
+    assert J[0].tolist() == [0.0, 0.1, 0.0, 0.1, 0.15, 0.0, 0.0, 0.0,
+                             0.30000000000000004, 0.0, 0.0, 0.0, 0.15, 0.0,
+                             0.0, 0.0]
+    swapped = coupling_matrix_from_torus(grid, {(-2, 0): 0.2, (2, 0): 0.1})
+    assert swapped[0, 8] == 0.3
+    # translation invariant and symmetric
+    for site in range(16):
+        x, y = divmod(site, 4)
+        shifted = [J[site, 4 * ((x + a) % 4) + (y + b) % 4]
+                   for a in range(4) for b in range(4)]
+        assert shifted == J[0].tolist()
+    assert np.array_equal(J, J.T)
+
+
+def _spin_sample(g, g_se):
+    from lacelab.ising import SpinSample
+    return SpinSample(g=np.array(g), g_se=np.array(g_se), chi_hat=0.0,
+                      chi_se=0.0, m_hat=0.0, m_se=0.0, samples=1)
+
+
+def test_tau_and_g_relation_worst_site_d2():
+    grid = TorusGrid(2, 4)
+    table = {(0, 1): 1.0}  # one step direction: (D*G)(x) = G(x - (0,1))
+    cfg = IsingConfig(J=coupling_matrix_from_torus(grid, table), z=1.0)
+    g = [0.0] * 16
+    g[0], g[5], g[6] = 1.0, 0.4, 0.5  # sites (0,0), (1,1), (1,2)
+    rec = tau_and_g_relation_check(cfg, _spin_sample(g, [0.0] * 16), grid,
+                                   table)
+    # site 6 has excess 0.5 - tanh(1) * 0.4 < 0.4, the excess of site 5
+    assert rec["worst_site"] == 5
+    assert rec["worst_excess"] == 0.4
+    assert rec["tau"] == math.tanh(1.0)
+    assert not rec["holds"]
+    # ties go to the first site; the slack lowers a site's excess
+    g = [0.0] * 16
+    g[0], g[5], g[10] = 1.0, 1.0, 1.0
+    sym = {(0, 1): 1.0, (0, -1): 1.0, (1, 0): 1.0, (-1, 0): 1.0}
+    tie = tau_and_g_relation_check(cfg, _spin_sample(g, [0.0] * 16), grid,
+                                   sym)
+    assert (tie["worst_site"], tie["worst_excess"]) == (5, 1.0)
+    g_se = [0.0] * 16
+    g_se[5] = 0.1
+    slack = tau_and_g_relation_check(cfg, _spin_sample(g, g_se), grid, sym)
+    assert (slack["worst_site"], slack["worst_excess"]) == (10, 1.0)
+
+
+@pytest.mark.parametrize("kw", [
+    {"thinning": 0}, {"burn_in": -1}, {"sweeps": 10, "burn_in": 500},
+    {"sweeps": 502, "burn_in": 500}, {"sweeps": 510, "burn_in": 500,
+                                      "thinning": 10}])
+def test_config_needs_two_kept_samples(kw):
+    with pytest.raises(ValueError):
+        IsingConfig(J=np.zeros((2, 2)), z=0.1, **kw)

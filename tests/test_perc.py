@@ -237,3 +237,25 @@ def test_batch_means_se_iid_scale():
     x = rng.normal(size=10000)
     se = batch_means_se(x)
     assert 0.5 / math.sqrt(10000) < se < 2.0 / math.sqrt(10000)
+
+
+def test_exact_graph_bond_order_on_a_d2_torus():
+    # site-major, then offset-minor ((0,1) before (1,0)); q = D_M = 1/4
+    cfg = PercConfig(TorusGrid(2, 4), StepDistribution("nn", 2), 0.5, 1.0,
+                     seed=0)
+    pairs = [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 0), (3, 7),
+             (4, 5), (4, 8), (5, 6), (5, 9), (6, 7), (6, 10), (7, 4), (7, 11),
+             (8, 9), (8, 12), (9, 10), (9, 13), (10, 11), (10, 14), (11, 8),
+             (11, 15), (12, 13), (12, 0), (13, 14), (13, 1), (14, 15),
+             (14, 2), (15, 12), (15, 3)]
+    graph = exact_graph_from_config(cfg)
+    assert graph.n_sites == 16
+    assert graph.bonds == [(u, v, 0.25) for u, v in pairs]
+    assert all(type(u) is int and type(v) is int and type(q) is float
+               for u, v, q in graph.bonds)
+
+
+def test_batch_means_se_needs_two_samples():
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        batch_means_se(np.array([3.0]))
+    assert batch_means_se(np.array([1.0, 3.0])) == pytest.approx(1.0)

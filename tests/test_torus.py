@@ -147,3 +147,14 @@ def test_field_at_zero():
     v = np.zeros(g.shape)
     v[0, 0] = 2.5
     assert field_at_zero(TorusField(g, v, "x")) == 2.5
+
+
+def test_strides_and_flat_index():
+    grid = TorusGrid(3, 4)
+    assert grid.strides.tolist() == [16, 4, 1]
+    assert grid.flat_index([1, 2, 3]) == 27
+    # wraps modulo M and broadcasts over leading axes
+    assert grid.flat_index([[-1, 0, 5], [4, 4, 4]]).tolist() == [49, 0]
+    sites = grid.sites()
+    assert sites.shape == (64, 3)
+    assert grid.flat_index(sites).tolist() == list(range(64))

@@ -5,10 +5,10 @@ import pytest
 
 from lacelab.steps import StepDistribution
 from lacelab.torus import TorusGrid
-from lacelab.walk import (beta, beta_scaling_table, beta_separable,
-                          bound_diagnostics, folded_dhat, greens_c,
-                          greens_c_critical, return_probability,
-                          return_probability_kspace, _beta_kspace_on_grid)
+from lacelab.walk import (beta, beta_kspace, beta_scaling_table,
+                          beta_separable, bound_diagnostics, folded_dhat,
+                          greens_c, greens_c_critical, refinement_divergent,
+                          return_probability, return_probability_kspace)
 
 
 class TestReturnProbability:
@@ -88,7 +88,7 @@ class TestBeta:
         for dist, M in ((StepDistribution("nn", 3), 8),
                         (StepDistribution("uniform", 2, L=2), 10)):
             grid = TorusGrid(dist.d, M)
-            a = _beta_kspace_on_grid(dist, grid, 2)
+            a = beta_kspace(folded_dhat(dist, grid), 2)
             b = beta_separable(dist, M, 2)
             assert abs(a - b) < 1e-10 * max(1.0, a)
 
@@ -125,3 +125,39 @@ def test_bound_diagnostics_cauchy_schwarz():
     # the L > 1 split must add up to the full sum
     assert rec["inner_region"] + rec["outer_region"] == \
         pytest.approx(rec["beta"])
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Records the grid side M of every StepDistribution.fold call."""
+    calls = []
+    fold = StepDistribution.fold
+
+    def counting_fold(self, grid):
+        calls.append(grid.M)
+        return fold(self, grid)
+
+    monkeypatch.setattr(StepDistribution, "fold", counting_fold)
+    return calls
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+def test_beta_folds_each_grid_once(fold_calls, refinements):
+    dist = StepDistribution("power", 2, alpha=1.2, support_radius=8)
+    rep = beta(dist, TorusGrid(2, 4), 3, refinements=refinements)
+    assert fold_calls == [4 * 2 ** i for i in range(refinements)]
+    assert [M for M, _ in rep.refinement] == fold_calls
+    assert rep.refinement[0][1] == rep.beta_kspace
+
+
+def test_refinement_divergent_rule():
+    assert not refinement_divergent([1.0, 2.0])       # needs three values
+    assert refinement_divergent([1.0, 2.0, 3.5])      # increment grows
+    assert refinement_divergent([1.0, 0.5, 1.5])      # sign does not matter
+    assert not refinement_divergent([1.0, 2.0, 3.0])  # equal increments
+    assert not refinement_divergent([1.0, 2.0, 2.5, 9.0])  # first three only
+
+
+def test_power_table_needs_alpha():
+    with pytest.raises(ValueError, match="alpha"):
+        beta_scaling_table("power", 2, {"d": 2, "L_values": [1], "M": 8})
