@@ -54,10 +54,7 @@ class TwoPointInput:
 
 def free_two_point(dist: StepDistribution, grid: TorusGrid,
                    z: float) -> TwoPointInput:
-    """The exactly solvable walk input: Ghat = 1/(1 - z Dhat), tau = z.
-
-    z must lie in [0, 1), as for walk.greens_c.
-    """
+    """The exactly solvable walk input: Ghat = 1/(1 - z Dhat), tau = z < 1."""
     dhat = folded_dhat(dist, grid)
     return TwoPointInput(grid=grid, ghat=resolvent(dhat, z), tau=z, dhat=dhat)
 

@@ -47,8 +47,7 @@ class IsingConfig:
             raise ValueError("J must have zero diagonal")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        # every thinning-th sweep from burn_in on is kept; the error bars
-        # need at least two of them
+        # kept sweeps: burn_in, burn_in + thinning, ... below sweeps
         if not 0 <= self.burn_in < self.sweeps - self.thinning:
             raise ValueError("need 0 <= burn_in < sweeps - thinning, so that "
                              "at least 2 samples are kept")

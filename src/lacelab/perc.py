@@ -67,17 +67,17 @@ def bond_offsets(config: PercConfig):
     for o in itertools.product(axis, repeat=grid.d):
         if not any(o):
             continue
-        r = math.sqrt(sum(v * v for v in o))
-        w = float(dm[tuple(np.mod(o, grid.M))])
         if all((-v) % grid.M == v % grid.M for v in o):
-            if r <= config.R and w > 0.0:
+            if (math.sqrt(sum(v * v for v in o)) <= config.R
+                    and dm[tuple(np.mod(o, grid.M))] > 0.0):
                 warnings.warn("offset at half the torus period excluded; "
                               "use M > 2R", RuntimeWarning)
             continue
-        # keep one representative per +-o pair
-        if o < tuple(-v for v in o) or r > config.R:
+        if o < tuple(-v for v in o):
+            continue  # keep one representative per +-o pair
+        if math.sqrt(sum(v * v for v in o)) > config.R:
             continue
-        p = config.z * w
+        p = config.z * float(dm[tuple(np.mod(o, grid.M))])
         if p <= 0.0:
             continue
         if p > 1.0:

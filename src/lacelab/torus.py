@@ -46,7 +46,8 @@ class TorusGrid:
     def one_minus_cos(self, k_index) -> np.ndarray:
         """1 - cos(k.x) per site, k = 2 pi k_index / M, x centered."""
         k = 2.0 * np.pi * np.asarray(k_index, dtype=float) / self.M
-        return 1.0 - np.cos(np.tensordot(k, self.centered_coords(), axes=(0, 0)))
+        phase = np.tensordot(k, self.centered_coords(), axes=(0, 0))
+        return 1.0 - np.cos(phase)
 
     @property
     def strides(self):

@@ -4,7 +4,8 @@ beta_kspace is the plain Riemann sum over the dual grid with the k=0 mode
 excluded; beta_xspace evaluates the same quantity through torus convolutions
 of the zero-mode-removed Green's function, so the two must agree to machine
 precision (Parseval).  Convergence to the infinite-lattice integral is probed
-by refining the grid M -> 2M -> 4M.
+by refining the grid M -> 2M -> 4M and judged by refinement_divergent.  beta
+folds each grid once; the base grid's fold serves both spaces.
 """
 
 import math

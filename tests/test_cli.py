@@ -157,19 +157,10 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     (["--family", "power", "--alpha", "1.2", "--d", "2", "--truncation", "8",
       "--M", "4,8"], [4, 8]),
 ])
-def test_rw_beta_folds_each_grid_once(capsys, monkeypatch, argv, folds):
-    from lacelab.steps import StepDistribution
-    calls = []
-    fold = StepDistribution.fold
-
-    def counting_fold(self, grid):
-        calls.append(grid.M)
-        return fold(self, grid)
-
-    monkeypatch.setattr(StepDistribution, "fold", counting_fold)
+def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     code, doc = run_cli(capsys, ["rw-beta", "--s", "2"] + argv)
     assert code == 0
-    assert calls == folds
+    assert fold_calls == folds
     assert doc["result"]["M_sequence"] == folds
 
 

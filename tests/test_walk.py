@@ -127,20 +127,6 @@ def test_bound_diagnostics_cauchy_schwarz():
         pytest.approx(rec["beta"])
 
 
-@pytest.fixture
-def fold_calls(monkeypatch):
-    """Records the grid side M of every StepDistribution.fold call."""
-    calls = []
-    fold = StepDistribution.fold
-
-    def counting_fold(self, grid):
-        calls.append(grid.M)
-        return fold(self, grid)
-
-    monkeypatch.setattr(StepDistribution, "fold", counting_fold)
-    return calls
-
-
 @pytest.mark.parametrize("refinements", [1, 2, 3])
 def test_beta_folds_each_grid_once(fold_calls, refinements):
     dist = StepDistribution("power", 2, alpha=1.2, support_radius=8)
