@@ -219,11 +219,12 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     """Exact chi, cluster law, connectivities and dchi/dz by enumeration.
 
     One pass of exact.bit_chunks over all 2^B bond configurations.  In each
-    chunk the weights w and dlog = d(log w)/dz are built with one vectorised
-    multiply (add) per bond, in bond order, and _cluster_labels labels every
-    cluster.  pair_matrix[i, j] = P(i <-> j) sums w over the configurations
-    where i and j share a label; |C(0)| is the number of sites sharing site
-    0's label, so chi = sum w |C(0)| and dchi/dz = sum w dlog |C(0)|.
+    chunk the weights w and their z-derivatives dw are built bond by bond, in
+    bond order, with the product rule (no division by p, which may be
+    subnormal), and _cluster_labels labels every cluster.  pair_matrix[i, j]
+    = P(i <-> j) sums w over the configurations where i and j share a label;
+    |C(0)| is the number of sites sharing site 0's label, so
+    chi = sum w |C(0)| and dchi/dz = sum dw |C(0)|.
 
     pivotal_sum recounts dchi/dz through bond pivotality,
     sum_b (dp_b/dz) sum_omega w(omega) (|C(0)| in omega with b open
@@ -237,28 +238,26 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     q = np.array([bond[2] for bond in graph.bonds], dtype=float)
     probs = np.clip(z * q, 0.0, 1.0)
     dprobs = np.where((z * q > 0.0) & (z * q < 1.0), q, 0.0)
-    live = dprobs != 0.0  # implies 0 < p < 1, so both quotients are finite
-    d_on = np.divide(dprobs, probs, out=np.zeros(B), where=live)
-    d_off = np.divide(dprobs, 1.0 - probs, out=np.zeros(B), where=live)
     w = np.empty(1 << B)
     sizes = np.empty(1 << B, dtype=np.min_scalar_type(-n))
     G = np.zeros((n, n))
     dchi = 0.0
     for start, bits in chunks:
         rows = bits.shape[1]
-        wc, dlog = np.ones(rows), np.zeros(rows)
+        wc, dwc = np.ones(rows), np.zeros(rows)
         for b, open_b in enumerate(bits):
-            wc *= np.where(open_b, probs[b], 1.0 - probs[b])
-            dlog += np.where(open_b, d_on[b], -d_off[b])
+            factor = np.where(open_b, probs[b], 1.0 - probs[b])
+            dwc = dwc * factor + wc * np.where(open_b, dprobs[b], -dprobs[b])
+            wc *= factor
         labels = _cluster_labels(n, ends, bits)
         size = np.count_nonzero(labels == labels[0], axis=0)
         G += [(labels == labels[i]) @ wc for i in range(n)]
-        dchi += float(np.sum(wc * dlog * size))
+        dchi += float(np.sum(dwc * size))
         w[start:start + rows] = wc
         sizes[start:start + rows] = size
     pivotal_sum = 0.0
     if pivotal:
-        for b in np.flatnonzero(live):
+        for b in np.flatnonzero(dprobs):
             # configurations pair up as (bit b closed, bit b open)
             w3 = w.reshape(-1, 2, 1 << b)
             s3 = sizes.reshape(-1, 2, 1 << b)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacelab.perc import (ClusterStats, ExactGraph, PercConfig,
@@ -80,10 +80,14 @@ def scalar_oracle(graph, z):
            "size_law": np.zeros(n + 1), "pair_matrix": np.zeros((n, n))}
     for cfg, (r, s) in enumerate(zip(R, S)):
         on = [cfg >> b & 1 for b in range(B)]
-        w = math.prod(pb if o else 1.0 - pb for pb, o in zip(p, on))
+        factors = [pb if o else 1.0 - pb for pb, o in zip(p, on)]
+        w = math.prod(factors)
         rec["chi"] += w * s
-        rec["dchi_dz"] += w * s * sum(d / pb if o else -d / (1.0 - pb)
-                                      for pb, d, o in zip(p, dp, on) if d)
+        # d/dz of w = prod_b f_b by the product rule, so that a subnormal
+        # p_b is never divided by
+        rec["dchi_dz"] += s * sum(
+            (d if on[b] else -d) * math.prod(factors[:b] + factors[b + 1:])
+            for b, d in enumerate(dp) if d)
         rec["pivotal_sum"] += w * sum(
             d * (S[cfg | 1 << b] - S[cfg & ~(1 << b)])
             for b, d in enumerate(dp) if d)
@@ -134,6 +138,9 @@ class TestExactOracle:
                                   | st.floats(0.01, 2.0)),
                         max_size=8))),
            st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.0, 3.0))
+    # a subnormal z * q made dchi/dz overflow through dp/p
+    @example((1, [(0, 0, 0.25)]), 2.2250738585e-313)
+    @example((1, [(0, 0, 0.0), (0, 0, 0.25)]), 2.2250738585e-313)
     @settings(max_examples=60, deadline=None)
     def test_matches_scalar_oracle(self, instance, z):
         # z in {1, 2, 4} puts some z*q exactly at 1 or clips it above 1
