@@ -72,7 +72,7 @@ def coupling_matrix_from_torus(grid: TorusGrid, J_table: dict,
     # val/2 goes to [site, nb] and then to [nb, site], offset by offset and
     # site by site: np.add.at applies repeated indices in this order
     J = np.zeros((n, n))
-    np.add.at(J, (pairs.ravel(), pairs[:, ::-1].ravel()),
+    np.add.at(J, (pairs.ravel(), pairs[:, [1, 0]].ravel()),
               np.repeat(half[keep], 2))
     return J
 

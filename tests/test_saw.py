@@ -130,8 +130,3 @@ class TestSeriesFunctions:
     def test_diff_inequality_validation(self, square_series):
         with pytest.raises(ValueError):
             check_diff_inequality(square_series, 2.0, 1.5, 1.0)
-
-
-def test_negative_n_max_rejected():
-    with pytest.raises(ValueError, match="n_max"):
-        enumerate_walks(StepDistribution("nn", 2), -1)

@@ -142,8 +142,3 @@ def test_refinement_divergent_rule():
     assert refinement_divergent([1.0, 0.5, 1.5])      # sign does not matter
     assert not refinement_divergent([1.0, 2.0, 3.0])  # equal increments
     assert not refinement_divergent([1.0, 2.0, 2.5, 9.0])  # first three only
-
-
-def test_power_table_needs_alpha():
-    with pytest.raises(ValueError, match="alpha"):
-        beta_scaling_table("power", 2, {"d": 2, "L_values": [1], "M": 8})
