@@ -203,7 +203,7 @@ def criterion_8_ising(n_seeds: int = 50) -> dict:
     for seed in range(n_seeds):
         samp = isg.metropolis(isg.IsingConfig(
             J=Jm, z=0.4, sweeps=3000, burn_in=500, thinning=2,
-            seed=seed, replicas=2))
+            seed=seed, replicas=2, grid=grid))
         if abs(samp.chi_hat - exact.chi_hat) <= 4.0 * samp.chi_se:
             hits += 1
     ok = ok and hits >= 48

@@ -197,7 +197,7 @@ def cmd_ising(args):
     Jm = isg.coupling_matrix_from_torus(grid, table, R=args.R)
     cfg = isg.IsingConfig(J=Jm, z=args.z, h=args.h, sweeps=args.sweeps,
                           burn_in=args.burn_in, thinning=args.thinning,
-                          seed=args.seed, replicas=args.replicas)
+                          seed=args.seed, replicas=args.replicas, grid=grid)
     samp = isg.metropolis(cfg)
     result = {
         "chi_hat": samp.chi_hat, "chi_se": samp.chi_se,

@@ -33,6 +33,7 @@ class IsingConfig:
     thinning: int = 2
     seed: int = 0
     replicas: int = 1
+    grid: TorusGrid | None = None  # torus whose flattened sites index J
 
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=float)
@@ -45,6 +46,9 @@ class IsingConfig:
             raise ValueError("J must be symmetric")
         if np.max(np.abs(np.diag(self.J))) > 0:
             raise ValueError("J must have zero diagonal")
+        if self.grid is not None and self.grid.n_sites != n:
+            raise ValueError("grid has %d sites but J has %d"
+                             % (self.grid.n_sites, n))
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
         # kept sweeps: burn_in, burn_in + thinning, ... below sweeps
@@ -147,10 +151,9 @@ def _exact_moments(config: IsingConfig):
 def metropolis(config: IsingConfig) -> SpinSample:
     """Single-spin-flip Metropolis with batch-means errors.
 
-    Correlations are translation-averaged through a target map: target t
-    pairs every site i with the site at "i + t" in the row ordering of J,
-    which is exact for torus-folded couplings and reduces to plain pairs
-    otherwise.
+    With a grid, g[t] = <phi_i phi_{i + x_t}> averaged over every site i,
+    where x_t is the torus vector of site t and + is torus translation.
+    Without one, J is a plain coupling matrix and g[t] = <phi_0 phi_t>.
     """
     n = config.n_sites
     max_deg = int(np.max(np.sum(config.J > 0, axis=1)))
@@ -160,9 +163,12 @@ def metropolis(config: IsingConfig) -> SpinSample:
         nz = np.nonzero(config.J[i])[0]
         neighbor_idx[i, :len(nz)] = nz
         neighbor_j[i, :len(nz)] = config.J[i, nz]
-    # translation map: valid when sites are a flattened torus
-    corr_targets = np.array([[(i + t) % n for t in range(n)]
-                             for i in range(n)], dtype=np.int64)
+    if config.grid is None:
+        corr_targets = np.arange(n, dtype=np.int64)[None, :]
+    else:
+        sites = config.grid.sites()
+        corr_targets = config.grid.flat_index(sites[:, None, :]
+                                              + sites[None, :, :])
     mags, corrs = [], []
     for rep in range(config.replicas):
         mag, corr = metropolis_run(

@@ -140,14 +140,13 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     the same stationary measure.
 
     neighbor_idx[i, :] / neighbor_j[i, :] list each site's neighbors and
-    coupling strengths.  Records, per kept sweep, the translation-free
-    observables sum_i phi_i and phi_0 * phi_t for each target t, plus
-    phi_i * phi_{corr pairs} accumulated over all base sites via the caller's
-    target layout (corr_targets maps (site, t) -> partner site index).
+    coupling strengths.  Records, per kept sweep, the mean spin and, for
+    each target t, phi_i * phi_{corr_targets[i, t]} averaged over the rows
+    i of corr_targets (row i pairs site i with its partner for each t).
 
     Returns (mag_series, corr_series) with one row per kept sample.
     """
-    n_targets = corr_targets.shape[1]
+    n_rows, n_targets = corr_targets.shape
     kept = (sweeps - burn_in + thinning - 1) // thinning
     mag = np.zeros(kept, dtype=np.float64)
     corr = np.zeros((kept, n_targets), dtype=np.float64)
@@ -177,8 +176,8 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
             mag[out] = s / n_sites
             for t in range(n_targets):
                 acc = 0.0
-                for i in range(n_sites):
+                for i in range(n_rows):
                     acc += spins[i] * spins[corr_targets[i, t]]
-                corr[out, t] = acc / n_sites
+                corr[out, t] = acc / n_rows
             out += 1
     return mag, corr

@@ -1,10 +1,7 @@
 """Golden CLI outputs: one small spec per subcommand, byte for byte.
 
 Each tests/golden/<name>.json holds the exact stdout of `lacelab <argv>`
-for the spec below.  A refactor must leave every one unchanged.  The
-ising d=2 fixture records the current Monte Carlo two-point function `g`,
-which is known to be wrong in d >= 2 (ROADMAP defect 1); the fix for that
-defect re-pins it.
+for the spec below.  A refactor must leave every one unchanged.
 
 Regenerate after a deliberate output change with
     PYTHONPATH=src python tests/test_golden.py

@@ -118,20 +118,22 @@ class TestExact:
 
 class TestMetropolis:
     def test_matches_exact_on_ring(self):
-        Jm = coupling_matrix_from_torus(TorusGrid(1, 6), RING_TABLE)
+        grid = TorusGrid(1, 6)
+        Jm = coupling_matrix_from_torus(grid, RING_TABLE)
         exact = exact_ising(IsingConfig(J=Jm, z=0.4))
         samp = metropolis(IsingConfig(J=Jm, z=0.4, sweeps=20000,
                                       burn_in=2000, thinning=2, seed=11,
-                                      replicas=4))
+                                      replicas=4, grid=grid))
         assert samp.equilibrated
         assert abs(samp.chi_hat - exact.chi_hat) <= 4 * samp.chi_se
         assert np.all(np.abs(samp.g - exact.g)
                       <= 5 * np.maximum(samp.g_se, 2e-3))
 
     def test_deterministic_in_seed(self):
-        Jm = coupling_matrix_from_torus(TorusGrid(1, 4), RING_TABLE)
+        grid = TorusGrid(1, 4)
+        Jm = coupling_matrix_from_torus(grid, RING_TABLE)
         kw = dict(J=Jm, z=0.4, sweeps=500, burn_in=100, thinning=2,
-                  replicas=1)
+                  replicas=1, grid=grid)
         a = metropolis(IsingConfig(seed=1, **kw))
         b = metropolis(IsingConfig(seed=1, **kw))
         c = metropolis(IsingConfig(seed=2, **kw))
@@ -139,11 +141,43 @@ class TestMetropolis:
         assert a.chi_hat != c.chi_hat
 
     def test_infinite_temperature_is_uncorrelated(self):
-        Jm = coupling_matrix_from_torus(TorusGrid(1, 6), RING_TABLE)
+        grid = TorusGrid(1, 6)
+        Jm = coupling_matrix_from_torus(grid, RING_TABLE)
         samp = metropolis(IsingConfig(J=Jm, z=0.0, sweeps=6000, burn_in=500,
-                                      thinning=1, seed=0, replicas=2))
+                                      thinning=1, seed=0, replicas=2,
+                                      grid=grid))
         assert abs(samp.m_hat) <= 4 * samp.m_se + 1e-9
         assert np.all(np.abs(samp.g[1:]) <= 5 * samp.g_se[1:] + 1e-9)
+
+    def test_matches_exact_at_every_site_in_d2(self):
+        # 2-d torus: g must average over torus translations, not over
+        # shifts of the flattened index (which agree only in d = 1)
+        grid = TorusGrid(2, 4)
+        Jm = coupling_matrix_from_torus(grid, {(1, 0): 1.0, (-1, 0): 1.0,
+                                               (0, 1): 1.0, (0, -1): 1.0})
+        exact = exact_ising(IsingConfig(J=Jm, z=0.3))
+        samp = metropolis(IsingConfig(J=Jm, z=0.3, sweeps=4000, burn_in=500,
+                                      thinning=2, seed=5, replicas=2,
+                                      grid=grid))
+        outside = np.abs(samp.g - exact.g) > 4 * samp.g_se + 1e-12
+        assert not np.any(outside), np.flatnonzero(outside)
+
+    def test_without_grid_pairs_are_anchored_at_site_0(self):
+        # a plain coupling matrix (a path, no translation symmetry): g[t]
+        # estimates <phi_0 phi_t>, so it decays along the path
+        n = 6
+        Jm = np.zeros((n, n))
+        for i in range(n - 1):
+            Jm[i, i + 1] = Jm[i + 1, i] = 1.0
+        exact = exact_ising(IsingConfig(J=Jm, z=0.5))
+        samp = metropolis(IsingConfig(J=Jm, z=0.5, sweeps=6000, burn_in=500,
+                                      thinning=2, seed=4, replicas=2))
+        assert samp.g[0] == 1.0
+        assert np.all(np.abs(samp.g - exact.g) <= 4 * samp.g_se + 1e-12)
+
+    def test_grid_must_match_couplings(self):
+        with pytest.raises(ValueError):
+            IsingConfig(J=np.zeros((6, 6)), z=0.1, grid=TorusGrid(1, 4))
 
 
 class TestStepBound:
@@ -160,7 +194,7 @@ class TestStepBound:
         grid = TorusGrid(1, 6)
         Jm = coupling_matrix_from_torus(grid, RING_TABLE)
         cfg = IsingConfig(J=Jm, z=0.4, sweeps=8000, burn_in=1000,
-                          thinning=2, seed=3, replicas=2)
+                          thinning=2, seed=3, replicas=2, grid=grid)
         rec = tau_and_g_relation_check(cfg, metropolis(cfg), grid,
                                        RING_TABLE, sigma_slack=3.0)
         assert rec["holds"], rec
