@@ -1,69 +1,58 @@
-"""Hot loops shared by the samplers.
+"""Hot loops shared by the samplers, and the counter RNG they draw from.
 
-Every kernel here is written as a plain-Python loop over numpy arrays and is
-compiled with numba when available.  Setting the environment variable
-LACELAB_NO_NUMBA=1 (or running without numba installed) selects the
-interpreted path; results are bit-identical either way because all randomness
-comes from counter-based integer hashing.
+All randomness is counter based (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11): the uniform for key (seed, replica, counter)
+is SplitMix64 applied three times, so any draw can be made on its own and
+in any order.  counter_uniform makes one draw from Python ints masked to
+64 bits; counter_uniforms makes a run of consecutive counters at once from
+numpy uint64 arrays, which wrap the same way.  Both go through the one
+_splitmix64, so the two give the same bits for the same key.
 """
 
-import os
+import itertools
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("LACELAB_NO_NUMBA", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# No kernel is compiled; perfbench/run.py records this in its environment.
+USE_NUMBA = False
 
 _MASK = (1 << 64) - 1
 _INV_2_53 = 1.0 / float(1 << 53)
+_SEED_KEY = 0xA0761D6478BD642F
+
+# Counters per counter_uniforms call in metropolis_run: bounds the memory
+# of the drawn uniforms whatever the chain length.
+DRAW_BLOCK = 4096
 
 
-# The splitmix64 counter hash needs genuine 64-bit wraparound.  Under numba
-# that is native uint64 arithmetic; the interpreted path uses Python ints
-# masked to 64 bits (numpy scalar uint64 would warn on every overflow).
-# Both produce identical bits for identical keys.
-if USE_NUMBA:
-    @njit(cache=True)
-    def _splitmix64(x):
-        z = x + np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True)
-    def counter_uniform(seed, replica, counter):
-        """Uniform in [0,1) keyed by (seed, replica, counter)."""
-        h = _splitmix64(np.uint64(seed) ^ np.uint64(0xA0761D6478BD642F))
-        h = _splitmix64(h ^ np.uint64(replica))
-        h = _splitmix64(h ^ np.uint64(counter))
-        return float(h >> np.uint64(11)) * _INV_2_53
-else:
-    def _splitmix64(x):
-        z = (x + 0x9E3779B97F4A7C15) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def counter_uniform(seed, replica, counter):
-        """Uniform in [0,1) keyed by (seed, replica, counter)."""
-        # int() accepts numpy integers, which cannot be masked directly
-        h = _splitmix64((int(seed) & _MASK) ^ 0xA0761D6478BD642F)
-        h = _splitmix64(h ^ (int(replica) & _MASK))
-        h = _splitmix64(h ^ (int(counter) & _MASK))
-        return (h >> 11) * _INV_2_53
+def _splitmix64(x):
+    """SplitMix64 output for state x: a Python int or a uint64 array."""
+    z = (x + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
-@njit(cache=True)
+def _stream_key(seed, replica):
+    # int() accepts numpy integers, which cannot be masked directly
+    h = _splitmix64((int(seed) & _MASK) ^ _SEED_KEY)
+    return _splitmix64(h ^ (int(replica) & _MASK))
+
+
+def counter_uniform(seed, replica, counter):
+    """Uniform in [0,1) keyed by (seed, replica, counter)."""
+    h = _splitmix64(_stream_key(seed, replica) ^ (int(counter) & _MASK))
+    return (h >> 11) * _INV_2_53
+
+
+def counter_uniforms(seed, replica, start, count):
+    """counter_uniform(seed, replica, c) for c in start .. start + count - 1,
+    as a float64 array."""
+    counters = np.arange(start, start + count, dtype=np.uint64)
+    h = _splitmix64(counters ^ _stream_key(seed, replica))
+    return (h >> 11).astype(np.float64) * _INV_2_53
+
+
 def percolation_clusters(coords, strides, probs, M, n_sites, n_offsets,
                          seed, replicas, targets):
     """Grow the origin's cluster lazily for each replica.
@@ -127,7 +116,6 @@ def percolation_clusters(coords, strides, probs, M, n_sites, n_offsets,
     return sizes, hits
 
 
-@njit(cache=True)
 def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
                    sweeps, burn_in, thinning, corr_targets):
     """Single-spin-flip dynamics on a fixed coupling graph.
@@ -140,44 +128,67 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     the same stationary measure.
 
     neighbor_idx[i, :] / neighbor_j[i, :] list each site's neighbors and
-    coupling strengths.  Records, per kept sweep, the mean spin and, for
-    each target t, phi_i * phi_{corr_targets[i, t]} averaged over the rows
-    i of corr_targets (row i pairs site i with its partner for each t).
+    coupling strengths, up to the first negative index.  The start is hot:
+    spin i is up when counter i draws below 1/2.  Sweeps then visit the
+    sites in order, site i of sweep k drawing counter n_sites * (k + 1) + i.
+    Records, per kept sweep, the mean spin and, for each target t,
+    phi_i * phi_{corr_targets[i, t]} averaged over the rows i of
+    corr_targets (row i pairs site i with its partner for each t).
 
     Returns (mag_series, corr_series) with one row per kept sample.
     """
-    n_rows, n_targets = corr_targets.shape
+    z, h = float(z), float(h)
+    neighbors = [list(itertools.takewhile(lambda pair: pair[0] >= 0,
+                                          zip(idx, js)))
+                 for idx, js in zip(neighbor_idx.tolist(),
+                                    neighbor_j.tolist())]
+    spins = np.where(counter_uniforms(seed, replica, 0, n_sites) < 0.5,
+                     1, -1).tolist()
     kept = (sweeps - burn_in + thinning - 1) // thinning
-    mag = np.zeros(kept, dtype=np.float64)
-    corr = np.zeros((kept, n_targets), dtype=np.float64)
-    spins = np.empty(n_sites, dtype=np.int8)
-    for i in range(n_sites):
-        # deterministic hot start pattern, then burn in
-        spins[i] = 1 if counter_uniform(seed, replica, i) < 0.5 else -1
-    counter = n_sites
+    configs = np.empty((kept, n_sites), dtype=np.int8)
+    # 1 + exp(delta) per distinct delta; computed with np.exp, as the
+    # acceptance test has always been, so the accepted flips keep their bits
+    threshold = {}
+    per_block = max(1, DRAW_BLOCK // n_sites)
     out = 0
-    for sweep in range(sweeps):
-        for i in range(n_sites):
-            local = 0.0
-            for m in range(neighbor_idx.shape[1]):
-                nb = neighbor_idx[i, m]
-                if nb < 0:
-                    break
-                local += neighbor_j[i, m] * spins[nb]
-            delta = 2.0 * spins[i] * (z * local + h)
-            u = counter_uniform(seed, replica, counter)
-            counter += 1
-            if delta < 40.0 and u * (1.0 + np.exp(delta)) < 1.0:
-                spins[i] = -spins[i]
-        if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-            s = 0.0
-            for i in range(n_sites):
-                s += spins[i]
-            mag[out] = s / n_sites
-            for t in range(n_targets):
-                acc = 0.0
-                for i in range(n_rows):
-                    acc += spins[i] * spins[corr_targets[i, t]]
-                corr[out, t] = acc / n_rows
-            out += 1
-    return mag, corr
+    for first in range(0, sweeps, per_block):
+        last = min(first + per_block, sweeps)
+        draws = counter_uniforms(seed, replica, n_sites * (first + 1),
+                                 n_sites * (last - first)).tolist()
+        for sweep in range(first, last):
+            at = (sweep - first) * n_sites
+            for i, (pairs, u) in enumerate(
+                    zip(neighbors, draws[at:at + n_sites])):
+                local = 0.0
+                for nb, coupling in pairs:
+                    local += coupling * spins[nb]
+                s = spins[i]
+                delta = 2.0 * s * (z * local + h)
+                if delta < 40.0:
+                    t = threshold.get(delta)
+                    if t is None:
+                        t = threshold[delta] = 1.0 + float(np.exp(delta))
+                    if u * t < 1.0:
+                        spins[i] = -s
+            if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+                configs[out] = spins
+                out += 1
+    return _measure(configs, corr_targets)
+
+
+def _measure(configs, corr_targets):
+    """Mean spin and target correlations of each kept configuration.
+
+    Sums of +-1 values and products are integers, so each is exact and the
+    single division by the count rounds as an accumulated float sum would.
+    """
+    n_rows, n_targets = corr_targets.shape
+    mag = configs.sum(axis=1, dtype=np.int64) / configs.shape[1]
+    corr = np.empty((len(configs), n_targets))
+    anchors = configs[:, :n_rows]
+    for t in range(n_targets):
+        # phi_i phi_j = 1 - 2 [phi_i != phi_j]
+        unequal = np.count_nonzero(anchors != configs[:, corr_targets[:, t]],
+                                   axis=1)
+        corr[:, t] = n_rows - 2 * unequal
+    return mag, corr / n_rows

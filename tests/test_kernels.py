@@ -1,45 +1,12 @@
-import importlib.util
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
-import lacelab
-from lacelab.kernels import counter_uniform, metropolis_run, percolation_clusters
-
-FINGERPRINT_SNIPPET = """
-import json
-import numpy as np
-from lacelab.kernels import USE_NUMBA, _splitmix64, counter_uniform
-vals = [counter_uniform(7, r, c) for r in range(3) for c in range(50)]
-sm0 = int(_splitmix64(np.uint64(0) if USE_NUMBA else 0))
-print(json.dumps({"numba": USE_NUMBA, "sm0": sm0, "vals": vals}))
-"""
+from lacelab import kernels
+from lacelab.kernels import (counter_uniform, counter_uniforms,
+                             metropolis_run, percolation_clusters)
 
 # First output of SplitMix64 from state 0 (Steele, Lea & Flood, OOPSLA 2014).
 SPLITMIX64_FROM_ZERO = 0xE220A8397B1DCDAF
-
-NUMBA_IMPORTABLE = importlib.util.find_spec("numba") is not None
-
-
-def run_python(code, *args, no_numba=None):
-    """Run code (with argv args) in a fresh interpreter that imports this
-    checkout's lacelab, and return the JSON it prints.
-
-    no_numba=None removes LACELAB_NO_NUMBA from the child's environment;
-    otherwise the variable is set to that string.
-    """
-    env = {k: v for k, v in os.environ.items() if k != "LACELAB_NO_NUMBA"}
-    if no_numba is not None:
-        env["LACELAB_NO_NUMBA"] = no_numba
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lacelab.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code, *args],
-                         capture_output=True, text=True, env=env, check=True)
-    return json.loads(out.stdout)
 
 
 def splitmix64_oracle(x):
@@ -78,22 +45,24 @@ class TestCounterUniform:
         assert abs(np.mean(vals < 0.25) - 0.25) < 0.01
 
     def test_paths_bit_identical(self):
-        """Both paths give the SplitMix64 stream, bit for bit.
+        """Scalar and array draws give the SplitMix64 stream, bit for bit."""
+        for seed, replica in [(0, 0), (7, 2), (12345, 7), (2 ** 63 + 5, 1),
+                              (-3, 2 ** 40)]:
+            oracle = counter_uniform_oracle(
+                seed % 2 ** 64, [replica % 2 ** 64], range(5000))
+            scalar = [counter_uniform(seed, replica, c) for c in range(5000)]
+            assert scalar == oracle.tolist()
+            np.testing.assert_array_equal(
+                counter_uniforms(seed, replica, 0, 5000), oracle)
+            np.testing.assert_array_equal(
+                counter_uniforms(seed, replica, 4321, 679), oracle[4321:])
 
-        The default run uses numba exactly when it is importable; without
-        numba both runs take the interpreted path, and each is still checked
-        against the independent numpy-uint64 oracle.
-        """
-        oracle = counter_uniform_oracle(7, range(3), range(50)).tolist()
-        assert splitmix64_oracle(np.zeros(1, np.uint64))[0] == SPLITMIX64_FROM_ZERO
-
-        default = run_python(FINGERPRINT_SNIPPET)
-        without = run_python(FINGERPRINT_SNIPPET, no_numba="1")
-        assert default["numba"] == NUMBA_IMPORTABLE
-        assert without["numba"] is False
-        for run in (default, without):
-            assert run["sm0"] == SPLITMIX64_FROM_ZERO
-            assert run["vals"] == oracle
+    def test_splitmix64_published_first_output(self):
+        assert splitmix64_oracle(np.zeros(1, np.uint64))[0] == \
+            SPLITMIX64_FROM_ZERO
+        assert kernels._splitmix64(0) == SPLITMIX64_FROM_ZERO
+        assert kernels._splitmix64(np.zeros(1, np.uint64))[0] == \
+            SPLITMIX64_FROM_ZERO
 
 
 class TestPercolationKernel:
@@ -150,33 +119,56 @@ class TestMetropolisKernel:
                                 500, 100, 1, corr_targets)
         assert np.mean(np.asarray(mag)) > 0.99
 
+    @pytest.mark.parametrize("n,block", [(3, 7), (10, 7), (6, 4096)])
+    def test_matches_the_scalar_loop(self, n, block, monkeypatch):
+        # small blocks make chains cross block boundaries mid-run, and make
+        # one block hold less than a sweep
+        monkeypatch.setattr(kernels, "DRAW_BLOCK", block)
+        rng = np.random.default_rng(n)
+        idx = np.array([[(i - 1) % n, (i + 1) % n, -1, (i + 2) % n]
+                        for i in range(n)], dtype=np.int64)
+        jj = rng.choice([1.0, 0.3, 2.0 / 3.0], size=idx.shape)
+        targets = rng.integers(0, n, size=(n, n))
+        for z, h, sweeps, burn_in, thinning in [
+                (0.4, 0.0, 41, 5, 3), (0.9, -0.7, 30, 0, 1),
+                (25.0, 0.1, 20, 3, 2)]:
+            args = (idx, jj, n, z, h, 5, 1, sweeps, burn_in, thinning)
+            for corr_targets in (targets, targets[:1]):
+                want = metropolis_reference(*args, corr_targets)
+                got = metropolis_run(*args, corr_targets)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
 
-SELECTION_SNIPPET = """
-import json, sys, types
-if sys.argv[1] == "stub":
-    stub = types.ModuleType("numba")
-    stub.njit = lambda **kwargs: (lambda f: f)
-    sys.modules["numba"] = stub
-elif sys.argv[1] == "missing":
-    sys.modules["numba"] = None  # makes `import numba` raise ImportError
-from lacelab.kernels import USE_NUMBA
-print(json.dumps({"numba": USE_NUMBA}))
-"""
 
-
-def test_numba_enabled_by_default_in_this_environment():
-    """numba is on by default exactly when it can be imported.
-
-    LACELAB_NO_NUMBA=1 turns it off either way.  Besides the real
-    environment, the rule is checked with numba forced importable (a
-    module whose njit returns the function) and forced missing, so both
-    branches are exercised whether or not numba is installed.
-    """
-    def use_numba(numba, no_numba=None):
-        return run_python(SELECTION_SNIPPET, numba, no_numba=no_numba)["numba"]
-
-    assert use_numba("real") is NUMBA_IMPORTABLE
-    assert use_numba("real", no_numba="1") is False
-    assert use_numba("stub") is True
-    assert use_numba("stub", no_numba="1") is False
-    assert use_numba("missing") is False
+def metropolis_reference(neighbor_idx, neighbor_j, n_sites, z, h, seed,
+                         replica, sweeps, burn_in, thinning, corr_targets):
+    """metropolis_run as one scalar draw and one float sum at a time."""
+    n_rows, n_targets = corr_targets.shape
+    kept = (sweeps - burn_in + thinning - 1) // thinning
+    mag = np.zeros(kept)
+    corr = np.zeros((kept, n_targets))
+    spins = [1 if counter_uniform(seed, replica, i) < 0.5 else -1
+             for i in range(n_sites)]
+    counter, out = n_sites, 0
+    for sweep in range(sweeps):
+        for i in range(n_sites):
+            local = 0.0
+            for nb, coupling in zip(neighbor_idx[i], neighbor_j[i]):
+                if nb < 0:
+                    break
+                local += coupling * spins[nb]
+            delta = 2.0 * spins[i] * (z * local + h)
+            u = counter_uniform(seed, replica, counter)
+            counter += 1
+            if delta < 40.0 and u * (1.0 + np.exp(delta)) < 1.0:
+                spins[i] = -spins[i]
+        if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
+            mag[out] = sum(float(s) for s in spins) / n_sites
+            for t in range(n_targets):
+                acc = 0.0
+                for i in range(n_rows):
+                    acc += spins[i] * spins[corr_targets[i, t]]
+                corr[out, t] = acc / n_rows
+            out += 1
+    return mag, corr
