@@ -18,6 +18,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .torus import TorusField, TorusGrid, convolve, field_at_zero
 EXACT_BOND_LIMIT = EXACT_LIMIT
 
 
-@dataclass
+@dataclass(frozen=True)
 class PercConfig:
     grid: TorusGrid
     dist: StepDistribution
@@ -44,36 +45,40 @@ class PercConfig:
         if self.replicas < 1:
             raise ValueError("replicas must be positive")
 
-
-def _folded_values(config: PercConfig) -> np.ndarray:
-    return config.dist.fold(config.grid).values
+    @cached_property
+    def folded(self) -> np.ndarray:
+        """D_M on the grid, folded once per config and read by bond_offsets,
+        range_tail and restricted_triangle."""
+        return self.dist.fold(self.grid).values
 
 
 def bond_offsets(config: PercConfig):
     """One representative per unordered bond direction within range R.
 
     Offsets use centered representatives; o and -o describe the same bond
-    family, so only the lexicographically positive half is kept.  Offsets
-    sitting at exactly half the torus period are their own negation mod M,
-    which would make the forward and backward bond of a site coincide; such
-    bonds are excluded (with a warning when they carry weight in range), so
-    tori should satisfy M > 2R.
+    family, so of each pair only the lexicographically larger one is kept,
+    comparing o with the centered representative of -o (a coordinate at
+    -M/2 negates to itself).  Offsets whose every coordinate is 0 or -M/2
+    are their own negation mod M, which would make the forward and backward
+    bond of a site coincide; such bonds are excluded (with a warning when
+    they carry weight in range), so tori should satisfy M > 2R.
     """
     grid = config.grid
-    dm = _folded_values(config)
+    dm = config.folded
     half = grid.M // 2
     offs, probs, clipped = [], [], False
     axis = range(-half, half)
     for o in itertools.product(axis, repeat=grid.d):
         if not any(o):
             continue
-        if all((-v) % grid.M == v % grid.M for v in o):
+        neg = tuple((-v + half) % grid.M - half for v in o)
+        if o == neg:
             if (math.sqrt(sum(v * v for v in o)) <= config.R
                     and dm[tuple(np.mod(o, grid.M))] > 0.0):
                 warnings.warn("offset at half the torus period excluded; "
                               "use M > 2R", RuntimeWarning)
             continue
-        if o < tuple(-v for v in o):
+        if o < neg:
             continue  # keep one representative per +-o pair
         if math.sqrt(sum(v * v for v in o)) > config.R:
             continue
@@ -94,7 +99,7 @@ def bond_offsets(config: PercConfig):
 
 def range_tail(config: PercConfig) -> float:
     """e_R: folded step weight beyond the cutoff R."""
-    return float(np.sum(_folded_values(config)[_beyond_range(config)]))
+    return float(np.sum(config.folded[_beyond_range(config)]))
 
 
 def _beyond_range(config: PercConfig) -> np.ndarray:
@@ -334,7 +339,7 @@ def restricted_triangle(config: PercConfig, g_field: TorusField) -> float:
     g_field is a translation-averaged pair connectivity on the torus; the
     step kernel is the folded D cut off at range R.
     """
-    dm = _folded_values(config).copy()
+    dm = config.folded.copy()
     dm[_beyond_range(config)] = 0.0
     dr = TorusField(config.grid, config.z * dm, "x")
     out = convolve(dr, convolve(g_field, convolve(g_field, g_field)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +56,32 @@ class TestConfig:
         with pytest.warns(RuntimeWarning, match="half the torus period"):
             offs, _ = bond_offsets(cfg)
         assert np.max(np.abs(offs)) == 1
+
+    def test_half_period_families_keep_one_representative(self):
+        # on M = 4, (-2, 1) and (-2, -1) are each other's negation mod 4;
+        # exactly one of them must stay, while the self-negating (0, -2),
+        # (-2, 0) and (-2, -2) are dropped with a warning
+        grid = TorusGrid(2, 4)
+        cfg = PercConfig(grid, StepDistribution("uniform", 2, L=2), 0.1, 3.0,
+                         seed=0)
+        with pytest.warns(RuntimeWarning, match="half the torus period"):
+            offs, probs = bond_offsets(cfg)
+        classes = [frozenset({tuple(o % 4), tuple(-o % 4)}) for o in offs]
+        want = {frozenset({x, tuple(-np.array(x) % 4)})
+                for x in itertools.product(range(4), repeat=2)
+                if x != tuple(-np.array(x) % 4)}
+        assert len(classes) == len(set(classes)) == len(want) == 6
+        assert set(classes) == want
+        assert probs[offs.tolist().index([-2, 1])] == \
+            pytest.approx(0.1 * cfg.folded[2, 1])
+        with pytest.warns(RuntimeWarning, match="half the torus period"):
+            graph = exact_graph_from_config(cfg)
+        pairs = {frozenset(b[:2]) for b in graph.bonds}
+        assert len(pairs) == len(graph.bonds) == 16 * 6
+        for site in grid.sites():
+            for step in ((2, 1), (2, -1)):
+                nb = int(grid.flat_index(site + np.array(step)))
+                assert frozenset({int(grid.flat_index(site)), nb}) in pairs
 
 
 def scalar_oracle(graph, z):
