@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 an asserted check failed.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -56,7 +57,10 @@ def _emit(args, subcommand: str, spec: dict, seed, result: dict,
           csv_rows=None, csv_fields=None):
     doc = {"subcommand": subcommand, "spec": spec, "seed": seed,
            "version": __version__, "result": result}
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonify)
+    # allow_nan=False: NaN or an infinity raises ValueError (exit 1) rather
+    # than printing JSON that standard parsers reject
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonify,
+                      allow_nan=False)
     out = args.out
     if out is None and os.environ.get("LACELAB_OUT_DIR"):
         out = os.path.join(os.environ["LACELAB_OUT_DIR"],
@@ -151,7 +155,10 @@ def cmd_saw(args):
     lace = sw.extract_lace(series) if args.nmax >= 2 else None
     result = {
         "masses": [float(m) for m in series.masses()],
-        "chi": chi["chi"], "chi_remainder": chi["remainder"],
+        "chi": chi["chi"],
+        # null when unbounded: no radius estimate, or z at or beyond it
+        "chi_remainder": chi["remainder"] if math.isfinite(chi["remainder"])
+        else None,
         "zc": chi["zc"], "warning": chi["warning"],
         "bubble": sw.bubble_saw(series, args.z),
         "pi_masses": {str(m): float(lace.mass(m)) for m in lace.pi}

@@ -178,6 +178,9 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
       "--R", "1", "--replicas", "1", "--seed", "1"], "2 samples"),
     (["ising", "--d", "1", "--M", "6", "--z", "0.4", "--sweeps", "502",
       "--burn-in", "500", "--seed", "1"], "2 samples"),
+    # the bubble overflows to inf, which standard JSON cannot hold
+    (["saw", "--family", "nn", "--d", "2", "--nmax", "2", "--z", "1e150"],
+     "not JSON compliant"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)
@@ -194,6 +197,28 @@ def test_ising_keeps_a_last_partial_thinning_block(capsys):
                                  "--thinning", "2", "--seed", "1"])
     assert code == 0
     assert doc["result"]["samples"] == 6
+
+
+@pytest.mark.parametrize("nmax", ["0", "1"])
+def test_saw_prints_standard_json_without_a_radius(capsys, nmax):
+    # too short a series for a radius estimate: the remainder is unbounded
+    def reject(name):
+        raise ValueError("non-standard JSON constant " + name)
+
+    code = main(["saw", "--family", "nn", "--d", "2", "--nmax", nmax])
+    out = capsys.readouterr().out
+    assert code == 0
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["result"]["chi_remainder"] is None
+
+
+def test_perc_folds_once(capsys, fold_calls):
+    code, doc = run_cli(capsys, ["perc", "--family", "nn", "--d", "1",
+                                 "--M", "6", "--z", "0.5", "--R", "1",
+                                 "--replicas", "50", "--seed", "3"])
+    assert code == 0
+    assert "chi_exact" in doc["result"]
+    assert fold_calls == [6]
 
 
 def test_numpy_bools_serialise():
