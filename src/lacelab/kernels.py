@@ -146,8 +146,8 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
                      1, -1).tolist()
     kept = (sweeps - burn_in + thinning - 1) // thinning
     configs = np.empty((kept, n_sites), dtype=np.int8)
-    # 1 + exp(delta) per distinct delta; computed with np.exp, as the
-    # acceptance test has always been, so the accepted flips keep their bits
+    # 1 + exp(delta) per distinct delta, from np.exp: math.exp may round
+    # differently, and the acceptance test must keep its bits
     threshold = {}
     per_block = max(1, DRAW_BLOCK // n_sites)
     out = 0
