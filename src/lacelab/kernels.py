@@ -33,23 +33,22 @@ def _splitmix64(x):
     return z ^ (z >> 31)
 
 
-def _stream_key(seed, replica):
-    # int() accepts numpy integers, which cannot be masked directly
-    h = _splitmix64((int(seed) & _MASK) ^ _SEED_KEY)
-    return _splitmix64(h ^ (int(replica) & _MASK))
-
-
 def counter_uniform(seed, replica, counter):
     """Uniform in [0,1) keyed by (seed, replica, counter)."""
-    h = _splitmix64(_stream_key(seed, replica) ^ (int(counter) & _MASK))
+    # int() accepts numpy integers, which cannot be masked directly
+    h = _splitmix64((int(seed) & _MASK) ^ _SEED_KEY)
+    h = _splitmix64(h ^ (int(replica) & _MASK))
+    h = _splitmix64(h ^ (int(counter) & _MASK))
     return (h >> 11) * _INV_2_53
 
 
 def counter_uniforms(seed, replica, start, count):
     """counter_uniform(seed, replica, c) for c in start .. start + count - 1,
     as a float64 array."""
+    h = _splitmix64((int(seed) & _MASK) ^ _SEED_KEY)
+    h = _splitmix64(h ^ (int(replica) & _MASK))
     counters = np.arange(start, start + count, dtype=np.uint64)
-    h = _splitmix64(counters ^ _stream_key(seed, replica))
+    h = _splitmix64(counters ^ h)
     return (h >> 11).astype(np.float64) * _INV_2_53
 
 
