@@ -13,8 +13,9 @@ import numpy as np
 
 from .steps import StepDistribution
 from .torus import (TorusField, TorusGrid, convolve, delta_k, dft,
-                    field_at_zero, idft, one_minus_cos_sum, reflect)
-from .walk import beta_kspace, folded_dhat, resolvent
+                    field_at_zero, is_symmetric, one_minus_cos_sum, real_dft,
+                    real_idft)
+from .walk import beta_kspace, folded_dhat, nonzero_modes, resolvent
 
 F3_EXHAUSTIVE_MAX_SITES = 4096
 U_CONSTANT = 200.0
@@ -50,6 +51,22 @@ class TwoPointInput:
 
     def c_lambda(self) -> np.ndarray:
         return 1.0 / (1.0 - self.lam * self.dhat)
+
+    def f2(self) -> float:
+        """sup_k Ghat(k) / Chat_lambda(k)."""
+        return float(np.max(self.ghat / self.c_lambda()))
+
+    def gtilde_hat(self) -> np.ndarray:
+        """tau Dhat Ghat, the transform of the one-step-smoothed G."""
+        return self.tau * self.dhat * self.ghat
+
+    def bubble(self) -> float:
+        """B = M^-d sum_k Ghat(k)^2."""
+        return _mean(self.grid, self.ghat ** 2)
+
+    def bubble_tilde(self) -> float:
+        """B_tilde = M^-d sum_k (tau Dhat(k) Ghat(k))^2."""
+        return _mean(self.grid, self.gtilde_hat() ** 2)
 
 
 def free_two_point(dist: StepDistribution, grid: TorusGrid,
@@ -95,21 +112,20 @@ def _mean(grid: TorusGrid, arr: np.ndarray) -> float:
 def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
     """B, T, nabla, B-tilde on the grid, cross-checked in x-space."""
     g = inp.ghat
-    g_reflected = reflect(TorusField(inp.grid, g, "k")).values
-    if np.max(np.abs(g - g_reflected)) > 1e-9 * max(
-            1.0, float(np.max(np.abs(g)))):
+    if not is_symmetric(TorusField(inp.grid, g, "k"), tol=1e-9):
         raise ValueError("ghat must be symmetric")
     grid = inp.grid
-    B = _mean(grid, g ** 2)
+    B = inp.bubble()
     T = _mean(grid, g ** 3)
     nabla = _mean(grid, inp.dhat * g ** 3)
-    B_tilde = _mean(grid, (inp.tau * inp.dhat * g) ** 2)
+    B_tilde = inp.bubble_tilde()
 
     gx = _g_x(inp)
-    B_x = field_at_zero(convolve(gx, gx))
+    gg = convolve(gx, gx)
+    B_x = field_at_zero(gg)
     if abs(B - B_x) > cross_check_tol * max(1.0, B):
         raise AssertionError("bubble k/x cross-check failed")
-    T_x = field_at_zero(convolve(convolve(gx, gx), gx))
+    T_x = field_at_zero(convolve(gg, gx))
     if abs(T - T_x) > cross_check_tol * max(1.0, T):
         raise AssertionError("triangle k/x cross-check failed")
     return B, T, nabla, B_tilde
@@ -117,14 +133,12 @@ def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
 
 def _g_x(inp: TwoPointInput) -> TorusField:
     """G(x), the real inverse transform of Ghat."""
-    gx = idft(TorusField(inp.grid, inp.ghat.astype(complex), "k"))
-    return TorusField(inp.grid, gx.values.real, "x")
+    return real_idft(TorusField(inp.grid, inp.ghat, "k"))
 
 
 def g_tilde_field(inp: TwoPointInput) -> TorusField:
     """tau (D*G)(x), the single-step-smoothed two-point function."""
-    vals = np.fft.fftn(inp.tau * inp.dhat * inp.ghat) / inp.grid.n_sites
-    return TorusField(inp.grid, vals.real, "x")
+    return real_idft(TorusField(inp.grid, inp.gtilde_hat(), "k"))
 
 
 def chain_of_bubbles(inp: TwoPointInput, tol: float = 1e-12) -> dict:
@@ -135,9 +149,8 @@ def chain_of_bubbles(inp: TwoPointInput, tol: float = 1e-12) -> dict:
     if b_tilde >= 0.5:
         return {"B_tilde": b_tilde, "converged": False, "psi_mass": None,
                 "bound_holds": None}
-    acc = link.copy()
-    mass = float(np.sum(acc.values))
-    term = acc
+    mass = b_tilde
+    term = link
     while True:
         term = convolve(term, link)
         inc = float(np.sum(term.values))
@@ -148,15 +161,12 @@ def chain_of_bubbles(inp: TwoPointInput, tol: float = 1e-12) -> dict:
             "bound_holds": mass <= 2.0 * b_tilde + 1e-12}
 
 
-def u_weight(c_lam: np.ndarray, grid: TorusGrid, k, l) -> float:
-    """U(k, l) = 200 / C(k) * [C(l-k)C(l) + C(l)C(l+k) + C(l-k)C(l+k)]."""
-    M = grid.M
-    k = np.asarray(k, dtype=int)
-    l = np.asarray(l, dtype=int)
-    a = float(c_lam[tuple((l - k) % M)])
-    b = float(c_lam[tuple(l % M)])
-    c = float(c_lam[tuple((l + k) % M)])
-    return U_CONSTANT / float(c_lam[tuple(k % M)]) * (a * b + b * c + a * c)
+def u_weight(c_lam: np.ndarray, grid: TorusGrid, k, l):
+    """U(k, l) = 200 / C(k) * [C(l-k)C(l) + C(l)C(l+k) + C(l-k)C(l+k)]
+    for (..., d) index arrays k and l that broadcast together."""
+    v = c_lam.ravel()
+    a, b, c = (v[i] for i in grid.stencil(k, l))
+    return U_CONSTANT / v[grid.flat_index(k)] * (a * b + b * c + a * c)
 
 
 def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
@@ -164,10 +174,7 @@ def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
     """f1 = tau, f2 = sup Ghat/Chat_lambda, f3 = sup |Delta_k Ghat| / U."""
     grid = inp.grid
     c_lam = inp.c_lambda()
-    f1 = inp.tau
-    f2 = float(np.max(inp.ghat / c_lam))
     g = inp.ghat
-    M = grid.M
     f3 = 0.0
     if grid.n_sites <= F3_EXHAUSTIVE_MAX_SITES:
         # exhaustive over k: one vectorized pass per k index
@@ -183,15 +190,15 @@ def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
             f3 = max(f3, float(np.max(num / den)))
         mode = "exhaustive"
     else:
-        rng = np.random.default_rng(seed)
-        ghat = TorusField(grid, g, "k")
-        for _ in range(rng_pairs):
-            k = rng.integers(0, M, size=grid.d)
-            l = rng.integers(0, M, size=grid.d)
-            num = abs(delta_k(ghat, k, l))
-            f3 = max(f3, num / u_weight(c_lam, grid, k, l))
+        # the same stream as rng_pairs draws of k then l, size d each
+        pairs = np.random.default_rng(seed).integers(
+            0, grid.M, size=(rng_pairs, 2, grid.d))
+        k, l = pairs[:, 0], pairs[:, 1]
+        ratio = (np.abs(delta_k(TorusField(grid, g, "k"), k, l))
+                 / u_weight(c_lam, grid, k, l))
+        f3 = float(np.max(ratio, initial=f3))
         mode = "sampled"
-    return f1, f2, f3, mode
+    return inp.tau, inp.f2(), f3, mode
 
 
 def infrared_check(inp: TwoPointInput) -> float:
@@ -220,27 +227,21 @@ def trig_lemma_check(a_field: TorusField, k, l) -> dict:
     |Delta_k A(l)| <= (A(l-k) + A(l+k)) A(l) (|a|hat(0) - |a|hat(k))
                       + 8 A(l-k) A(l) A(l+k)
                         (|a|hat(0) - |a|hat(l)) (|a|hat(0) - |a|hat(k))
+    for each (k, l) of (..., d) index arrays that broadcast together.
     """
     grid = a_field.grid
     if float(np.sum(np.abs(a_field.values))) >= 1.0:
         raise ValueError("need ||a||_1 < 1")
-    ahat = np.real(dft(a_field).values)
-    abshat = np.real(dft(TorusField(grid, np.abs(a_field.values), "x")).values)
-    A = 1.0 / (1.0 - ahat)
-    M = grid.M
-    k = np.asarray(k, dtype=int)
-    l = np.asarray(l, dtype=int)
-    Alk = float(A[tuple((l - k) % M)])
-    Al = float(A[tuple(l % M)])
-    Apk = float(A[tuple((l + k) % M)])
-    a0 = float(abshat[(0,) * grid.d])
-    ak = float(abshat[tuple(k % M)])
-    al = float(abshat[tuple(l % M)])
-    lhs = abs(Alk + Apk - 2.0 * Al)
+    A = TorusField(grid, 1.0 / (1.0 - real_dft(a_field)), "k")
+    abshat = real_dft(TorusField(grid, np.abs(a_field.values), "x")).ravel()
+    Alk, Al, Apk = (A.values.ravel()[i] for i in grid.stencil(k, l))
+    at = grid.flat_index
+    a0, ak, al = abshat[0], abshat[at(k)], abshat[at(l)]
+    lhs = np.abs(delta_k(A, k, l))
     rhs = (Alk + Apk) * Al * (a0 - ak) + 8.0 * Alk * Al * Apk \
         * (a0 - al) * (a0 - ak)
     return {"lhs": lhs, "rhs": rhs,
-            "holds": lhs <= rhs + 1e-9 * max(1.0, rhs)}
+            "holds": lhs <= rhs + 1e-9 * np.maximum(1.0, rhs)}
 
 
 def cos_split_check(t_parts) -> dict:
@@ -253,8 +254,9 @@ def cos_split_check(t_parts) -> dict:
 
 
 def delta_vs_cos_sum_check(g_field: TorusField, k, l) -> dict:
-    """|Delta_k ghat(l)| <= 2 sum_x (1 - cos k.x) |g(x)| for symmetric g."""
-    lhs = abs(complex(delta_k(dft(g_field), k, l)))
+    """|Delta_k ghat(l)| <= 2 sum_x (1 - cos k.x) |g(x)| for symmetric g,
+    for (..., d) index arrays k and l that broadcast together."""
+    lhs = np.abs(delta_k(dft(g_field), k, l))
     rhs = 2.0 * one_minus_cos_sum(g_field, k)
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-10}
 
@@ -273,30 +275,25 @@ def c_lambda_identity_check(dhat: np.ndarray, lam: float) -> dict:
 
 def open_vs_closed_bubble_check(inp: TwoPointInput) -> dict:
     """Pointwise (G*G)(x) <= B and (Gt*Gt)(x) <= B_tilde."""
-    grid = inp.grid
-    gx = _g_x(inp)
-    open_bubble = convolve(gx, gx).values
-    B = _mean(grid, inp.ghat ** 2)
-    gt = g_tilde_field(inp)
-    open_tilde = convolve(gt, gt).values
-    B_tilde = _mean(grid, (inp.tau * inp.dhat * inp.ghat) ** 2)
-    return {
-        "B": B, "B_tilde": B_tilde,
-        "holds": bool(np.max(open_bubble) <= B + 1e-10
-                      and np.max(open_tilde) <= B_tilde + 1e-10),
-        "max_open": float(np.max(open_bubble)),
-        "max_open_tilde": float(np.max(open_tilde)),
-    }
+    gx, gt = _g_x(inp), g_tilde_field(inp)
+    max_open = float(np.max(convolve(gx, gx).values))
+    max_open_tilde = float(np.max(convolve(gt, gt).values))
+    B, B_tilde = inp.bubble(), inp.bubble_tilde()
+    return {"B": B, "B_tilde": B_tilde,
+            "holds": (max_open <= B + 1e-10
+                      and max_open_tilde <= B_tilde + 1e-10),
+            "max_open": max_open, "max_open_tilde": max_open_tilde}
 
 
 def cos_g_bound_check(inp: TwoPointInput, k_index, K: float) -> dict:
-    """sup_x (1 - cos k.x) G(x) <= 300 K (1 - lam Dhat(k)) (C*C)(0)."""
+    """sup_x (1 - cos k.x) G(x) <= 300 K (1 - lam Dhat(k)) (C*C)(0),
+    for each k of a (..., d) index array."""
     grid = inp.grid
-    lhs = float(np.max(grid.one_minus_cos(k_index) * _g_x(inp).values))
-    c_lam = inp.c_lambda()
-    cc0 = _mean(grid, c_lam ** 2)  # (C*C)(0) by Parseval
-    kidx = tuple(np.mod(np.asarray(k_index, dtype=int), grid.M))
-    rhs = COS_G_CONSTANT * K * (1.0 - inp.lam * inp.dhat[kidx]) * cc0
+    lhs = np.max(grid.one_minus_cos(k_index) * _g_x(inp).values,
+                 axis=tuple(range(-grid.d, 0)))
+    cc0 = _mean(grid, inp.c_lambda() ** 2)  # (C*C)(0) by Parseval
+    dhat_k = inp.dhat.ravel()[grid.flat_index(k_index)]
+    rhs = COS_G_CONSTANT * K * (1.0 - inp.lam * dhat_k) * cc0
     return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + 1e-12}
 
 
@@ -306,14 +303,9 @@ def b_tilde_beta_bound_check(inp: TwoPointInput) -> dict:
     The k = 0 mode is excluded from both sides (on the right it is a genuine
     singularity; in the continuum it carries no measure).
     """
-    grid = inp.grid
-    f1 = inp.tau
-    f2 = float(np.max(inp.ghat / inp.c_lambda()))
-    K = max(f1, f2)
-    mask = np.ones(grid.shape, dtype=bool)
-    mask[(0,) * grid.d] = False
-    B_tilde = float(np.sum(
-        (inp.tau * inp.dhat[mask] * inp.ghat[mask]) ** 2) / grid.n_sites)
+    K = max(inp.tau, inp.f2())
+    B_tilde = float(np.sum(inp.gtilde_hat()[nonzero_modes(inp.grid.shape)]
+                           ** 2) / inp.grid.n_sites)
     beta2 = beta_kspace(inp.dhat, 2)
     rhs = 4.0 * K ** 4 * beta2
     return {"B_tilde": B_tilde, "rhs": rhs, "K": K,

@@ -185,15 +185,26 @@ def zc_estimate(series: WalkSeries) -> dict:
             (ratios[-1] if ratios else None)}
 
 
+def _powers(z, n_max: int) -> list:
+    """[z^0, ..., z^n_max] for chi_series and two_point_series; a float
+    overflow becomes a ValueError that names it."""
+    try:
+        return [z ** n for n in range(n_max + 1)]
+    except OverflowError:
+        raise ValueError("z = %r overflows a float in z**%d"
+                         % (z, n_max)) from None
+
+
 def chi_series(series: WalkSeries, z: float) -> dict:
     """chi(z) as the truncated power series with a tail-ratio remainder."""
     if z < 0:
         raise ValueError("z must be nonnegative")
     S = [float(m) for m in series.masses()]
+    zn = _powers(z, series.n_max)
     partial = 0.0
     partials = []
     for n, s in enumerate(S):
-        partial += s * z ** n
+        partial += s * zn[n]
         partials.append(partial)
     zc = zc_estimate(series)
     zc_val = zc["zc_est"]
@@ -204,7 +215,7 @@ def chi_series(series: WalkSeries, z: float) -> dict:
         if q >= 1.0:
             warning = "z at or beyond the estimated radius of convergence"
         else:
-            remainder = S[-1] * z ** series.n_max * q / (1.0 - q)
+            remainder = S[-1] * zn[-1] * q / (1.0 - q)
     return {"chi": partial, "partials": partials, "remainder": remainder,
             "zc": zc, "warning": warning}
 
@@ -212,8 +223,7 @@ def chi_series(series: WalkSeries, z: float) -> dict:
 def two_point_series(series: WalkSeries, z: float) -> dict:
     """G_z(x) = sum_n c_n(x) z^n from the truncated series."""
     out = {}
-    for n, cn in enumerate(series.c):
-        w = z ** n
+    for cn, w in zip(series.c, _powers(z, series.n_max)):
         for x, v in cn.items():
             out[x] = out.get(x, 0.0) + float(v) * w
     return out

@@ -44,9 +44,11 @@ class TorusGrid:
         return 2.0 * np.pi * self.centered_coords() / self.M
 
     def one_minus_cos(self, k_index) -> np.ndarray:
-        """1 - cos(k.x) per site, k = 2 pi k_index / M, x centered."""
+        """1 - cos(k.x) per site, k = 2 pi k_index / M, x centered; (..., d)
+        k_index gives (..., M, ..., M), each k with its scalar call's bits."""
         k = 2.0 * np.pi * np.asarray(k_index, dtype=float) / self.M
-        phase = np.tensordot(k, self.centered_coords(), axes=(0, 0))
+        k = k.reshape(k.shape + (1,) * self.d)
+        phase = np.sum(k * self.centered_coords(), axis=-self.d - 1)
         return 1.0 - np.cos(phase)
 
     @property
@@ -57,6 +59,14 @@ class TorusGrid:
     def flat_index(self, coords):
         """Flat site index of integer coordinates (..., d), wrapped mod M."""
         return np.mod(np.asarray(coords, dtype=np.int64), self.M) @ self.strides
+
+    def stencil(self, k_index, l_index):
+        """Flat indices of l - k, l and l + k, the sites of a second
+        difference, for (..., d) index arrays that broadcast together."""
+        k = np.asarray(k_index, dtype=np.int64)
+        l = np.asarray(l_index, dtype=np.int64)
+        at = self.flat_index
+        return at(l - k), at(l), at(l + k)
 
     def sites(self):
         """Coordinates of every site in flat-index order, shape (M^d, d)."""
@@ -75,9 +85,6 @@ class TorusField:
             raise ValueError("field shape does not match grid")
         if self.space not in ("x", "k"):
             raise ValueError("space tag must be 'x' or 'k'")
-
-    def copy(self):
-        return TorusField(self.grid, self.values.copy(), self.space)
 
 
 def delta_field(grid: TorusGrid) -> TorusField:
@@ -100,12 +107,21 @@ def idft(fhat: TorusField) -> TorusField:
     return TorusField(fhat.grid, v, "x")
 
 
+def _real_part(v: np.ndarray, tol: float) -> np.ndarray:
+    if np.max(np.abs(v.imag)) > tol * max(1.0, np.max(np.abs(v.real))):
+        raise ValueError("field is not symmetric enough for a real transform")
+    return v.real
+
+
 def real_dft(f: TorusField, tol: float = 1e-10) -> np.ndarray:
     """Transform of a symmetric field, returned as a real array."""
-    vhat = dft(f).values
-    if np.max(np.abs(vhat.imag)) > tol * max(1.0, np.max(np.abs(vhat.real))):
-        raise ValueError("field is not symmetric enough for a real transform")
-    return vhat.real
+    return _real_part(dft(f).values, tol)
+
+
+def real_idft(fhat: TorusField, tol: float = 1e-10) -> TorusField:
+    """Inverse transform of a symmetric k-space field, as a real x-space
+    field (numpy's fftn gives a real array the bits of its complex cast)."""
+    return TorusField(fhat.grid, _real_part(idft(fhat).values, tol), "x")
 
 
 def convolve(f: TorusField, g: TorusField) -> TorusField:
@@ -139,23 +155,23 @@ def convolve_direct(f: TorusField, g: TorusField) -> TorusField:
     return TorusField(grid, out.reshape(grid.shape), "x")
 
 
-def delta_k(ghat: TorusField, k_index, l_index) -> complex:
-    """ghat(l-k) + ghat(l+k) - 2 ghat(l) with periodic index wrap."""
+def delta_k(ghat: TorusField, k_index, l_index):
+    """ghat(l-k) + ghat(l+k) - 2 ghat(l) with periodic index wrap, for
+    (..., d) index arrays k and l that broadcast together."""
     if ghat.space != "k":
         raise ValueError("delta_k expects a k-space field")
-    M = ghat.grid.M
-    k = np.asarray(k_index, dtype=int)
-    l = np.asarray(l_index, dtype=int)
-    v = ghat.values
-    return (v[tuple((l - k) % M)] + v[tuple((l + k) % M)]
-            - 2.0 * v[tuple(l % M)])
+    minus, at, plus = ghat.grid.stencil(k_index, l_index)
+    v = ghat.values.ravel()
+    return v[minus] + v[plus] - 2.0 * v[at]
 
 
-def one_minus_cos_sum(g: TorusField, k_index) -> float:
-    """sum_x [1 - cos(k.x)] |g(x)| with x in the centered domain."""
+def one_minus_cos_sum(g: TorusField, k_index):
+    """sum_x [1 - cos(k.x)] |g(x)| with x in the centered domain, for each
+    k of a (..., d) index array."""
     if g.space != "x":
         raise ValueError("one_minus_cos_sum expects an x-space field")
-    return float(np.sum(g.grid.one_minus_cos(k_index) * np.abs(g.values)))
+    return np.sum(g.grid.one_minus_cos(k_index) * np.abs(g.values),
+                  axis=tuple(range(-g.grid.d, 0)))
 
 
 def field_at_zero(f: TorusField) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .steps import StepDistribution, dirichlet_kernel
-from .torus import (TorusField, TorusGrid, convolve, field_at_zero, idft,
-                    real_dft, reflect)
+from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
+                    real_dft, real_idft, reflect)
 
 # A refinement sequence is flagged divergent when successive increments
 # fail to shrink.  Convergent cases contract geometrically, but barely
@@ -41,7 +41,7 @@ def greens_c(dist: StepDistribution, grid: TorusGrid, z: float) -> TorusField:
     return TorusField(grid, resolvent(folded_dhat(dist, grid), z), "k")
 
 
-def _nonzero_modes(shape) -> np.ndarray:
+def nonzero_modes(shape) -> np.ndarray:
     """Mask of the dual grid with the k = 0 mode left out."""
     mask = np.ones(shape, dtype=bool)
     mask[(0,) * len(shape)] = False
@@ -50,7 +50,7 @@ def _nonzero_modes(shape) -> np.ndarray:
 
 def _kspace_mean(dhat: np.ndarray, term, region=None) -> float:
     """M^-d sum of term(Dhat(k)) over k != 0 (and inside region, if given)."""
-    keep = _nonzero_modes(dhat.shape)
+    keep = nonzero_modes(dhat.shape)
     if region is not None:
         keep &= region
     return float(np.sum(term(dhat[keep])) / dhat.size)
@@ -63,7 +63,7 @@ def beta_kspace(dhat: np.ndarray, s: int, region=None) -> float:
 
 def _critical(dhat: np.ndarray) -> np.ndarray:
     vals = np.zeros_like(dhat)
-    mask = _nonzero_modes(dhat.shape)
+    mask = nonzero_modes(dhat.shape)
     vals[mask] = 1.0 / (1.0 - dhat[mask])
     return vals
 
@@ -109,9 +109,7 @@ class BetaReport:
 
 def _beta_xspace(dm: TorusField, dhat: np.ndarray, s: int) -> float:
     """The same beta through x-space convolutions of D_M and C_1."""
-    grid = dm.grid
-    c1 = idft(TorusField(grid, _critical(dhat), "k"))
-    c1 = TorusField(grid, c1.values.real, "x")
+    c1 = real_idft(TorusField(dm.grid, _critical(dhat), "k"))
     u = convolve(dm, c1)  # D * C_1
     if s == 2:
         # (D*C1*D*C1)(0) = sum_x u(x) u(-x)
@@ -155,43 +153,48 @@ def beta(dist: StepDistribution, grid: TorusGrid, s: int,
 
 # -- separable fast path for product-form transforms ---------------------
 
-def _combine_dp(vals: np.ndarray, d: int, op: str, decimals: int = 10):
-    """Distribution of d-fold sums/products of one grid axis' values.
+def _group(x: np.ndarray, decimals: int):
+    """Group x by its values rounded to decimals places; returns an unrounded
+    member of each group and the group of every entry."""
+    _, first, inv = np.unique(np.round(x, decimals), return_index=True,
+                              return_inverse=True)
+    return x[first], inv
+
+
+def _combine_dp(vals: np.ndarray, d: int, op, decimals: int = 10):
+    """Distribution of d-fold sums (op = np.add) or products (np.multiply)
+    of one grid axis' values.
 
     Returns (keys, counts) with counts summing to M^d.  Valid because the
     nn and uniform transforms depend on k only through sum_j cos(k_j) or
     prod_j W(k_j).
     """
-    v, c = np.unique(np.round(vals, 12), return_counts=True)
-    keys = np.array([0.0 if op == "+" else 1.0])
+    v, inv = _group(vals, 12)
+    c = np.bincount(inv)
+    keys = np.array([float(op.identity)])
     cnts = np.array([1.0])
     for _ in range(d):
-        if op == "+":
-            kk = (keys[:, None] + v[None, :]).ravel()
-        else:
-            kk = (keys[:, None] * v[None, :]).ravel()
-        cc = (cnts[:, None] * c[None, :]).ravel()
-        u, inv = np.unique(np.round(kk, decimals), return_inverse=True)
-        s = np.zeros(len(u))
-        np.add.at(s, inv, cc)
-        keys, cnts = u, s
+        keys, inv = _group(op.outer(keys, v).ravel(), decimals)
+        cnts = np.bincount(inv, weights=np.outer(cnts, c).ravel())
     return keys, cnts
 
 
 def beta_separable(dist: StepDistribution, M: int, s: int) -> float:
     """k-space beta for nn/uniform without materializing the M^d grid."""
-    t = 2.0 * np.pi * np.arange(M) / M
+    grid = TorusGrid(dist.d, M)
+    t = 2.0 * np.pi * np.arange(grid.M) / grid.M
     if dist.family == "nn":
-        keys, cnts = _combine_dp(np.cos(t), dist.d, "+")
+        keys, cnts = _combine_dp(np.cos(t), dist.d, np.add)
         dhat = keys / dist.d
     elif dist.family == "uniform":
-        keys, cnts = _combine_dp(dirichlet_kernel(t, dist.L), dist.d, "*")
+        keys, cnts = _combine_dp(dirichlet_kernel(t, dist.L), dist.d,
+                                 np.multiply)
         dhat = (keys - 1.0) / ((2 * dist.L + 1) ** dist.d - 1)
     else:
         raise ValueError("separable path needs a product-form transform")
     mask = np.abs(1.0 - dhat) > 1e-12
     return float(np.sum(cnts[mask] * dhat[mask] ** 2
-                        / (1.0 - dhat[mask]) ** s) / M ** dist.d)
+                        / (1.0 - dhat[mask]) ** s) / grid.n_sites)
 
 
 def beta_scaling_table(family: str, s: int, sweep: dict) -> list:

@@ -181,6 +181,11 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     # the bubble overflows to inf, which standard JSON cannot hold
     (["saw", "--family", "nn", "--d", "2", "--nmax", "2", "--z", "1e150"],
      "not JSON compliant"),
+    # these ended in an OverflowError traceback and in "beta": 0.0
+    (["saw", "--family", "nn", "--d", "2", "--nmax", "4", "--z", "1e100"],
+     "overflows"),
+    (["beta-table", "--family", "nn", "--s", "2", "--d-values", "3",
+      "--M", "1"], "M must be even"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)

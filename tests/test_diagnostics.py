@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lacelab import diagnostics as dg
 from lacelab.steps import StepDistribution
-from lacelab.torus import TorusField, TorusGrid
+from lacelab.torus import TorusField, TorusGrid, delta_k
 
 finite_angle = st.floats(-np.pi, np.pi, allow_nan=False)
 
@@ -103,6 +103,25 @@ class TestBootstrap:
                 worst = max(worst, num / den)
         assert f3 == pytest.approx(worst, abs=1e-14)
 
+    def test_sampled_f3_matches_scalar_loop(self):
+        # 72^2 = 5184 sites is above the exhaustive limit; the pairs are
+        # redrawn one k and one l at a time from the same seed
+        inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 72),
+                                0.45)
+        assert inp.grid.n_sites > dg.F3_EXHAUSTIVE_MAX_SITES
+        _, _, f3, mode = dg.bootstrap_f(inp, rng_pairs=400, seed=3)
+        assert mode == "sampled"
+        rng = np.random.default_rng(3)
+        ghat = TorusField(inp.grid, inp.ghat, "k")
+        c_lam = inp.c_lambda()
+        worst = 0.0
+        for _ in range(400):
+            k = rng.integers(0, 72, size=2)
+            l = rng.integers(0, 72, size=2)
+            worst = max(worst, abs(delta_k(ghat, k, l))
+                        / dg.u_weight(c_lam, inp.grid, k, l))
+        assert f3 == worst
+
     def test_sampled_mode_on_large_grid(self):
         inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 96),
                                 0.3)
@@ -131,14 +150,16 @@ class TestInequalities:
         rec = dg.c_lambda_identity_check(np.asarray(dvals), lam)
         assert rec["holds"]
 
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 11),
-           st.integers(0, 11))
+    @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_trig_lemma_property(self, seed, k, l):
+    def test_trig_lemma_property(self, seed):
         grid = TorusGrid(1, 12)
         rng = np.random.default_rng(seed)
         a = symmetric_field(grid, rng.uniform(-1, 1, 7), 0.9)
-        assert dg.trig_lemma_check(a, (k,), (l,))["holds"]
+        sites = grid.sites()
+        rec = dg.trig_lemma_check(a, sites[:, None], sites[None, :])
+        assert rec["holds"].shape == (12, 12)
+        assert np.all(rec["holds"])
 
     def test_trig_lemma_norm_guard(self):
         grid = TorusGrid(1, 12)
@@ -146,14 +167,16 @@ class TestInequalities:
         with pytest.raises(ValueError):
             dg.trig_lemma_check(a, (1,), (0,))
 
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(0, 15),
-           st.integers(0, 15))
+    @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_delta_vs_cos_property(self, seed, k, l):
+    def test_delta_vs_cos_property(self, seed):
         grid = TorusGrid(1, 16)
         rng = np.random.default_rng(seed)
         g = symmetric_field(grid, rng.uniform(-1, 1, 9), 3.0)
-        assert dg.delta_vs_cos_sum_check(g, (k,), (l,))["holds"]
+        sites = grid.sites()
+        rec = dg.delta_vs_cos_sum_check(g, sites[:, None], sites[None, :])
+        assert rec["holds"].shape == (16, 16)
+        assert np.all(rec["holds"])
 
     def test_open_vs_closed_bubble(self, free_input):
         assert dg.open_vs_closed_bubble_check(free_input)["holds"]

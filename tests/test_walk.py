@@ -92,6 +92,14 @@ class TestBeta:
             b = beta_separable(dist, M, 2)
             assert abs(a - b) < 1e-10 * max(1.0, a)
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_separable_keeps_unrounded_values(self, s):
+        # grouping the transform values by their rounded keys once moved
+        # beta by 2e-10 to 4e-10 relative
+        dist = StepDistribution("nn", 3)
+        a = beta_kspace(folded_dhat(dist, TorusGrid(3, 16)), s)
+        assert beta_separable(dist, 16, s) == pytest.approx(a, rel=5e-14)
+
     def test_separable_rejects_power(self):
         with pytest.raises(ValueError):
             beta_separable(StepDistribution("power", 2, alpha=1.5,
