@@ -113,6 +113,29 @@ def test_diag_subcommand_and_input_file(tmp_path, capsys):
     assert doc2["result"]["f1"] == pytest.approx(0.4)
 
 
+def test_diag_input_symmetric_within_the_ghat_tolerance(tmp_path, capsys):
+    # ghat(1) - ghat(-1) = 9e-10 passes bubble_triangle's 1e-9 symmetry
+    # check; G(x) then has an imaginary part of about 1e-10, which is dropped
+    M = 8
+    ghat = np.ones(M)
+    ghat[1] += 9e-10
+    dhat = np.cos(2.0 * np.pi * np.arange(M) / M)
+    path = tmp_path / "inp.json"
+    path.write_text(json.dumps({"d": 1, "M": M, "tau": 0.1,
+                                "ghat": ghat.tolist(),
+                                "dhat": dhat.tolist()}))
+    code, doc = run_cli(capsys, ["diag", "--input", str(path)])
+    assert code == 0
+    assert doc["result"]["B"] == pytest.approx(1.0)
+
+    ghat[1] += 2e-10  # now 1.1e-9 apart: rejected
+    path.write_text(json.dumps({"d": 1, "M": M, "tau": 0.1,
+                                "ghat": ghat.tolist(),
+                                "dhat": dhat.tolist()}))
+    assert main(["diag", "--input", str(path)]) == 1
+    assert "ghat must be symmetric" in capsys.readouterr().err
+
+
 def test_diag_requires_some_input(capsys):
     code = main(["diag"])
     capsys.readouterr()

@@ -103,23 +103,46 @@ class TestBootstrap:
                 worst = max(worst, num / den)
         assert f3 == pytest.approx(worst, abs=1e-14)
 
+    @staticmethod
+    def scalar_f3(inp, rng_pairs, seed):
+        """Python max of |Delta_k Ghat(l)| / U(k, l) over pairs redrawn one
+        k and one l at a time; a 0/0 pair never wins it.  Also returns the
+        number of such pairs."""
+        rng = np.random.default_rng(seed)
+        ghat = TorusField(inp.grid, inp.ghat, "k")
+        c_lam = inp.c_lambda()
+        worst, undefined = 0.0, 0
+        for _ in range(rng_pairs):
+            k = rng.integers(0, inp.grid.M, size=inp.grid.d)
+            l = rng.integers(0, inp.grid.M, size=inp.grid.d)
+            ratio = (abs(delta_k(ghat, k, l))
+                     / dg.u_weight(c_lam, inp.grid, k, l))
+            undefined += bool(np.isnan(ratio))
+            worst = max(worst, ratio)
+        return worst, undefined
+
     def test_sampled_f3_matches_scalar_loop(self):
-        # 72^2 = 5184 sites is above the exhaustive limit; the pairs are
-        # redrawn one k and one l at a time from the same seed
+        # 72^2 = 5184 sites is above the exhaustive limit
         inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 72),
                                 0.45)
         assert inp.grid.n_sites > dg.F3_EXHAUSTIVE_MAX_SITES
         _, _, f3, mode = dg.bootstrap_f(inp, rng_pairs=400, seed=3)
         assert mode == "sampled"
-        rng = np.random.default_rng(3)
-        ghat = TorusField(inp.grid, inp.ghat, "k")
-        c_lam = inp.c_lambda()
-        worst = 0.0
-        for _ in range(400):
-            k = rng.integers(0, 72, size=2)
-            l = rng.integers(0, 72, size=2)
-            worst = max(worst, abs(delta_k(ghat, k, l))
-                        / dg.u_weight(c_lam, inp.grid, k, l))
+        assert f3 == self.scalar_f3(inp, 400, 3)[0]
+
+    def test_sampled_f3_skips_undefined_ratios(self):
+        # chi = 1e17 rounds lambda to 1, so C_lambda(0) = inf, U(0, l) = 0
+        # and every drawn pair with k = 0 gives 0/0
+        inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 66),
+                                0.45)
+        inp.ghat[0, 0] = 1e17
+        assert inp.lam == 1.0
+        assert inp.grid.n_sites > dg.F3_EXHAUSTIVE_MAX_SITES
+        with np.errstate(invalid="ignore", divide="ignore"):
+            _, _, f3, _ = dg.bootstrap_f(inp, rng_pairs=2000, seed=7)
+            worst, undefined = self.scalar_f3(inp, 2000, 7)
+        assert undefined > 0
+        assert np.isfinite(f3)
         assert f3 == worst
 
     def test_sampled_mode_on_large_grid(self):
