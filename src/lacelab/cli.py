@@ -226,12 +226,6 @@ def cmd_ising(args):
         raise CheckFailed("MC estimate outside 4 standard errors of exact")
 
 
-def _free_input_from_args(args):
-    dist = _dist_from_args(args)
-    grid = TorusGrid(args.d, args.M)
-    return dg.free_two_point(dist, grid, args.z)
-
-
 def cmd_diag(args):
     if args.input:
         with open(args.input) as fh:
@@ -240,9 +234,9 @@ def cmd_diag(args):
     elif args.family is None or args.d is None:
         raise ValueError("diag needs either --input or --family/--d")
     else:
-        inp = _free_input_from_args(args)
-        spec = {**_dist_from_args(args).to_spec(), "M": args.M, "z": args.z,
-                "source": "free"}
+        dist = _dist_from_args(args)
+        inp = dg.free_two_point(dist, TorusGrid(args.d, args.M), args.z)
+        spec = {**dist.to_spec(), "M": args.M, "z": args.z, "source": "free"}
     rep = dg.diagram_report(inp)
     result = {
         "B": rep.B, "T": rep.T, "nabla": rep.nabla, "B_tilde": rep.B_tilde,
@@ -254,12 +248,13 @@ def cmd_diag(args):
 
 
 def cmd_infrared(args):
-    inp = _free_input_from_args(args)
+    dist = _dist_from_args(args)
+    inp = dg.free_two_point(dist, TorusGrid(args.d, args.M), args.z)
     dev = dg.infrared_check(inp)
     result = {"sup_deviation": dev, "chi": inp.chi, "tau": inp.tau,
               "uncertainty": "exact on the stated grid"}
-    _emit(args, "infrared", {**_dist_from_args(args).to_spec(),
-                             "M": args.M, "z": args.z}, None, result)
+    _emit(args, "infrared", {**dist.to_spec(), "M": args.M, "z": args.z},
+          None, result)
     if args.assert_free and dev > 1e-12:
         raise CheckFailed("free-model infrared identity violated")
 

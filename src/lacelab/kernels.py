@@ -7,6 +7,11 @@ in any order.  counter_uniform makes one draw from Python ints masked to
 64 bits; counter_uniforms makes a run of consecutive counters at once from
 numpy uint64 arrays, which wrap the same way.  Both go through the one
 _splitmix64, so the two give the same bits for the same key.
+
+percolation_clusters grows the origin's cluster by a depth-first search
+over Python lists read from a bond table (perc.sampler_input) and draws
+each bond it probes with one counter_uniform call; metropolis_run draws
+its uniforms in blocks with counter_uniforms.
 """
 
 import itertools
@@ -52,67 +57,35 @@ def counter_uniforms(seed, replica, start, count):
     return (h >> 11).astype(np.float64) * _INV_2_53
 
 
-def percolation_clusters(coords, strides, probs, M, n_sites, n_offsets,
-                         seed, replicas, targets):
-    """Grow the origin's cluster lazily for each replica.
+def percolation_clusters(neighbors, bond_ids, probs, seed, replicas, targets):
+    """Grow the origin's cluster by depth-first search for each replica.
 
-    coords: (n_offsets, d) bond offsets, one representative per unordered
-    bond direction; strides: torus flattening strides; probs: occupation
-    probability per offset.  Bond randomness is keyed by
-    (seed, replica, base_site * n_offsets + offset index) where base_site is
-    the endpoint the offset points away from, so the decision is the same no
-    matter which side reveals the bond first.
+    Site s has a bond to neighbors[s, j] with id bond_ids[s, j], open with
+    probability probs[j]; perc.sampler_input lists each bond from both of
+    its ends under one id.  A bond is probed, with one counter_uniform draw
+    keyed by (seed, replica, bond id), only when its far end is not yet in
+    the cluster.  The key, not the order of the search, decides the bond,
+    so any search order grows the same cluster.
 
     Returns (sizes, hits): cluster size per replica and, per replica, a 0/1
     row recording which target sites joined the origin's cluster.
     """
-    d = coords.shape[1]
-    sizes = np.zeros(replicas, dtype=np.int64)
-    hits = np.zeros((replicas, len(targets)), dtype=np.int64)
-    parent = np.empty(n_sites, dtype=np.int64)
-    in_cluster = np.zeros(n_sites, dtype=np.uint8)
-    stack = np.empty(n_sites, dtype=np.int64)
-    site_vec = np.empty(d, dtype=np.int64)
+    rows = [list(zip(nbs, bonds, probs.tolist()))
+            for nbs, bonds in zip(neighbors.tolist(), bond_ids.tolist())]
+    targets = np.asarray(targets).tolist()
+    sizes, hits = [], []
     for rep in range(replicas):
-        for i in range(n_sites):
-            parent[i] = -1
-            in_cluster[i] = 0
-        stack[0] = 0
-        top = 1
+        in_cluster = bytearray(len(rows))
         in_cluster[0] = 1
-        size = 1
-        while top > 0:
-            top -= 1
-            site = stack[top]
-            for a in range(d):
-                site_vec[a] = (site // strides[a]) % M
-            for j in range(n_offsets):
-                # forward neighbor: bond owned by this site
-                nb = 0
-                for a in range(d):
-                    nb += ((site_vec[a] + coords[j, a]) % M) * strides[a]
-                if in_cluster[nb] == 0:
-                    bond_id = site * n_offsets + j
-                    if counter_uniform(seed, rep, bond_id) < probs[j]:
-                        in_cluster[nb] = 1
-                        stack[top] = nb
-                        top += 1
-                        size += 1
-                # backward neighbor: bond owned by that neighbor
-                nb2 = 0
-                for a in range(d):
-                    nb2 += ((site_vec[a] - coords[j, a]) % M) * strides[a]
-                if in_cluster[nb2] == 0:
-                    bond_id2 = nb2 * n_offsets + j
-                    if counter_uniform(seed, rep, bond_id2) < probs[j]:
-                        in_cluster[nb2] = 1
-                        stack[top] = nb2
-                        top += 1
-                        size += 1
-        sizes[rep] = size
-        for t in range(len(targets)):
-            hits[rep, t] = in_cluster[targets[t]]
-    return sizes, hits
+        stack = [0]
+        while stack:
+            for nb, bond, p in rows[stack.pop()]:
+                if not in_cluster[nb] and counter_uniform(seed, rep, bond) < p:
+                    in_cluster[nb] = 1
+                    stack.append(nb)
+        sizes.append(in_cluster.count(1))
+        hits.append([in_cluster[t] for t in targets])
+    return np.array(sizes, dtype=np.int64), np.array(hits, dtype=np.int64)
 
 
 def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,

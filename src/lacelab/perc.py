@@ -2,9 +2,13 @@
 
 A bond {x, y} with minimal-image displacement within range R is occupied
 independently with probability z * D_M(y - x) (clipped to [0,1] with a loud
-warning when clipping binds).  The Monte Carlo sampler reveals the origin's
-cluster lazily; bond randomness is counter-based and keyed by
-(seed, replica, bond id), so the revelation order cannot change the sample.
+warning when clipping binds).  bond_table lists every bond of the torus
+once, as the far end fwd[s, j] of offset j from site s; the exact oracle
+reads it as is, and the sampler reads it from both ends, [fwd | bwd], with
+one bond id per bond.  The Monte Carlo sampler grows the origin's cluster
+by a depth-first search over that table, probing a bond only when its far
+end is not yet in the cluster, with one counter_uniform draw keyed by
+(seed, replica, bond id); so the search order cannot change the sample.
 Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
 exact_small runs the shared enumerator (exact.bit_chunks) once over all
 2^bonds configurations, labels every cluster by min-label propagation,
@@ -132,16 +136,38 @@ def batch_means_se(x: np.ndarray, batches: int = 25) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(b))
 
 
+def bond_table(config: PercConfig):
+    """(offs, probs, fwd): bond_offsets and fwd[s, j], the far end of the
+    bond that leaves site s along offs[j]; each bond of the torus once."""
+    offs, probs = bond_offsets(config)
+    grid = config.grid
+    return offs, probs, grid.flat_index(grid.sites()[:, None, :] + offs)
+
+
+def sampler_input(config: PercConfig):
+    """(neighbors, bond_ids, probs) for kernels.percolation_clusters.
+
+    Columns [fwd | bwd] list every site's bonds in both directions; the
+    bond from s back along offs[j] is the one that leaves bwd[s, j]
+    forwards, so it takes that bond's id bwd[s, j] * n_offsets + j.
+    """
+    offs, probs, fwd = bond_table(config)
+    grid = config.grid
+    bwd = grid.flat_index(grid.sites()[:, None, :] - offs)
+    ids = np.arange(fwd.size).reshape(fwd.shape)
+    return (np.hstack([fwd, bwd]),
+            np.hstack([ids, ids[bwd, np.arange(len(offs))]]),
+            np.tile(probs, 2))
+
+
 def sample_cluster(config: PercConfig, targets=None) -> ClusterStats:
     """Monte Carlo cluster-of-origin statistics over independent replicas."""
     grid = config.grid
-    offs, probs = bond_offsets(config)
     if targets is None:
         targets = []
     target_flat = grid.flat_index(np.reshape(targets, (-1, grid.d)))
-    sizes, hits = percolation_clusters(
-        offs, grid.strides, probs, grid.M, grid.n_sites, len(offs),
-        config.seed, config.replicas, target_flat)
+    sizes, hits = percolation_clusters(*sampler_input(config), config.seed,
+                                       config.replicas, target_flat)
     sizes = np.asarray(sizes, dtype=float)
     if np.any(sizes > grid.n_sites):
         raise AssertionError("cluster larger than the torus; sampler bug")
@@ -176,24 +202,18 @@ class ExactGraph:
 
 
 def exact_graph_from_config(config: PercConfig) -> ExactGraph:
-    """Every bond of the torus, site-major then offset-minor.
+    """Every bond of the torus, site-major then offset-minor: bond j of
+    site s joins s to fwd[s, j] of bond_table, the table the sampler reads.
 
-    A pair reached from both ends (or by two offsets that alias on a small
-    torus) is kept at its first occurrence; self-loops are dropped.
+    bond_offsets keeps one of each pair o, -o and no offset that is its own
+    negation mod M, so no bond is a self-loop and no pair of sites is
+    joined twice.
     """
-    grid = config.grid
-    offs, probs = bond_offsets(config)
-    n = grid.n_sites
-    site = np.repeat(np.arange(n), len(offs))
-    nb = grid.flat_index(grid.sites()[:, None, :] + offs[None, :, :]).ravel()
+    _, probs, fwd = bond_table(config)
+    n = config.grid.n_sites
+    site = np.repeat(np.arange(n), len(probs))
     q = np.tile(probs / config.z, n)  # z = 0 leaves no offsets
-    keep = nb != site
-    site, nb, q = site[keep], nb[keep], q[keep]
-    _, first = np.unique(np.minimum(site, nb) * n + np.maximum(site, nb),
-                         return_index=True)
-    first.sort()
-    bonds = list(zip(site[first].tolist(), nb[first].tolist(),
-                     q[first].tolist()))
+    bonds = list(zip(site.tolist(), fwd.ravel().tolist(), q.tolist()))
     return ExactGraph(n_sites=n, bonds=bonds)
 
 

@@ -249,6 +249,18 @@ def test_perc_folds_once(capsys, fold_calls):
     assert fold_calls == [6]
 
 
+@pytest.mark.parametrize("argv", [
+    ["diag", "--family", "power", "--alpha", "1.2", "--d", "2", "--M", "16",
+     "--z", "0.5"],
+    ["infrared", "--family", "nn", "--d", "2", "--M", "8", "--z", "0.3"],
+])
+def test_free_input_builds_the_distribution_once(capsys, dist_inits, argv):
+    code, doc = run_cli(capsys, argv)
+    assert code == 0
+    assert dist_inits == [argv[2]]
+    assert doc["spec"]["family"] == argv[2]
+
+
 def test_numpy_bools_serialise():
     assert json.dumps({"holds": np.bool_(True)}, default=_jsonify) == \
         '{"holds": true}'

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,31 @@ class TestBootstrap:
             _, _, f3, _ = dg.bootstrap_f(inp, rng_pairs=2000, seed=7)
             worst, undefined = self.scalar_f3(inp, 2000, 7)
         assert undefined > 0
+        assert np.isfinite(f3)
+        assert f3 == worst
+
+    def test_exhaustive_f3_skips_undefined_ratios(self):
+        # the chi = 1e17 input of the sampled test on a grid small enough
+        # for every (k, l) pair: the rows k = 0 are all 0/0
+        inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 8),
+                                0.45)
+        inp.ghat[0, 0] = 1e17
+        assert inp.grid.n_sites <= dg.F3_EXHAUSTIVE_MAX_SITES
+        ghat = TorusField(inp.grid, inp.ghat, "k")
+        worst, undefined = 0.0, 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            _, _, f3, mode = dg.bootstrap_f(inp)
+            c_lam = inp.c_lambda()
+            for k in inp.grid.sites():
+                for l in inp.grid.sites():
+                    ratio = float(abs(delta_k(ghat, k, l))
+                                  / dg.u_weight(c_lam, inp.grid, k, l))
+                    if math.isnan(ratio):
+                        undefined += 1
+                    else:
+                        worst = max(worst, ratio)
+        assert mode == "exhaustive"
+        assert undefined >= inp.grid.n_sites
         assert np.isfinite(f3)
         assert f3 == worst
 

@@ -42,6 +42,9 @@ SPECS = {
     "perc_without_exact": (
         ["perc", "--family", "nn", "--d", "2", "--M", "4", "--z", "0.3",
          "--R", "1", "--replicas", "50", "--seed", "0"], 0),
+    "perc_uniform_d2": (
+        ["perc", "--family", "uniform", "--d", "2", "--L", "1", "--M", "6",
+         "--z", "2.0", "--R", "1.5", "--replicas", "200", "--seed", "3"], 0),
     "ising_d1": (
         ["ising", "--d", "1", "--M", "6", "--z", "0.4", "--sweeps", "1000",
          "--burn-in", "100", "--seed", "2"], 0),

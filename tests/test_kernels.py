@@ -4,6 +4,9 @@ import pytest
 from lacelab import kernels
 from lacelab.kernels import (counter_uniform, counter_uniforms,
                              metropolis_run, percolation_clusters)
+from lacelab.perc import PercConfig, bond_offsets, sampler_input
+from lacelab.steps import StepDistribution
+from lacelab.torus import TorusGrid
 
 # First output of SplitMix64 from state 0 (Steele, Lea & Flood, OOPSLA 2014).
 SPLITMIX64_FROM_ZERO = 0xE220A8397B1DCDAF
@@ -67,11 +70,12 @@ class TestCounterUniform:
 
 class TestPercolationKernel:
     def _run(self, probs_val, seed=0, replicas=50, M=6):
-        coords = np.array([[1]], dtype=np.int64)
-        strides = np.array([1], dtype=np.int64)
-        probs = np.array([probs_val])
+        ring = np.arange(M)
+        neighbors = np.stack([(ring + 1) % M, (ring - 1) % M], axis=1)
+        bond_ids = np.stack([ring, (ring - 1) % M], axis=1)
+        probs = np.array([probs_val, probs_val])
         targets = np.array([2], dtype=np.int64)
-        return percolation_clusters(coords, strides, probs, M, M, 1,
+        return percolation_clusters(neighbors, bond_ids, probs,
                                     seed, replicas, targets)
 
     def test_closed_and_open_extremes(self):
@@ -92,6 +96,71 @@ class TestPercolationKernel:
         sizes_a, _ = self._run(0.5, replicas=10)
         sizes_b, _ = self._run(0.5, replicas=30)
         assert np.array_equal(np.asarray(sizes_a), np.asarray(sizes_b)[:10])
+
+
+    @pytest.mark.parametrize("family,d,L,M,z,R", [
+        ("nn", 1, 1, 6, 0.5, 1.0),
+        ("uniform", 1, 2, 8, 1.5, 2.0),
+        ("nn", 2, 1, 8, 0.8, 1.0),
+        ("nn", 2, 1, 8, 3.9, 1.0),   # supercritical: every cluster wraps
+        ("uniform", 2, 1, 6, 2.0, 1.5),
+        ("nn", 3, 1, 4, 1.5, 1.0),
+        ("uniform", 3, 1, 4, 3.0, 1.0),
+    ])
+    def test_matches_the_scalar_dfs(self, family, d, L, M, z, R):
+        grid = TorusGrid(d, M)
+        cfg = PercConfig(grid, StepDistribution(family, d, L=L), z, R,
+                         seed=4, replicas=100)
+        targets = grid.flat_index([[0] * d, [1] + [0] * (d - 1),
+                                   [M // 2] * d, [M - 1] * d])
+        got = percolation_clusters(*sampler_input(cfg), cfg.seed,
+                                   cfg.replicas, targets)
+        offs, probs = bond_offsets(cfg)
+        want = percolation_reference(offs, grid.strides, probs, M,
+                                     grid.n_sites, len(offs), cfg.seed,
+                                     cfg.replicas, targets)
+        sizes, hits = got
+        assert np.any(sizes > 1)
+        if z == 3.9:
+            assert np.all(hits[:, 2] == 1)  # the antipode, in every replica
+        else:
+            assert np.any(sizes < grid.n_sites)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def percolation_reference(coords, strides, probs, M, n_sites, n_offsets,
+                          seed, replicas, targets):
+    """percolation_clusters as a scalar DFS over torus coordinates.
+
+    Each popped site probes, per offset j, its forward bond (id
+    site * n_offsets + j) and its backward bond (owned by the neighbor it
+    leads to), recomputing both neighbors from the site's coordinates.
+    """
+    d = coords.shape[1]
+    sizes = np.zeros(replicas, dtype=np.int64)
+    hits = np.zeros((replicas, len(targets)), dtype=np.int64)
+    for rep in range(replicas):
+        in_cluster = np.zeros(n_sites, dtype=np.uint8)
+        in_cluster[0] = 1
+        stack = [0]
+        while stack:
+            site = stack.pop()
+            site_vec = [(site // strides[a]) % M for a in range(d)]
+            for j in range(n_offsets):
+                nb = sum(((site_vec[a] + coords[j, a]) % M) * strides[a]
+                         for a in range(d))
+                nb2 = sum(((site_vec[a] - coords[j, a]) % M) * strides[a]
+                          for a in range(d))
+                for other, bond_id in ((nb, site * n_offsets + j),
+                                       (nb2, nb2 * n_offsets + j)):
+                    if in_cluster[other] == 0 and \
+                            counter_uniform(seed, rep, bond_id) < probs[j]:
+                        in_cluster[other] = 1
+                        stack.append(other)
+        sizes[rep] = np.count_nonzero(in_cluster)
+        hits[rep] = in_cluster[targets]
+    return sizes, hits
 
 
 class TestMetropolisKernel:

@@ -83,6 +83,24 @@ class TestConfig:
                 nb = int(grid.flat_index(site + np.array(step)))
                 assert frozenset({int(grid.flat_index(site)), nb}) in pairs
 
+    @pytest.mark.filterwarnings("ignore:offset at half the torus period")
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("M", [4, 6, 8])
+    @pytest.mark.parametrize("family,L", [("nn", 1), ("uniform", 1),
+                                          ("uniform", 2), ("uniform", 3)])
+    def test_bond_table_has_no_self_loop_or_repeated_pair(self, d, M,
+                                                          family, L):
+        # what lets exact_graph_from_config keep every row of the table
+        for R in (1, 1.5, 2, 3, 5):
+            dist = StepDistribution(family, d, L=L)
+            cfg = PercConfig(TorusGrid(d, M), dist, 0.1 / dist.sup_d, R,
+                             seed=0)
+            graph = exact_graph_from_config(cfg)
+            pairs = {frozenset(b[:2]) for b in graph.bonds}
+            assert all(len(pair) == 2 for pair in pairs)
+            assert len(pairs) == len(graph.bonds) == \
+                cfg.grid.n_sites * len(bond_offsets(cfg)[0])
+
 
 def scalar_oracle(graph, z):
     """Per-configuration reference: union-find on each of the 2^B bond sets."""
