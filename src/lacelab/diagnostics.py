@@ -174,22 +174,34 @@ def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
     """f1 = tau, f2 = sup Ghat/Chat_lambda, f3 = sup |Delta_k Ghat| / U."""
     grid = inp.grid
     c_lam = inp.c_lambda()
-    ghat = TorusField(grid, inp.ghat, "k")
+    g = inp.ghat
+    f3 = 0.0
     if grid.n_sites <= F3_EXHAUSTIVE_MAX_SITES:
-        # exhaustive: one vectorized pass over every l per k
-        sites = grid.sites()
-        pairs = ((k, sites) for k in sites)
+        # exhaustive over k: one np.roll pass over every l per k.  These are
+        # the delta_k and u_weight formulas term for term (the tests hold
+        # them bit-equal); at 4096 sites, gathering through their stencil
+        # indices instead costs 3-5x as much.
+        axes = tuple(range(grid.d))
+        for k in np.ndindex(grid.shape):
+            minus_k = tuple(-a for a in k)
+            num = np.abs(np.roll(g, k, axes) + np.roll(g, minus_k, axes)
+                         - 2.0 * g)
+            cp = np.roll(c_lam, minus_k, axes)
+            cm = np.roll(c_lam, k, axes)
+            den = (U_CONSTANT / c_lam[k]
+                   * (cm * c_lam + c_lam * cp + cm * cp))
+            f3 = float(np.fmax.reduce(num / den, axis=None,
+                                      initial=f3))  # skips 0/0 pairs
         mode = "exhaustive"
     else:
         # the same stream as rng_pairs draws of k then l, size d each
-        drawn = np.random.default_rng(seed).integers(
+        pairs = np.random.default_rng(seed).integers(
             0, grid.M, size=(rng_pairs, 2, grid.d))
-        pairs = [(drawn[:, 0], drawn[:, 1])]
-        mode = "sampled"
-    f3 = 0.0
-    for k, l in pairs:
-        ratio = np.abs(delta_k(ghat, k, l)) / u_weight(c_lam, grid, k, l)
+        k, l = pairs[:, 0], pairs[:, 1]
+        ratio = (np.abs(delta_k(TorusField(grid, g, "k"), k, l))
+                 / u_weight(c_lam, grid, k, l))
         f3 = float(np.fmax.reduce(ratio, initial=f3))  # skips 0/0 pairs
+        mode = "sampled"
     return inp.tau, inp.f2(), f3, mode
 
 

@@ -250,8 +250,7 @@ def test_perc_folds_once(capsys, fold_calls):
 
 
 @pytest.mark.parametrize("argv", [
-    ["diag", "--family", "power", "--alpha", "1.2", "--d", "2", "--M", "16",
-     "--z", "0.5"],
+    ["diag", "--family", "nn", "--d", "2", "--M", "8", "--z", "0.5"],
     ["infrared", "--family", "nn", "--d", "2", "--M", "8", "--z", "0.3"],
 ])
 def test_free_input_builds_the_distribution_once(capsys, dist_inits, argv):

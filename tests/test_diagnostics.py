@@ -172,6 +172,20 @@ class TestBootstrap:
         assert np.isfinite(f3)
         assert f3 == worst
 
+    @pytest.mark.parametrize("family,d,M,z", [
+        ("nn", 1, 16, 0.9), ("uniform", 2, 8, 0.5), ("nn", 3, 6, 0.3)])
+    def test_exhaustive_f3_is_delta_k_over_u_weight(self, family, d, M, z):
+        # the np.roll pass against the gathered definitions at every (k, l)
+        inp = dg.free_two_point(StepDistribution(family, d), TorusGrid(d, M),
+                                z)
+        sites = inp.grid.sites()
+        k, l = sites[:, None], sites[None, :]
+        ratio = (np.abs(delta_k(TorusField(inp.grid, inp.ghat, "k"), k, l))
+                 / dg.u_weight(inp.c_lambda(), inp.grid, k, l))
+        _, _, f3, mode = dg.bootstrap_f(inp)
+        assert mode == "exhaustive"
+        assert f3 == np.max(ratio)
+
     def test_sampled_mode_on_large_grid(self):
         inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 96),
                                 0.3)
