@@ -36,6 +36,12 @@ SPECS = {
     "saw_nn_d2": (
         ["saw", "--family", "nn", "--d", "2", "--nmax", "6", "--z", "0.2"],
         0),
+    "saw_nn_d3_double": (
+        ["saw", "--family", "nn", "--d", "3", "--nmax", "5", "--mode",
+         "double"], 0),
+    "saw_uniform_d2": (
+        ["saw", "--family", "uniform", "--d", "2", "--L", "1", "--nmax", "5"],
+        0),
     "perc_with_exact": (
         ["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
          "--R", "1", "--replicas", "200", "--seed", "9"], 0),
