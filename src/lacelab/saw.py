@@ -2,12 +2,24 @@
 
 Walks are enumerated depth-first over the (possibly truncated) support of
 the step distribution; each length-n walk contributes the product of its
-step weights to c_n(x).  In rational mode the weights are exact Fractions
-(nn/uniform families), which matters for the coefficient extraction: it is
-a telescoping difference of nearly equal quantities.
+step weights to c_n(x).  The search runs on flat integer coordinates: a
+site x is the int sum_a x_a B^a with base B = 2 n_max r + 1, where r is
+the largest |component| of a kept step, so every step is one int delta
+and the self-avoidance set holds ints.
+
+In rational mode (nn/uniform families) every kept step weighs the same
+1/|Omega|, so c_n(x) = N_n(x) / |Omega|^n with N_n(x) an exact int count;
+the counts become Fractions only once, at the end.  Exactness matters for
+the coefficient extraction: it is a telescoping difference of nearly equal
+quantities.  Double mode (power family) carries the float product of the
+step weights along the same search.
+
+Lace extraction convolves with the walks' own step set, the kept steps
+and weights stored on the WalkSeries, so a series enumerated under a
+support_radius is expanded with the same truncated D.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +41,9 @@ class WalkSeries:
     c: list          # c[n] is a dict mapping x-tuples to weights
     mode: str        # "rational" | "double"
     weight_loss: float = 0.0  # support truncation loss per step
+    # the kept steps and their weights, as the enumeration used them
+    steps: list = field(kw_only=True)
+    weights: list = field(kw_only=True)
 
     def mass(self, n: int):
         """sum_x c_n(x)."""
@@ -39,22 +54,41 @@ class WalkSeries:
 
 
 def _support_for_enum(dist: StepDistribution, support_radius, mode):
-    offs, probs = dist.support()
-    loss = 0.0
-    if support_radius is not None:
-        keep = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1)) <= support_radius
-        loss = float(np.sum(probs[~keep]))
-        offs, probs = offs[keep], probs[keep]
-    if len(offs) > MAX_BRANCHING:
-        raise ValueError(
-            "branching factor %d exceeds %d; pass a smaller support_radius"
-            % (len(offs), MAX_BRANCHING))
-    steps = [tuple(int(v) for v in o) for o in offs]
-    if mode == "rational":
-        weights = [dist.eval_d_exact(o) for o in offs]
-    else:
-        weights = [float(p) for p in probs]
+    """Kept steps, their weights and the truncation loss.
+
+    The support is filtered chunk by chunk, and the filter stops as soon
+    as more than MAX_BRANCHING steps are kept, so a large power-family
+    support is never materialised.
+    """
+    steps, weights, loss = [], [], 0.0
+    for offs, probs in dist.support_chunks():
+        if support_radius is not None:
+            keep = (np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
+                    <= support_radius)
+            loss += float(np.sum(probs[~keep]))
+            offs, probs = offs[keep], probs[keep]
+        if len(steps) + len(offs) > MAX_BRANCHING:
+            raise ValueError(
+                "branching factor exceeds %d (%d steps kept so far); "
+                "pass a smaller support_radius"
+                % (MAX_BRANCHING, len(steps) + len(offs)))
+        steps += [tuple(int(v) for v in o) for o in offs]
+        if mode == "rational":
+            weights += [dist.eval_d_exact(o) for o in offs]
+        else:
+            weights += [float(p) for p in probs]
     return steps, weights, loss
+
+
+def _unflatten(f: int, base: int, d: int) -> tuple:
+    """The x-tuple of flat coordinate f = sum_a x_a base^a, |x_a| < base/2."""
+    half = base // 2
+    x = []
+    for _ in range(d):
+        digit = (f + half) % base - half
+        x.append(digit)
+        f = (f - digit) // base
+    return tuple(x)
 
 
 def enumerate_walks(dist: StepDistribution, n_max: int,
@@ -69,33 +103,51 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
     if mode == "rational" and dist.family == "power":
         raise ValueError("rational mode needs rational step weights")
     steps, weights, loss = _support_for_enum(dist, support_radius, mode)
-    zero = Fraction(0) if mode == "rational" else 0.0
-    one = Fraction(1) if mode == "rational" else 1.0
-    origin = (0,) * dist.d
-    c = [dict() for _ in range(n_max + 1)]
-    c[0][origin] = one
+    r = max((abs(v) for step in steps for v in step), default=0)
+    base = 2 * n_max * r + 1
+    strides = [base ** a for a in range(dist.d)]
+    deltas = [sum(v * s for v, s in zip(step, strides)) for step in steps]
+    # rational mode counts walks (unit int weights), scaled at the end
+    rational = mode == "rational"
+    moves = list(zip(deltas, [1] * len(steps) if rational else weights))
+    zero, one = (0, 1) if rational else (0.0, 1.0)
+    sums = [dict() for _ in range(n_max + 1)]
+    sums[0][0] = one
     nodes = 0
+    last = n_max - 1
 
-    path = {origin}
+    path = {0}
     def dfs(x, n, w):
         nonlocal nodes
-        if n == n_max:
-            return
-        for step, wstep in zip(steps, weights):
-            y = tuple(a + b for a, b in zip(x, step))
+        sn = sums[n + 1]
+        for delta, wstep in moves:
+            y = x + delta
             if y in path:
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded("enumeration budget exhausted")
             wy = w * wstep
-            c[n + 1][y] = c[n + 1].get(y, zero) + wy
-            path.add(y)
-            dfs(y, n + 1, wy)
-            path.discard(y)
+            sn[y] = sn.get(y, zero) + wy
+            if n < last:
+                path.add(y)
+                dfs(y, n + 1, wy)
+                path.discard(y)
 
-    dfs(origin, 0, one)
-    return WalkSeries(dist=dist, n_max=n_max, c=c, mode=mode, weight_loss=loss)
+    if n_max > 0:
+        dfs(0, 0, one)
+    key = {f: _unflatten(f, base, dist.d) for sn in sums for f in sn}
+    if rational:
+        # every kept step weighs the same 1/|Omega|: c_n = N_n w^n
+        w = weights[0] if weights else Fraction(0)
+        c = []
+        for n, sn in enumerate(sums):
+            wn = w ** n
+            c.append({key[f]: count * wn for f, count in sn.items()})
+    else:
+        c = [{key[f]: v for f, v in sn.items()} for sn in sums]
+    return WalkSeries(dist=dist, n_max=n_max, c=c, mode=mode,
+                      weight_loss=loss, steps=steps, weights=weights)
 
 
 def _sparse_convolve(a: dict, b: dict, zero):
@@ -110,8 +162,7 @@ def _sparse_convolve(a: dict, b: dict, zero):
 
 
 def _d_convolve(series: WalkSeries, a: dict):
-    steps, weights, _ = _support_for_enum(series.dist, None, series.mode)
-    d_map = dict(zip(steps, weights))
+    d_map = dict(zip(series.steps, series.weights))
     zero = Fraction(0) if series.mode == "rational" else 0.0
     return _sparse_convolve(d_map, a, zero)
 

@@ -240,6 +240,31 @@ def test_saw_prints_standard_json_without_a_radius(capsys, nmax):
     assert doc["result"]["chi_remainder"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["saw", "--family", "uniform", "--d", "2", "--L", "4", "--nmax", "3",
+     "--support-radius", "2"],
+    ["saw", "--family", "power", "--alpha", "1.2", "--d", "2",
+     "--truncation", "16", "--nmax", "3", "--mode", "double",
+     "--support-radius", "2"],
+])
+def test_saw_extracts_the_lace_under_a_support_radius(capsys, argv):
+    # the full supports (80 and 1088 steps) exceed the branching cap; the
+    # lace expansion must use the 12 steps kept within radius 2
+    code, doc = run_cli(capsys, argv)
+    assert code == 0
+    assert doc["result"]["weight_loss"] > 0
+    assert sorted(doc["result"]["pi_masses"]) == ["2", "3"]
+
+
+def test_saw_pi2_mass_under_a_support_radius(capsys):
+    # pi_2 = -sum_y D(y)^2 over the 12 kept steps of weight 1/80
+    code, doc = run_cli(capsys, ["saw", "--family", "uniform", "--d", "2",
+                                 "--L", "4", "--nmax", "2",
+                                 "--support-radius", "2"])
+    assert code == 0
+    assert doc["result"]["pi_masses"]["2"] == -12 / 80 ** 2
+
+
 def test_perc_folds_once(capsys, fold_calls):
     code, doc = run_cli(capsys, ["perc", "--family", "nn", "--d", "1",
                                  "--M", "6", "--z", "0.5", "--R", "1",

@@ -1,14 +1,117 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lacelab.saw import (BudgetExceeded, chi_series, check_diff_inequality,
-                         bubble_saw, enumerate_walks, extract_lace,
-                         reconstruct_c, two_point_series, zc_estimate)
+from lacelab.saw import (MAX_BRANCHING, BudgetExceeded, chi_series,
+                         check_diff_inequality, bubble_saw, enumerate_walks,
+                         extract_lace, reconstruct_c, two_point_series,
+                         zc_estimate)
 from lacelab.steps import StepDistribution
 
 SQUARE_COUNTS = [4, 12, 36, 100, 284, 780, 2172, 5916]
+
+
+def enumerate_reference(dist, n_max, support_radius=None, mode="rational"):
+    """The tuple-coordinate DFS with a Fraction or float product per node.
+
+    Returns (c, nodes): c[n] maps x-tuples to weights in the order the
+    search first reaches them, and nodes counts the walks of length >= 1.
+    """
+    offs, probs = dist.support()
+    if support_radius is not None:
+        keep = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1)) <= support_radius
+        offs, probs = offs[keep], probs[keep]
+    assert len(offs) <= MAX_BRANCHING
+    steps = [tuple(int(v) for v in o) for o in offs]
+    if mode == "rational":
+        weights = [dist.eval_d_exact(o) for o in offs]
+    else:
+        weights = [float(p) for p in probs]
+    zero = Fraction(0) if mode == "rational" else 0.0
+    one = Fraction(1) if mode == "rational" else 1.0
+    origin = (0,) * dist.d
+    c = [dict() for _ in range(n_max + 1)]
+    c[0][origin] = one
+    nodes = 0
+
+    path = {origin}
+    def dfs(x, n, w):
+        nonlocal nodes
+        if n == n_max:
+            return
+        for step, wstep in zip(steps, weights):
+            y = tuple(a + b for a, b in zip(x, step))
+            if y in path:
+                continue
+            nodes += 1
+            wy = w * wstep
+            c[n + 1][y] = c[n + 1].get(y, zero) + wy
+            path.add(y)
+            dfs(y, n + 1, wy)
+            path.discard(y)
+
+    dfs(origin, 0, one)
+    return c, nodes
+
+
+def typed_items(cn):
+    """c_n's items in order, with the type of each value and coordinate."""
+    return [(x, v, type(v), tuple(type(a) for a in x)) for x, v in cn.items()]
+
+
+# (family, d, distribution kwargs, n_max, support_radius, mode)
+REFERENCE_SPECS = [
+    ("nn", 1, {}, 10, None, "rational"),
+    ("nn", 2, {}, 8, None, "rational"),
+    ("nn", 3, {}, 5, None, "rational"),
+    ("nn", 4, {}, 4, None, "rational"),
+    ("nn", 2, {}, 0, None, "rational"),
+    ("nn", 3, {}, 1, None, "rational"),
+    ("uniform", 1, {"L": 1}, 6, None, "rational"),
+    ("uniform", 1, {"L": 2}, 6, None, "rational"),
+    ("uniform", 1, {"L": 2}, 6, 1.0, "rational"),
+    ("uniform", 2, {"L": 1}, 5, None, "rational"),
+    ("uniform", 2, {"L": 1}, 1, None, "rational"),
+    ("uniform", 2, {"L": 2}, 3, None, "rational"),
+    ("uniform", 2, {"L": 2}, 4, 1.5, "rational"),
+    ("uniform", 2, {"L": 2}, 4, 2.0, "rational"),
+    ("uniform", 2, {"L": 2}, 3, 0.5, "rational"),
+    ("nn", 2, {}, 7, None, "double"),
+    ("nn", 3, {}, 4, None, "double"),
+    ("nn", 2, {}, 0, None, "double"),
+    ("power", 1, {"alpha": 1.5, "support_radius": 8}, 5, 3.0, "double"),
+    ("power", 2, {"alpha": 1.5, "support_radius": 8}, 4, 2.0, "double"),
+    ("power", 2, {"alpha": 0.7, "L": 2, "support_radius": 8}, 1, 2.5,
+     "double"),
+]
+
+
+@pytest.mark.parametrize("family,d,kw,n_max,radius,mode", REFERENCE_SPECS)
+def test_enumeration_matches_the_reference(family, d, kw, n_max, radius,
+                                           mode):
+    dist = StepDistribution(family, d, **kw)
+    series = enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
+    want, _ = enumerate_reference(dist, n_max, radius, mode)
+    assert len(series.c) == n_max + 1
+    for n in range(n_max + 1):
+        assert typed_items(series.c[n]) == typed_items(want[n]), n
+
+
+@pytest.mark.parametrize("family,d,kw,n_max,radius,mode", [
+    ("nn", 2, {}, 7, None, "rational"),
+    ("uniform", 2, {"L": 2}, 4, 1.5, "rational"),
+    ("nn", 3, {}, 4, None, "double"),
+])
+def test_budget_is_exact_in_nodes(family, d, kw, n_max, radius, mode):
+    dist = StepDistribution(family, d, **kw)
+    _, nodes = enumerate_reference(dist, n_max, radius, mode)
+    enumerate_walks(dist, n_max, support_radius=radius, mode=mode,
+                    node_budget=nodes)
+    with pytest.raises(BudgetExceeded):
+        enumerate_walks(dist, n_max, support_radius=radius, mode=mode,
+                        node_budget=nodes - 1)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +157,27 @@ class TestEnumeration:
         assert series.weight_loss > 0.0
         assert series.mass(1) < 1
 
+    def test_series_keeps_the_steps_it_took(self):
+        dist = StepDistribution("uniform", 2, L=2)
+        series = enumerate_walks(dist, 1, support_radius=1.5)
+        assert len(series.steps) == 8
+        assert all(max(map(abs, x)) == 1 for x in series.steps)
+        assert series.weights == [Fraction(1, 24)] * 8
+        assert list(series.c[1]) == series.steps
+
+    def test_rejecting_a_large_support_stays_small(self):
+        # 19,989,840 power-law steps; the old filter materialised them all
+        # and peaked near 950 MB before it rejected them
+        dist = StepDistribution("power", 2, alpha=1.2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="branching factor"):
+                enumerate_walks(dist, 2, mode="double")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_power_needs_double_mode(self):
         dist = StepDistribution("power", 2, alpha=1.5, support_radius=8)
         with pytest.raises(ValueError):
@@ -66,6 +190,15 @@ class TestLace:
     def test_pi2_is_minus_d_at_origin(self, square_series):
         lace = extract_lace(square_series)
         assert lace.pi[2] == {(0, 0): Fraction(-1, 4)}
+
+    def test_pi2_uses_the_truncated_step_set(self):
+        # 8 kept steps of weight 1/24: pi_2 = -sum_y D(y)^2 at the origin
+        series = enumerate_walks(StepDistribution("uniform", 2, L=2), 4,
+                                 support_radius=1.5)
+        lace = extract_lace(series)
+        assert lace.pi[2] == {(0, 0): Fraction(-1, 72)}
+        for n in range(1, 4):
+            assert reconstruct_c(series, lace, n) == series.c[n + 1]
 
     def test_reconstruction_exact(self, square_series):
         lace = extract_lace(square_series)
