@@ -260,7 +260,7 @@ def cmd_infrared(args):
 
 
 def cmd_acceptance(args):
-    summary = acc.run_all(verbose=True)
+    summary = acc.run_all()
     _emit(args, "acceptance", {}, None, summary)
     if not summary["passed"]:
         raise CheckFailed("acceptance suite failed")
@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 1
     return 0

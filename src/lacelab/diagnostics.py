@@ -20,6 +20,8 @@ from .walk import beta_kspace, folded_dhat, nonzero_modes, resolvent
 F3_EXHAUSTIVE_MAX_SITES = 4096
 U_CONSTANT = 200.0
 COS_G_CONSTANT = 300.0
+CROSS_CHECK_TOL = 1e-9  # bubble_triangle: relative k/x agreement of B, T
+CHAIN_TOL = 1e-12  # chain_of_bubbles stops at an increment below this
 
 
 @dataclass
@@ -28,7 +30,6 @@ class TwoPointInput:
     ghat: np.ndarray   # real symmetric transform of the two-point function
     tau: float
     dhat: np.ndarray   # transform of the folded step weights
-    ghat_se: np.ndarray | None = None  # sampler noise, optional
 
     def __post_init__(self):
         self.ghat = np.asarray(self.ghat, dtype=float)
@@ -109,7 +110,7 @@ def _mean(grid: TorusGrid, arr: np.ndarray) -> float:
     return float(np.sum(arr) / grid.n_sites)
 
 
-def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
+def bubble_triangle(inp: TwoPointInput):
     """B, T, nabla, B-tilde on the grid, cross-checked in x-space."""
     g = inp.ghat
     if not is_symmetric(TorusField(inp.grid, g, "k"), tol=1e-9):
@@ -123,10 +124,10 @@ def bubble_triangle(inp: TwoPointInput, cross_check_tol: float = 1e-9):
     gx = _g_x(inp)
     gg = convolve(gx, gx)
     B_x = field_at_zero(gg)
-    if abs(B - B_x) > cross_check_tol * max(1.0, B):
+    if abs(B - B_x) > CROSS_CHECK_TOL * max(1.0, B):
         raise AssertionError("bubble k/x cross-check failed")
     T_x = field_at_zero(convolve(gg, gx))
-    if abs(T - T_x) > cross_check_tol * max(1.0, T):
+    if abs(T - T_x) > CROSS_CHECK_TOL * max(1.0, T):
         raise AssertionError("triangle k/x cross-check failed")
     return B, T, nabla, B_tilde
 
@@ -141,7 +142,7 @@ def g_tilde_field(inp: TwoPointInput) -> TorusField:
     return real_idft(TorusField(inp.grid, inp.gtilde_hat(), "k"))
 
 
-def chain_of_bubbles(inp: TwoPointInput, tol: float = 1e-12) -> dict:
+def chain_of_bubbles(inp: TwoPointInput) -> dict:
     """Mass of the bubble chain sum_j (Gtilde^2)^{*j}; needs B_tilde < 1/2."""
     gt = g_tilde_field(inp)
     link = TorusField(inp.grid, gt.values ** 2, "x")
@@ -155,7 +156,7 @@ def chain_of_bubbles(inp: TwoPointInput, tol: float = 1e-12) -> dict:
         term = convolve(term, link)
         inc = float(np.sum(term.values))
         mass += inc
-        if abs(inc) < tol:
+        if abs(inc) < CHAIN_TOL:
             break
     return {"B_tilde": b_tilde, "converged": True, "psi_mass": mass,
             "bound_holds": mass <= 2.0 * b_tilde + 1e-12}

@@ -56,28 +56,33 @@ class WalkSeries:
 def _support_for_enum(dist: StepDistribution, support_radius, mode):
     """Kept steps, their weights and the truncation loss.
 
-    The support is filtered chunk by chunk, and the filter stops as soon
-    as more than MAX_BRANCHING steps are kept, so a large power-family
-    support is never materialised.
+    Only the cube ||x||_inf <= support_radius can hold a kept step, so only
+    it is walked, chunk by chunk, until more than MAX_BRANCHING steps are
+    kept.  The loss is the dropped weight, or, when the cube leaves part of
+    the support out, the support's mass 1 - tail_bound less the kept mass.
     """
-    steps, weights, loss = [], [], 0.0
-    for offs, probs in dist.support_chunks():
+    steps, weights, dropped, kept, walked = [], [], 0.0, 0.0, 0
+    for offs, probs in dist.support_chunks(support_radius):
+        walked += len(offs)
         if support_radius is not None:
             keep = (np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
                     <= support_radius)
-            loss += float(np.sum(probs[~keep]))
+            dropped += float(np.sum(probs[~keep]))
             offs, probs = offs[keep], probs[keep]
         if len(steps) + len(offs) > MAX_BRANCHING:
             raise ValueError(
                 "branching factor exceeds %d (%d steps kept so far); "
                 "pass a smaller support_radius"
                 % (MAX_BRANCHING, len(steps) + len(offs)))
+        kept += float(np.sum(probs))
         steps += [tuple(int(v) for v in o) for o in offs]
         if mode == "rational":
             weights += [dist.eval_d_exact(o) for o in offs]
         else:
             weights += [float(p) for p in probs]
-    return steps, weights, loss
+    if walked < dist.support_size:
+        return steps, weights, (1.0 - dist.tail_bound) - kept
+    return steps, weights, dropped
 
 
 def _unflatten(f: int, base: int, d: int) -> tuple:
@@ -150,21 +155,15 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
                       weight_loss=loss, steps=steps, weights=weights)
 
 
-def _sparse_convolve(a: dict, b: dict, zero):
+def _sparse_convolve(a: dict, b: dict):
     out = {}
     for xa, va in a.items():
-        if va == zero:
+        if va == 0:
             continue
         for xb, vb in b.items():
             key = tuple(p + q for p, q in zip(xa, xb))
-            out[key] = out.get(key, zero) + va * vb
-    return {k: v for k, v in out.items() if v != zero}
-
-
-def _d_convolve(series: WalkSeries, a: dict):
-    d_map = dict(zip(series.steps, series.weights))
-    zero = Fraction(0) if series.mode == "rational" else 0.0
-    return _sparse_convolve(d_map, a, zero)
+            out[key] = out.get(key, 0) + va * vb
+    return {k: v for k, v in out.items() if v != 0}
 
 
 @dataclass
@@ -180,6 +179,19 @@ class LaceCoefficients:
                    for m, p in self.pi.items())
 
 
+def _add_recursion(series: WalkSeries, pi: dict, n: int, acc: dict,
+                   sign: int) -> dict:
+    """acc + sign [(D*c_n) + sum_m (pi_m * c_{n+1-m})], over the m in pi
+    with 2 <= m <= n + 1, added term by term; zero entries are dropped."""
+    d_map = dict(zip(series.steps, series.weights))
+    terms = [(d_map, series.c[n])] + [(pi[m], series.c[n + 1 - m])
+                                      for m in range(2, n + 2) if m in pi]
+    for a, b in terms:
+        for k, v in _sparse_convolve(a, b).items():
+            acc[k] = acc.get(k, 0) + sign * v
+    return {k: v for k, v in acc.items() if v != 0}
+
+
 def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """Solve the step recursion for the correction kernels pi_m.
 
@@ -187,34 +199,15 @@ def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """
     if series.n_max < 2:
         raise ValueError("need n_max >= 2")
-    zero = Fraction(0) if series.mode == "rational" else 0.0
     pi = {}
     for n in range(1, series.n_max):
-        acc = dict(series.c[n + 1])
-        dc = _d_convolve(series, series.c[n])
-        for k, v in dc.items():
-            acc[k] = acc.get(k, zero) - v
-        for m in range(2, n + 1):
-            pc = _sparse_convolve(pi[m], series.c[n + 1 - m], zero)
-            for k, v in pc.items():
-                acc[k] = acc.get(k, zero) - v
-        pi[n + 1] = {k: v for k, v in acc.items() if v != zero}
+        pi[n + 1] = _add_recursion(series, pi, n, dict(series.c[n + 1]), -1)
     return LaceCoefficients(pi=pi)
 
 
 def reconstruct_c(series: WalkSeries, lace: LaceCoefficients, n: int) -> dict:
     """c_{n+1} rebuilt from the recursion; must equal the enumerated value."""
-    zero = Fraction(0) if series.mode == "rational" else 0.0
-    acc = _d_convolve(series, series.c[n])
-    for m in range(2, n + 2):
-        if m not in lace.pi:
-            continue
-        if n + 1 - m < 0:
-            continue
-        pc = _sparse_convolve(lace.pi[m], series.c[n + 1 - m], zero)
-        for k, v in pc.items():
-            acc[k] = acc.get(k, zero) + v
-    return {k: v for k, v in acc.items() if v != zero}
+    return _add_recursion(series, lace.pi, n, {}, 1)
 
 
 def zc_estimate(series: WalkSeries) -> dict:

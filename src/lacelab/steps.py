@@ -8,7 +8,8 @@ Families:
            tail bound so that sum_x D(x) = 1 by construction.
 
 All families put no mass at the origin and are invariant under coordinate
-permutations and sign flips.
+permutations and sign flips.  StepDistribution.support_chunks is the one
+walk over the support; everything that sums over the support reads it.
 """
 
 import itertools
@@ -47,6 +48,20 @@ def dirichlet_kernel(t, L: int) -> np.ndarray:
         return np.where(small, float(n), np.sin(n * t / 2) / np.sin(t / 2))
 
 
+def _grid_points(axis: np.ndarray, d: int) -> np.ndarray:
+    """Every point of axis^d as rows, the last coordinate varying fastest."""
+    return np.stack([c.ravel() for c in
+                     np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
+
+
+def _k_sample(axis: np.ndarray, d: int, seed: int) -> np.ndarray:
+    """axis^d for d <= 3; above that, len(axis)^3 points drawn from it."""
+    if d <= 3:
+        return _grid_points(axis, d)
+    rng = np.random.default_rng(seed)
+    return axis[rng.integers(0, len(axis), size=(len(axis) ** 3, d))]
+
+
 @dataclass(frozen=True)
 class StepDistribution:
     family: str  # "nn" | "uniform" | "power"
@@ -54,9 +69,9 @@ class StepDistribution:
     L: int = 1
     alpha: float | None = None
     support_radius: int | None = None
-    # caches, filled in __post_init__
-    norm_const: float = field(default=0.0, compare=False)
-    tail_bound: float = field(default=0.0, compare=False)
+    # power family only, computed in __post_init__
+    norm_const: float = field(default=0.0, init=False, compare=False)
+    tail_bound: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -85,9 +100,8 @@ class StepDistribution:
         budget_r = int((POWER_POINT_BUDGET ** (1.0 / d) - 1) / 2)
         return int(min(r, max(budget_r, 2 * L)))
 
-    def _power_h_chunks(self):
-        """Yield (offsets, h-values) blocks covering 0 < |x|, ||x||_inf <= R."""
-        R = self.support_radius
+    def _power_h_chunks(self, R: int):
+        """Yield (offsets, h-values) blocks covering 0 < ||x||_inf <= R."""
         d, L, a = self.d, self.L, self.alpha
         if d == 1:
             for start in range(1, R + 1, _CHUNK):
@@ -99,8 +113,7 @@ class StepDistribution:
             return
         axis = np.arange(-R, R + 1, dtype=np.int64)
         # iterate over hyperplanes of the first coordinate to bound memory
-        rest = np.stack([c.ravel() for c in
-                         np.meshgrid(*([axis] * (d - 1)), indexing="ij")], axis=1)
+        rest = _grid_points(axis, d - 1)
         for x0 in axis:
             xs = np.concatenate(
                 [np.full((rest.shape[0], 1), x0, dtype=np.int64), rest], axis=1)
@@ -111,10 +124,51 @@ class StepDistribution:
 
     def _power_norm(self, radius: int):
         total = 0.0
-        for _, h in self._power_h_chunks():
+        for _, h in self._power_h_chunks(radius):
             total += float(np.sum(h))
         tail = _power_tail_bound(self.d, self.L, self.alpha, radius)
         return total + tail, tail
+
+    # -- the support -------------------------------------------------------
+    @property
+    def support_size(self) -> int:
+        """|Omega|: 2d (nn), (2L+1)^d - 1 (uniform), (2R+1)^d - 1 (power,
+        truncated at ||x||_inf <= R)."""
+        if self.family == "nn":
+            return 2 * self.d
+        R = self.L if self.family == "uniform" else self.support_radius
+        return (2 * R + 1) ** self.d - 1
+
+    def _table(self):
+        """The nn or uniform support as one (offsets, probs) block."""
+        if self.family == "nn":
+            eye = np.eye(self.d, dtype=np.int64)
+            offs = np.stack([eye, -eye], axis=1).reshape(-1, self.d)
+        else:
+            axis = range(-self.L, self.L + 1)
+            offs = np.array([x for x in itertools.product(axis, repeat=self.d)
+                             if any(x)], dtype=np.int64)
+        return offs, np.full(len(offs), 1.0 / self.support_size)
+
+    def support_chunks(self, radius: float | None = None):
+        """(offsets, probs) blocks of the support, always in one order.
+
+        Given a radius, the power family walks only the cube ||x||_inf <=
+        floor(radius), in the full walk's order; the small nn and uniform
+        tables always come whole, as one block."""
+        if self.family != "power":
+            yield self._table()
+            return
+        R = self.support_radius
+        if radius is not None:
+            R = int(min(R, radius))
+        for xs, h in self._power_h_chunks(R):
+            yield xs, h / self.norm_const
+
+    def support(self):
+        """Materialized (offsets, probs): support_chunks() joined."""
+        offs, probs = zip(*self.support_chunks())
+        return np.concatenate(offs), np.concatenate(probs)
 
     # -- evaluation ------------------------------------------------------
     def eval_d(self, x) -> float:
@@ -123,67 +177,42 @@ class StepDistribution:
             raise ValueError("x must be a %d-vector" % self.d)
         if not np.any(x):
             return 0.0
-        if self.family == "nn":
-            return 1.0 / (2 * self.d) if np.sum(np.abs(x)) == 1 else 0.0
-        if self.family == "uniform":
-            inside = 0 < np.max(np.abs(x)) <= self.L
-            return 1.0 / ((2 * self.L + 1) ** self.d - 1) if inside else 0.0
-        r = float(np.sqrt(np.sum((x / self.L) ** 2)))
-        return max(r, 1.0) ** (-(self.d + self.alpha)) / self.norm_const
+        if self.family == "power":
+            r = float(np.sqrt(np.sum((x / self.L) ** 2)))
+            return max(r, 1.0) ** (-(self.d + self.alpha)) / self.norm_const
+        inside = (np.sum(np.abs(x)) == 1 if self.family == "nn"
+                  else np.max(np.abs(x)) <= self.L)
+        return 1.0 / self.support_size if inside else 0.0
 
     def eval_d_exact(self, x) -> Fraction:
         """Exact rational value; nn and uniform families only."""
-        p = self.eval_d(x)
-        if self.family == "nn":
-            return Fraction(1, 2 * self.d) if p else Fraction(0)
-        if self.family == "uniform":
-            return (Fraction(1, (2 * self.L + 1) ** self.d - 1)
-                    if p else Fraction(0))
-        raise ValueError("exact rationals only for nn/uniform families")
-
-    def support(self):
-        """Materialized (offsets, probs); power family truncated per policy."""
-        if self.family == "nn":
-            offs = []
-            for a in range(self.d):
-                for s in (1, -1):
-                    v = [0] * self.d
-                    v[a] = s
-                    offs.append(v)
-            offs = np.array(offs, dtype=np.int64)
-            return offs, np.full(len(offs), 1.0 / (2 * self.d))
-        if self.family == "uniform":
-            axis = range(-self.L, self.L + 1)
-            offs = np.array([x for x in itertools.product(axis, repeat=self.d)
-                             if any(x)], dtype=np.int64)
-            return offs, np.full(len(offs), 1.0 / len(offs))
-        offs, probs = [], []
-        for xs, h in self._power_h_chunks():
-            offs.append(xs)
-            probs.append(h / self.norm_const)
-        return np.concatenate(offs), np.concatenate(probs)
-
-    def support_chunks(self):
-        """Chunked (offsets, probs) iterator; safe for huge 1-d supports."""
         if self.family == "power":
-            for xs, h in self._power_h_chunks():
-                yield xs, h / self.norm_const
-        else:
-            yield self.support()
+            raise ValueError("exact rationals only for nn/uniform families")
+        return Fraction(1, self.support_size) if self.eval_d(x) else Fraction(0)
 
     @property
     def sup_d(self) -> float:
-        if self.family == "nn":
-            return 1.0 / (2 * self.d)
-        if self.family == "uniform":
-            return 1.0 / ((2 * self.L + 1) ** self.d - 1)
-        return 1.0 / self.norm_const
+        if self.family == "power":
+            return 1.0 / self.norm_const
+        return 1.0 / self.support_size
 
     @property
     def alpha_wedge_2(self) -> float:
         return min(self.alpha, 2.0) if self.family == "power" else 2.0
 
     # -- Fourier ----------------------------------------------------------
+    def closed_form(self, t):
+        """The nn/uniform transform axis by axis: the factors at t, the ufunc
+        that combines them over the d axes, and the map from the combined
+        key to Dhat.  nn: sum_a cos k_a, divided by d; uniform: the product
+        of Dirichlet kernels less the origin term, divided by |Omega|."""
+        if self.family == "nn":
+            return np.cos(t), np.add, lambda key: key / self.d
+        if self.family == "uniform":
+            return (dirichlet_kernel(t, self.L), np.multiply,
+                    lambda key: (key - 1.0) / self.support_size)
+        raise ValueError("separable path needs a product-form transform")
+
     def fourier_d(self, k) -> np.ndarray | float:
         """Dhat(k) = sum_x D(x) cos(k.x); k is (d,) or (n, d)."""
         k = np.asarray(k, dtype=float)
@@ -191,27 +220,21 @@ class StepDistribution:
         ks = k[None, :] if single else k
         if ks.shape[-1] != self.d:
             raise ValueError("k must have %d components" % self.d)
-        if self.family == "nn":
-            out = np.mean(np.cos(ks), axis=-1)
-        elif self.family == "uniform":
-            # product of per-axis Dirichlet kernels, origin term removed
-            prod = np.ones(len(ks))
-            for a in range(self.d):
-                prod *= dirichlet_kernel(ks[:, a], self.L)
-            out = (prod - 1.0) / ((2 * self.L + 1) ** self.d - 1)
-        else:
+        if self.family == "power":
             out = self.fourier_d_support_sum(ks)
+        else:
+            factors, combine, dhat = self.closed_form(ks)
+            out = dhat(combine.reduce(factors, axis=-1))
         return float(out[0]) if single else out
 
-    def fourier_d_support_sum(self, k) -> np.ndarray | float:
-        """Generic support-sum path (oracle for the closed forms)."""
-        k = np.asarray(k, dtype=float)
-        single = k.ndim == 1
-        ks = k[None, :] if single else k
+    def fourier_d_support_sum(self, ks) -> np.ndarray:
+        """Dhat at the rows of an (n, d) array ks as a sum over the support
+        (oracle for the closed forms)."""
+        ks = np.asarray(ks, dtype=float)
         out = np.zeros(len(ks))
         for xs, p in self.support_chunks():
             out += np.cos(ks @ xs.T.astype(float)) @ p
-        return float(out[0]) if single else out
+        return out
 
     # -- torus folding ------------------------------------------------------
     def fold(self, grid: TorusGrid) -> TorusField:
@@ -225,21 +248,14 @@ class StepDistribution:
 
     # -- moments and condition scan -------------------------------------
     def moment(self, kappa: float):
-        """Sum |x|^kappa D(x), or the string "divergent".
-
-        Divergence is decided analytically for the power family
-        (kappa >= alpha) and confirmed by a shell ratio heuristic.
-        """
-        if self.family in ("nn", "uniform"):
-            offs, probs = self.support()
-            r = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
-            return float(np.sum(r ** kappa * probs))
-        if kappa >= self.alpha:
+        """Sum |x|^kappa D(x), or "divergent" for the power family at kappa
+        >= alpha, decided analytically (shell_ratio_divergent is not run)."""
+        if self.family == "power" and kappa >= self.alpha:
             return "divergent"
         total = 0.0
         for xs, p in self.support_chunks():
             r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
-            total += float(np.sum(np.maximum(r, 1.0) ** kappa * p))
+            total += float(np.sum(r ** kappa * p))
         return total
 
     def shell_ratio_divergent(self, kappa: float) -> bool:
@@ -250,10 +266,10 @@ class StepDistribution:
         partial = []
         for R in radii:
             tot = 0.0
-            for xs, p in self.support_chunks():
+            for xs, p in self.support_chunks(R):
                 r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
                 m = r <= R
-                tot += float(np.sum(np.maximum(r[m], 1.0) ** kappa * p[m]))
+                tot += float(np.sum(r[m] ** kappa * p[m]))
             partial.append(tot)
         diffs = np.diff(partial)
         return bool(len(diffs) >= 2 and diffs[-1] > 0.5 * diffs[-2] > 0)
@@ -301,22 +317,10 @@ def verify_conditions(dist: StepDistribution, grid_res: int = 16,
     aw2 = dist.alpha_wedge_2
 
     axis = 2.0 * np.pi * (np.arange(grid_res) - grid_res // 2) / grid_res
-    if d <= 3:
-        ks = np.stack([c.ravel() for c in
-                       np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
-    else:
-        rng = np.random.default_rng(12345)
-        choice = axis[rng.integers(0, grid_res, size=(grid_res ** 3, d))]
-        ks = choice
     # always include a fine sample of the inner box ||k||_inf <= 1/L
     inner_axis = np.linspace(-1.0 / L, 1.0 / L, grid_res)
-    if d <= 3:
-        inner = np.stack([c.ravel() for c in
-                          np.meshgrid(*([inner_axis] * d), indexing="ij")], axis=1)
-    else:
-        rng = np.random.default_rng(54321)
-        inner = inner_axis[rng.integers(0, grid_res, size=(grid_res ** 3, d))]
-    ks = np.concatenate([ks, inner])
+    ks = np.concatenate([_k_sample(axis, d, 12345),
+                         _k_sample(inner_axis, d, 54321)])
     ks = ks[np.any(ks != 0.0, axis=1)]
 
     one_minus = 1.0 - np.asarray(dist.fourier_d(ks))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DIRECT_CONV_MAX_SITES = 4096
+REAL_DFT_TOL = 1e-10  # real_dft: largest |imag| / max(1, |real|)
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,11 @@ def idft(fhat: TorusField) -> TorusField:
     return TorusField(fhat.grid, v, "x")
 
 
-def real_dft(f: TorusField, tol: float = 1e-10) -> np.ndarray:
+def real_dft(f: TorusField) -> np.ndarray:
     """Transform of a symmetric field, returned as a real array."""
     vhat = dft(f).values
-    if np.max(np.abs(vhat.imag)) > tol * max(1.0, np.max(np.abs(vhat.real))):
+    if (np.max(np.abs(vhat.imag))
+            > REAL_DFT_TOL * max(1.0, np.max(np.abs(vhat.real)))):
         raise ValueError("field is not symmetric enough for a real transform")
     return vhat.real
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steps import StepDistribution, dirichlet_kernel
+from .steps import StepDistribution
 from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
                     real_dft, real_idft, reflect)
 
@@ -183,15 +183,9 @@ def beta_separable(dist: StepDistribution, M: int, s: int) -> float:
     """k-space beta for nn/uniform without materializing the M^d grid."""
     grid = TorusGrid(dist.d, M)
     t = 2.0 * np.pi * np.arange(grid.M) / grid.M
-    if dist.family == "nn":
-        keys, cnts = _combine_dp(np.cos(t), dist.d, np.add)
-        dhat = keys / dist.d
-    elif dist.family == "uniform":
-        keys, cnts = _combine_dp(dirichlet_kernel(t, dist.L), dist.d,
-                                 np.multiply)
-        dhat = (keys - 1.0) / ((2 * dist.L + 1) ** dist.d - 1)
-    else:
-        raise ValueError("separable path needs a product-form transform")
+    factors, combine, to_dhat = dist.closed_form(t)
+    keys, cnts = _combine_dp(factors, dist.d, combine)
+    dhat = to_dhat(keys)
     mask = np.abs(1.0 - dhat) > 1e-12
     return float(np.sum(cnts[mask] * dhat[mask] ** 2
                         / (1.0 - dhat[mask]) ** s) / grid.n_sites)

@@ -29,10 +29,10 @@ from lacelab import acceptance
 
 @pytest.fixture(scope="session")
 def suite():
-    """acceptance.run_all(verbose=True), run once, and what it printed."""
+    """acceptance.run_all(), run once, and what it printed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        summary = acceptance.run_all(verbose=True)
+        summary = acceptance.run_all()
     return summary, out.getvalue()
 
 

@@ -1,5 +1,7 @@
 import json
+import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -216,6 +218,49 @@ def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert re.search("invalid configuration: .*" + message, captured.err)
+
+
+def test_a_grid_too_large_for_memory_exits_1(capsys):
+    # the M = 64 refinement in d = 6 folds onto a 512 GiB array; the
+    # address-space cap makes that allocation fail at once whatever the
+    # host's overcommit policy
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 64 << 30
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        code = main(["rw-beta", "--family", "nn", "--d", "6", "--s", "2",
+                     "--M", "8,64"])
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "invalid configuration: Unable to allocate" in captured.err
+
+
+def _readme_cli_examples():
+    """The `lacelab ...` lines of README's CLI block, as argv lists; a line
+    that reads a saved --input file is left out."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("lacelab ") and "--input" not in line]
+    assert lines
+    return lines
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_exit_0(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("LACELAB_OUT_DIR", raising=False)
+    if "--csv" in argv:
+        argv[argv.index("--csv") + 1] = str(tmp_path / "table.csv")
+    code, doc = run_cli(capsys, argv)
+    assert code == 0
+    assert doc["subcommand"] == argv[0]
 
 
 def test_ising_keeps_a_last_partial_thinning_block(capsys):

@@ -115,6 +115,13 @@ def test_budget_is_exact_in_nodes(family, d, kw, n_max, radius, mode):
 
 
 @pytest.fixture(scope="module")
+def default_power():
+    """The d=2, alpha=1.2 power family at its default truncation: 19,989,840
+    support points."""
+    return StepDistribution("power", 2, alpha=1.2)
+
+
+@pytest.fixture(scope="module")
 def square_series():
     return enumerate_walks(StepDistribution("nn", 2), 8, mode="rational")
 
@@ -165,18 +172,53 @@ class TestEnumeration:
         assert series.weights == [Fraction(1, 24)] * 8
         assert list(series.c[1]) == series.steps
 
-    def test_rejecting_a_large_support_stays_small(self):
+    def test_rejecting_a_large_support_stays_small(self, default_power):
         # 19,989,840 power-law steps; the old filter materialised them all
         # and peaked near 950 MB before it rejected them
-        dist = StepDistribution("power", 2, alpha=1.2)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="branching factor"):
-                enumerate_walks(dist, 2, mode="double")
+                enumerate_walks(default_power, 2, mode="double")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_a_support_radius_evaluates_only_its_cube(self, default_power,
+                                                      monkeypatch):
+        evaluated = []
+        walk = StepDistribution._power_h_chunks
+
+        def counting_walk(self, R):
+            for xs, h in walk(self, R):
+                evaluated.append(len(h))
+                yield xs, h
+
+        monkeypatch.setattr(StepDistribution, "_power_h_chunks",
+                            counting_walk)
+        series = enumerate_walks(default_power, 3, mode="double",
+                                 support_radius=2)
+        assert sum(evaluated) <= 5 ** 2
+        assert series.steps == [(-2, 0), (-1, -1), (-1, 0), (-1, 1), (0, -2),
+                                (0, -1), (0, 1), (0, 2), (1, -1), (1, 0),
+                                (1, 1), (2, 0)]
+        # the dropped weights summed over the whole support; the cube's own
+        # dropped weights come to 0.0939
+        assert abs(series.weight_loss - 0.2819791764260304) <= 1e-12
+
+    @pytest.mark.parametrize("kw,radius", [
+        ({"d": 1, "alpha": 1.5, "support_radius": 8}, 3.0),
+        ({"d": 2, "alpha": 1.5, "support_radius": 8}, 2.0),
+        ({"d": 2, "alpha": 0.7, "L": 2, "support_radius": 8}, 2.5),
+        ({"d": 3, "alpha": 1.5, "support_radius": 6}, 1.0),
+    ])
+    def test_power_weight_loss_is_the_dropped_mass(self, kw, radius):
+        dist = StepDistribution("power", **kw)
+        offs, probs = dist.support()
+        dropped = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1)) > radius
+        series = enumerate_walks(dist, 1, mode="double",
+                                 support_radius=radius)
+        assert abs(series.weight_loss - float(np.sum(probs[dropped]))) <= 1e-12
 
     def test_power_needs_double_mode(self):
         dist = StepDistribution("power", 2, alpha=1.5, support_radius=8)

@@ -53,6 +53,9 @@ class TestEval:
             StepDistribution("power", 2)  # alpha missing
         with pytest.raises(ValueError):
             StepDistribution("uniform", 2, L=0)
+        # the power family's normalisation is computed, never passed
+        with pytest.raises(TypeError):
+            StepDistribution("uniform", 2, tail_bound=0.3)
 
 
 class TestNormalization:
@@ -80,6 +83,45 @@ class TestNormalization:
     def test_sup_d(self):
         assert StepDistribution("nn", 4).sup_d == 1.0 / 8
         assert StepDistribution("uniform", 2, L=1).sup_d == 1.0 / 8
+
+
+# (family, d, kwargs), each small enough to materialise
+SUPPORTS = [("nn", 3, {}), ("uniform", 2, {"L": 2}),
+            ("power", 1, {"alpha": 1.5, "support_radius": 40}),
+            ("power", 2, {"alpha": 0.7, "L": 2, "support_radius": 12}),
+            ("power", 3, {"alpha": 1.5, "support_radius": 5})]
+
+
+def _joined(chunks):
+    offs, probs = zip(*chunks)
+    return np.concatenate(offs), np.concatenate(probs)
+
+
+class TestSupportWalk:
+    @pytest.mark.parametrize("family,d,kw", SUPPORTS)
+    def test_support_is_the_chunks_joined(self, family, d, kw):
+        dist = StepDistribution(family, d, **kw)
+        offs, probs = dist.support()
+        want_offs, want_probs = _joined(dist.support_chunks())
+        assert offs.dtype == np.int64
+        assert np.array_equal(offs, want_offs)
+        assert np.array_equal(probs, want_probs)
+        assert len(offs) == dist.support_size
+
+    @pytest.mark.parametrize("family,d,kw", SUPPORTS)
+    @pytest.mark.parametrize("radius", [1, 2.7, 4, 100])
+    def test_a_radius_walks_the_cube_in_the_full_walks_order(
+            self, family, d, kw, radius):
+        # power: exactly the points with ||x||_inf <= floor(radius), in
+        # order and bit for bit; nn/uniform: the whole table
+        dist = StepDistribution(family, d, **kw)
+        offs, probs = dist.support()
+        if family == "power":
+            keep = np.max(np.abs(offs), axis=1) <= int(radius)
+            offs, probs = offs[keep], probs[keep]
+        got_offs, got_probs = _joined(dist.support_chunks(radius))
+        assert np.array_equal(got_offs, offs)
+        assert np.array_equal(got_probs, probs)
 
 
 class TestFourier:
