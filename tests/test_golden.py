@@ -51,12 +51,20 @@ SPECS = {
     "perc_uniform_d2": (
         ["perc", "--family", "uniform", "--d", "2", "--L", "1", "--M", "6",
          "--z", "2.0", "--R", "1.5", "--replicas", "200", "--seed", "3"], 0),
+    # fires both the half-period warning and the clip warning
+    "perc_uniform_d2_clipped": (
+        ["perc", "--family", "uniform", "--d", "2", "--L", "2", "--M", "4",
+         "--z", "14", "--R", "3", "--replicas", "200", "--seed", "4"], 0),
     "ising_d1": (
         ["ising", "--d", "1", "--M", "6", "--z", "0.4", "--sweeps", "1000",
          "--burn-in", "100", "--seed", "2"], 0),
     "ising_d2": (
         ["ising", "--d", "2", "--M", "4", "--z", "0.2", "--sweeps", "600",
          "--burn-in", "100", "--seed", "1"], 0),
+    # six neighbours per site
+    "ising_d3": (
+        ["ising", "--d", "3", "--M", "4", "--z", "0.15", "--sweeps", "300",
+         "--burn-in", "50", "--seed", "3"], 0),
     "diag_nn_d2": (
         ["diag", "--family", "nn", "--d", "2", "--M", "8", "--z", "0.5"], 0),
     "infrared_nn_d2": (
