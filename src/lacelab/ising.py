@@ -18,7 +18,7 @@ import numpy as np
 from .exact import EXACT_LIMIT, bit_chunks
 from .kernels import metropolis_run
 from .perc import batch_means_se
-from .torus import TorusGrid
+from .torus import TorusGrid, within_range
 
 EXACT_SPIN_LIMIT = EXACT_LIMIT
 
@@ -49,6 +49,10 @@ class IsingConfig:
         if self.grid is not None and self.grid.n_sites != n:
             raise ValueError("grid has %d sites but J has %d"
                              % (self.grid.n_sites, n))
+        if self.z < 0:
+            raise ValueError("z must be >= 0 for the ferromagnetic model")
+        if self.replicas < 1:
+            raise ValueError("replicas must be positive")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
         # kept sweeps: burn_in, burn_in + thinning, ... below sweeps
@@ -64,13 +68,16 @@ class IsingConfig:
 def coupling_matrix_from_torus(grid: TorusGrid, J_table: dict,
                                R: float | None = None):
     """Fold an offset->coupling table onto torus pairs (aliased offsets add)."""
-    table = [(off, val) for off, val in J_table.items() if any(off) and (
-        R is None or math.sqrt(sum(v * v for v in off)) <= R)]
+    offs = np.array(list(J_table), dtype=np.int64).reshape(-1, grid.d)
+    vals = np.array(list(J_table.values()), dtype=float)
+    keep = np.any(offs != 0, axis=1)
+    if R is not None:
+        keep &= within_range(offs, R)
+    offs, vals = offs[keep], vals[keep]
     n = grid.n_sites
-    offs = np.array([off for off, _ in table], dtype=np.int64)
-    site = np.tile(np.arange(n), len(table))
-    nb = grid.flat_index(grid.sites() + offs.reshape(-1, 1, grid.d)).ravel()
-    half = np.repeat([val / 2.0 for _, val in table], n)
+    site = np.tile(np.arange(n), len(offs))
+    nb = grid.flat_index(grid.sites() + offs[:, None, :]).ravel()
+    half = np.repeat(vals / 2.0, n)
     keep = nb != site
     pairs = np.stack([site, nb], axis=1)[keep]
     # val/2 goes to [site, nb] and then to [nb, site], offset by offset and
@@ -89,7 +96,7 @@ def coupling_tail(J_table: dict, z: float, R: float) -> float:
             continue
         t = math.tanh(z * val)
         total += t
-        if math.sqrt(sum(v * v for v in off)) > R:
+        if not within_range(off, R):
             outside += t
     return outside / total if total > 0 else 0.0
 
@@ -156,13 +163,11 @@ def metropolis(config: IsingConfig) -> SpinSample:
     Without one, J is a plain coupling matrix and g[t] = <phi_0 phi_t>.
     """
     n = config.n_sites
-    max_deg = int(np.max(np.sum(config.J > 0, axis=1)))
-    neighbor_idx = np.full((n, max(max_deg, 1)), -1, dtype=np.int64)
-    neighbor_j = np.zeros((n, max(max_deg, 1)))
-    for i in range(n):
-        nz = np.nonzero(config.J[i])[0]
-        neighbor_idx[i, :len(nz)] = nz
-        neighbor_j[i, :len(nz)] = config.J[i, nz]
+    neighbor_idx, neighbor_j = [], []
+    for row in config.J:
+        nz = np.flatnonzero(row)
+        neighbor_idx.append(nz.tolist())
+        neighbor_j.append(row[nz].tolist())
     if config.grid is None:
         corr_targets = np.arange(n, dtype=np.int64)[None, :]
     else:

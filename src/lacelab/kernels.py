@@ -14,8 +14,6 @@ each bond it probes with one counter_uniform call; metropolis_run draws
 its uniforms in blocks with counter_uniforms.
 """
 
-import itertools
-
 import numpy as np
 
 # No kernel is compiled; perfbench/run.py records this in its environment.
@@ -99,8 +97,8 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     heat-bath rule keeps every acceptance strictly inside (0, 1) and has
     the same stationary measure.
 
-    neighbor_idx[i, :] / neighbor_j[i, :] list each site's neighbors and
-    coupling strengths, up to the first negative index.  The start is hot:
+    neighbor_idx[i] and neighbor_j[i] list site i's neighbors and their
+    coupling strengths, one entry per neighbor.  The start is hot:
     spin i is up when counter i draws below 1/2.  Sweeps then visit the
     sites in order, site i of sweep k drawing counter n_sites * (k + 1) + i.
     Records, per kept sweep, the mean spin and, for each target t,
@@ -110,10 +108,8 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     Returns (mag_series, corr_series) with one row per kept sample.
     """
     z, h = float(z), float(h)
-    neighbors = [list(itertools.takewhile(lambda pair: pair[0] >= 0,
-                                          zip(idx, js)))
-                 for idx, js in zip(neighbor_idx.tolist(),
-                                    neighbor_j.tolist())]
+    neighbors = [list(zip(idx, js))
+                 for idx, js in zip(neighbor_idx, neighbor_j)]
     spins = np.where(counter_uniforms(seed, replica, 0, n_sites) < 0.5,
                      1, -1).tolist()
     kept = (sweeps - burn_in + thinning - 1) // thinning

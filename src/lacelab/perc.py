@@ -2,10 +2,12 @@
 
 A bond {x, y} with minimal-image displacement within range R is occupied
 independently with probability z * D_M(y - x) (clipped to [0,1] with a loud
-warning when clipping binds).  bond_table lists every bond of the torus
-once, as the far end fwd[s, j] of offset j from site s; the exact oracle
-reads it as is, and the sampler reads it from both ends, [fwd | bwd], with
-one bond id per bond.  The Monte Carlo sampler grows the origin's cluster
+warning when clipping binds).  bond_offsets picks one offset per bond
+direction in one whole-array pass over the torus, with the range cut of
+torus.within_range.  bond_table lists every bond of the torus once, as
+the far end fwd[s, j] of offset j from site s; the exact oracle reads it
+as is, and the sampler reads it from both ends, [fwd | bwd], with one bond
+id per bond.  The Monte Carlo sampler grows the origin's cluster
 by a depth-first search over that table, probing a bond only when its far
 end is not yet in the cluster, with one counter_uniform draw keyed by
 (seed, replica, bond id); so the search order cannot change the sample.
@@ -18,7 +20,6 @@ russo_check read their numbers from it, and the size law drives the
 magnetization checks.
 """
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,8 @@ import numpy as np
 from .exact import EXACT_LIMIT, bit_chunks
 from .kernels import percolation_clusters
 from .steps import StepDistribution
-from .torus import TorusField, TorusGrid, convolve, field_at_zero
+from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
+                    within_range)
 
 EXACT_BOND_LIMIT = EXACT_LIMIT
 
@@ -59,57 +61,43 @@ class PercConfig:
 def bond_offsets(config: PercConfig):
     """One representative per unordered bond direction within range R.
 
-    Offsets use centered representatives; o and -o describe the same bond
-    family, so of each pair only the lexicographically larger one is kept,
-    comparing o with the centered representative of -o (a coordinate at
-    -M/2 negates to itself).  Offsets whose every coordinate is 0 or -M/2
+    One pass over the torus: offs lists every centered offset in
+    lexicographic order and mirror[i] is the position of -offs[i] in that
+    list, so of each pair o, -o only the later one (rank > mirror) is kept.
+    Offsets other than 0 with rank == mirror (every coordinate 0 or -M/2)
     are their own negation mod M, which would make the forward and backward
     bond of a site coincide; such bonds are excluded (with a warning when
     they carry weight in range), so tori should satisfy M > 2R.
     """
     grid = config.grid
-    dm = config.folded
     half = grid.M // 2
-    offs, probs, clipped = [], [], False
-    axis = range(-half, half)
-    for o in itertools.product(axis, repeat=grid.d):
-        if not any(o):
-            continue
-        neg = tuple((-v + half) % grid.M - half for v in o)
-        if o == neg:
-            if (math.sqrt(sum(v * v for v in o)) <= config.R
-                    and dm[tuple(np.mod(o, grid.M))] > 0.0):
-                warnings.warn("offset at half the torus period excluded; "
-                              "use M > 2R", RuntimeWarning)
-            continue
-        if o < neg:
-            continue  # keep one representative per +-o pair
-        if math.sqrt(sum(v * v for v in o)) > config.R:
-            continue
-        p = config.z * float(dm[tuple(np.mod(o, grid.M))])
-        if p <= 0.0:
-            continue
-        if p > 1.0:
-            clipped = True
-            p = 1.0
-        offs.append(o)
-        probs.append(p)
-    if clipped:
+    offs = grid.sites() - half
+    rank = np.arange(grid.n_sites)
+    mirror = grid.flat_index(half - offs)
+    weight = config.folded.ravel()[grid.flat_index(offs)]
+    in_range = within_range(offs, config.R)
+    if np.any((rank == mirror) & np.any(offs != 0, axis=1) & in_range
+              & (weight > 0.0)):
+        warnings.warn("offset at half the torus period excluded; "
+                      "use M > 2R", RuntimeWarning)
+    probs = config.z * weight
+    keep = (rank > mirror) & in_range & (probs > 0.0)
+    probs = probs[keep]
+    if np.any(probs > 1.0):
         warnings.warn("bond probability clipped at 1; z is outside the "
                       "regime the model is meant for", RuntimeWarning)
-    return (np.array(offs, dtype=np.int64).reshape(len(offs), grid.d),
-            np.array(probs))
+    return offs[keep], np.minimum(probs, 1.0)
 
 
 def range_tail(config: PercConfig) -> float:
     """e_R: folded step weight beyond the cutoff R."""
-    return float(np.sum(config.folded[_beyond_range(config)]))
+    return float(np.sum(config.folded[~_in_range(config)]))
 
 
-def _beyond_range(config: PercConfig) -> np.ndarray:
-    """Sites whose centered displacement from the origin exceeds R."""
-    xc = config.grid.centered_coords()
-    return np.sqrt(np.sum(xc.astype(float) ** 2, axis=0)) > config.R
+def _in_range(config: PercConfig) -> np.ndarray:
+    """Sites whose centered displacement from the origin is within R."""
+    xc = np.moveaxis(config.grid.centered_coords(), 0, -1)
+    return within_range(xc, config.R)
 
 
 @dataclass
@@ -360,7 +348,7 @@ def restricted_triangle(config: PercConfig, g_field: TorusField) -> float:
     step kernel is the folded D cut off at range R.
     """
     dm = config.folded.copy()
-    dm[_beyond_range(config)] = 0.0
+    dm[~_in_range(config)] = 0.0
     dr = TorusField(config.grid, config.z * dm, "x")
     out = convolve(dr, convolve(g_field, convolve(g_field, g_field)))
     return field_at_zero(out)

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .steps import StepDistribution
+from .torus import within_range
 
 MAX_BRANCHING = 50
 DEFAULT_NODE_BUDGET = 50_000_000
@@ -65,8 +66,7 @@ def _support_for_enum(dist: StepDistribution, support_radius, mode):
     for offs, probs in dist.support_chunks(support_radius):
         walked += len(offs)
         if support_radius is not None:
-            keep = (np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
-                    <= support_radius)
+            keep = within_range(offs, support_radius)
             dropped += float(np.sum(probs[~keep]))
             offs, probs = offs[keep], probs[keep]
         if len(steps) + len(offs) > MAX_BRANCHING:

@@ -12,14 +12,13 @@ permutations and sign flips.  StepDistribution.support_chunks is the one
 walk over the support; everything that sums over the support reads it.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .torus import TorusField, TorusGrid
+from .torus import TorusField, TorusGrid, within_range
 
 POWER_POINT_BUDGET = int(2e7)  # support-point cap for the power family
 POWER_TAIL_TARGET = 1e-9
@@ -80,10 +79,16 @@ class StepDistribution:
             raise ValueError("unknown family %r" % (self.family,))
         if self.family != "nn" and self.L < 1:
             raise ValueError("L must be a positive integer")
+        if self.family != "power" and self.support_radius is not None:
+            raise ValueError("a truncation applies to the power family only")
         if self.family == "power":
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError("power family needs alpha > 0")
-            radius = self.support_radius or self._default_power_radius()
+            radius = self.support_radius
+            if radius is None:
+                radius = self._default_power_radius()
+            elif not isinstance(radius, (int, np.integer)) or radius < 1:
+                raise ValueError("truncation must be an integer >= 1")
             object.__setattr__(self, "support_radius", radius)
             norm, tail = self._power_norm(radius)
             object.__setattr__(self, "norm_const", norm)
@@ -145,9 +150,8 @@ class StepDistribution:
             eye = np.eye(self.d, dtype=np.int64)
             offs = np.stack([eye, -eye], axis=1).reshape(-1, self.d)
         else:
-            axis = range(-self.L, self.L + 1)
-            offs = np.array([x for x in itertools.product(axis, repeat=self.d)
-                             if any(x)], dtype=np.int64)
+            cube = _grid_points(np.arange(-self.L, self.L + 1), self.d)
+            offs = cube[np.any(cube != 0, axis=1)]
         return offs, np.full(len(offs), 1.0 / self.support_size)
 
     def support_chunks(self, radius: float | None = None):
@@ -267,9 +271,9 @@ class StepDistribution:
         for R in radii:
             tot = 0.0
             for xs, p in self.support_chunks(R):
-                r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
-                m = r <= R
-                tot += float(np.sum(r[m] ** kappa * p[m]))
+                m = within_range(xs, R)
+                r = np.sqrt(np.sum(xs[m].astype(float) ** 2, axis=1))
+                tot += float(np.sum(r ** kappa * p[m]))
             partial.append(tot)
         diffs = np.diff(partial)
         return bool(len(diffs) >= 2 and diffs[-1] > 0.5 * diffs[-2] > 0)

@@ -5,7 +5,7 @@ numpy index order (index m represents frequency 2*pi*m/M, wrapped).  The
 transform is fhat(k) = sum_x f(x) exp(+i k.x), so dft = M^d * ifftn and
 idft = fftn / M^d.  x-space fields live on {0,...,M-1}^d; wherever a
 magnitude |x| matters the centered representative in {-M/2,...,M/2-1}^d is
-used.
+used; within_range(offsets, R) is the one range cut ||x||_2 <= R.
 """
 
 from dataclasses import dataclass
@@ -72,6 +72,11 @@ class TorusGrid:
     def sites(self):
         """Coordinates of every site in flat-index order, shape (M^d, d)."""
         return np.indices(self.shape).reshape(self.d, -1).T
+
+
+def within_range(offsets, R) -> np.ndarray:
+    """||x||_2 <= R for each offset x of an (..., d) array."""
+    return np.sqrt(np.sum(np.square(offsets), axis=-1)) <= R
 
 
 @dataclass

@@ -192,32 +192,30 @@ def beta_separable(dist: StepDistribution, M: int, s: int) -> float:
 
 
 def beta_scaling_table(family: str, s: int, sweep: dict) -> list:
-    """Sweep beta over d (nn) or L (uniform) and report the scaled column.
-
-    The dual grid is held fixed across a sweep so the swept parameter is the
-    only variable.  Rows: (parameter, beta, scaled beta).
+    """Sweep beta over d (nn) or L (uniform, power) on the dual grid of
+    side sweep["M"], held fixed so the swept parameter is the only variable.
+    The power rows run beta with 3 refinements.  Rows: (parameter, beta,
+    scaled beta).
     """
     rows = []
     if family == "nn":
-        M = sweep.get("M", 16)
+        M = sweep["M"]
         for d in sweep["d_values"]:
             b = beta_separable(StepDistribution("nn", d), M, s)
             rows.append({"d": d, "M": M, "beta": b, "scaled": d * b,
                          "scale": "d*beta"})
     elif family == "uniform":
-        d = sweep["d"]
-        M = sweep.get("M", 32)
+        d, M = sweep["d"], sweep["M"]
         for L in sweep["L_values"]:
             b = beta_separable(StepDistribution("uniform", d, L=L), M, s)
             rows.append({"L": L, "M": M, "beta": b, "scaled": L ** d * b,
                          "scale": "L^%d*beta" % d})
     elif family == "power":
-        d = sweep["d"]
+        d, grid = sweep["d"], TorusGrid(sweep["d"], sweep["M"])
         for L in sweep["L_values"]:
             # a missing alpha fails StepDistribution's own check
             dist = StepDistribution("power", d, L=L, alpha=sweep.get("alpha"))
-            grid = TorusGrid(d, sweep.get("M", 16))
-            rep = beta(dist, grid, s, refinements=sweep.get("refinements", 3))
+            rep = beta(dist, grid, s)
             rows.append({"L": L, "M": grid.M, "beta": rep.beta_kspace,
                          "scaled": L ** d * rep.beta_kspace,
                          "scale": "L^%d*beta" % d,

@@ -211,6 +211,18 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
      "overflows"),
     (["beta-table", "--family", "nn", "--s", "2", "--d-values", "3",
       "--M", "1"], "M must be even"),
+    # these ran: truncation 0 meant the default, -3 an empty support
+    (["dist-check", "--family", "power", "--alpha", "1.2", "--d", "1",
+      "--truncation", "0"], "truncation must be an integer >= 1"),
+    (["dist-check", "--family", "power", "--alpha", "1.2", "--d", "1",
+      "--truncation", "-3"], "truncation must be an integer >= 1"),
+    (["dist-check", "--family", "uniform", "--d", "2", "--truncation", "5"],
+     "power family only"),
+    # this ran the antiferromagnet; replicas 0 failed inside numpy
+    (["ising", "--d", "1", "--M", "6", "--z", "-0.4", "--sweeps", "1000",
+      "--burn-in", "10", "--seed", "0"], "z must be >= 0"),
+    (["ising", "--d", "1", "--M", "6", "--z", "0.4", "--replicas", "0",
+      "--seed", "0"], "replicas must be positive"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)

@@ -44,6 +44,11 @@ class TestConfig:
             IsingConfig(J=np.array([[0.0, 1.0], [2.0, 0.0]]), z=0.5)
         with pytest.raises(ValueError):
             IsingConfig(J=np.array([[1.0, 1.0], [1.0, 1.0]]), z=0.5)
+        ring = coupling_matrix_from_torus(TorusGrid(1, 6), RING_TABLE)
+        with pytest.raises(ValueError, match="z must be >= 0"):
+            IsingConfig(J=ring, z=-0.4)
+        with pytest.raises(ValueError, match="replicas"):
+            IsingConfig(J=ring, z=0.4, replicas=0)
 
     def test_coupling_matrix_ring(self):
         J = coupling_matrix_from_torus(TorusGrid(1, 6), RING_TABLE)

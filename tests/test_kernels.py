@@ -194,9 +194,11 @@ class TestMetropolisKernel:
         # one block hold less than a sweep
         monkeypatch.setattr(kernels, "DRAW_BLOCK", block)
         rng = np.random.default_rng(n)
-        idx = np.array([[(i - 1) % n, (i + 1) % n, -1, (i + 2) % n]
-                        for i in range(n)], dtype=np.int64)
-        jj = rng.choice([1.0, 0.3, 2.0 / 3.0], size=idx.shape)
+        # ragged rows: site i has 1 + i % 3 neighbors
+        idx = [[(i - 1) % n, (i + 1) % n, (i + 2) % n][:1 + i % 3]
+               for i in range(n)]
+        jj = [rng.choice([1.0, 0.3, 2.0 / 3.0], size=len(row)).tolist()
+              for row in idx]
         targets = rng.integers(0, n, size=(n, n))
         for z, h, sweeps, burn_in, thinning in [
                 (0.4, 0.0, 41, 5, 3), (0.9, -0.7, 30, 0, 1),
@@ -224,8 +226,6 @@ def metropolis_reference(neighbor_idx, neighbor_j, n_sites, z, h, seed,
         for i in range(n_sites):
             local = 0.0
             for nb, coupling in zip(neighbor_idx[i], neighbor_j[i]):
-                if nb < 0:
-                    break
                 local += coupling * spins[nb]
             delta = 2.0 * spins[i] * (z * local + h)
             u = counter_uniform(seed, replica, counter)

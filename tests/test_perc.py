@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,50 @@ from lacelab.perc import (ClusterStats, ExactGraph, PercConfig,
                           russo_check, sample_cluster)
 from lacelab.steps import StepDistribution
 from lacelab.torus import TorusField, TorusGrid
+
+
+def bond_offsets_reference(config):
+    """bond_offsets as one scalar loop over the centered offsets."""
+    grid = config.grid
+    dm = config.folded
+    half = grid.M // 2
+    offs, probs, clipped = [], [], False
+    axis = range(-half, half)
+    for o in itertools.product(axis, repeat=grid.d):
+        if not any(o):
+            continue
+        neg = tuple((-v + half) % grid.M - half for v in o)
+        if o == neg:
+            if (math.sqrt(sum(v * v for v in o)) <= config.R
+                    and dm[tuple(np.mod(o, grid.M))] > 0.0):
+                warnings.warn("offset at half the torus period excluded; "
+                              "use M > 2R", RuntimeWarning)
+            continue
+        if o < neg:
+            continue  # keep one representative per +-o pair
+        if math.sqrt(sum(v * v for v in o)) > config.R:
+            continue
+        p = config.z * float(dm[tuple(np.mod(o, grid.M))])
+        if p <= 0.0:
+            continue
+        if p > 1.0:
+            clipped = True
+            p = 1.0
+        offs.append(o)
+        probs.append(p)
+    if clipped:
+        warnings.warn("bond probability clipped at 1; z is outside the "
+                      "regime the model is meant for", RuntimeWarning)
+    return (np.array(offs, dtype=np.int64).reshape(len(offs), grid.d),
+            np.array(probs))
+
+
+def _warned(fn, *args):
+    """fn(*args) and the set of messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {str(w.message) for w in caught}
 
 
 def _ring_config(M=6, z=0.8, seed=0, replicas=2000):
@@ -282,6 +327,31 @@ class TestMagnetization:
         rec = exact_small(graph, min(z, 1.9), pivotal=False)
         m = magnetization_tail(rec["size_law"], n)
         assert m["upper_holds"] and m["lower_holds"]
+
+
+@pytest.mark.parametrize("d,Ms", [(1, (4, 6, 8, 10)), (2, (4, 6, 8, 10)),
+                                  (3, (4, 6, 8))])
+def test_bond_offsets_matches_the_scalar_loop(d, Ms):
+    # 6 distributions x 5 R x 3 z per (d, M): 990 configurations in all
+    dists = [StepDistribution("nn", d)]
+    dists += [StepDistribution("uniform", d, L=L) for L in (1, 2, 3)]
+    dists += [StepDistribution("power", d, L=L, alpha=1.2, support_radius=12)
+              for L in (1, 2)]
+    seen = set()
+    for dist, M, R in itertools.product(dists, Ms, (1, 1.5, 2, 3, 5)):
+        for z in (0.0, 0.3, 0.99 / dist.sup_d):
+            cfg = PercConfig(TorusGrid(d, M), dist, z, R, seed=0)
+            (offs, probs), messages = _warned(bond_offsets, cfg)
+            (want_offs, want_probs), want = _warned(bond_offsets_reference,
+                                                    cfg)
+            assert offs.dtype == want_offs.dtype
+            assert offs.shape == want_offs.shape
+            assert np.array_equal(offs, want_offs)
+            assert probs.dtype == want_probs.dtype
+            assert probs.tobytes() == want_probs.tobytes()
+            assert messages == want
+            seen |= want
+    assert len(seen) == 2  # the grid fires both warnings
 
 
 def test_batch_means_se_iid_scale():

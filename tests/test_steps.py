@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -56,6 +57,24 @@ class TestEval:
         # the power family's normalisation is computed, never passed
         with pytest.raises(TypeError):
             StepDistribution("uniform", 2, tail_bound=0.3)
+        # a truncation is an integer >= 1, and only the power family has one
+        for radius in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="truncation"):
+                StepDistribution("power", 1, alpha=1.2, support_radius=radius)
+        for family in ("nn", "uniform"):
+            with pytest.raises(ValueError, match="truncation"):
+                StepDistribution(family, 2, support_radius=5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_uniform_table_is_the_cube_less_the_origin(self, d, L):
+        want = np.array([x for x in itertools.product(range(-L, L + 1),
+                                                      repeat=d) if any(x)],
+                        dtype=np.int64)
+        offs, _ = StepDistribution("uniform", d, L=L).support()
+        assert offs.dtype == want.dtype
+        assert offs.shape == want.shape
+        assert np.array_equal(offs, want)
 
 
 class TestNormalization:

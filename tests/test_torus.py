@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lacelab.ising import coupling_matrix_from_torus
+from lacelab.perc import PercConfig, bond_offsets, range_tail
+from lacelab.saw import enumerate_walks
+from lacelab.steps import StepDistribution
 from lacelab.torus import (TorusField, TorusGrid, convolve, convolve_direct,
                            delta_field, delta_k, dft, field_at_zero, idft,
-                           is_symmetric, one_minus_cos_sum, real_dft, reflect)
+                           is_symmetric, one_minus_cos_sum, real_dft, reflect,
+                           within_range)
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -21,6 +28,27 @@ def test_grid_validation():
     g = TorusGrid(3, 6)
     assert g.shape == (6, 6, 6)
     assert g.n_sites == 216
+
+
+@pytest.mark.parametrize("x", [(1, 0), (1, 1), (1, 2)])
+def test_an_offset_at_exactly_R_is_in_range(x):
+    # R = 1, sqrt 2, sqrt 5, met exactly by x, so every reader of the one
+    # range rule keeps x
+    norm2 = x[0] ** 2 + x[1] ** 2
+    R = math.sqrt(norm2)
+    neg = (-x[0], -x[1])
+    assert within_range(x, R)
+    grid = TorusGrid(2, 8)
+    dist = StepDistribution("uniform", 2, L=2)
+    cfg = PercConfig(grid, dist, 0.5, R, seed=0)
+    kept = set(map(tuple, bond_offsets(cfg)[0].tolist()))
+    assert x in kept or neg in kept
+    offs, probs = dist.support()
+    beyond = np.sum(offs ** 2, axis=1) > norm2
+    assert range_tail(cfg) == pytest.approx(float(np.sum(probs[beyond])))
+    J = coupling_matrix_from_torus(grid, {x: 1.0, neg: 1.0}, R=R)
+    assert J[0, grid.flat_index(x)] == 1.0
+    assert x in enumerate_walks(dist, 1, support_radius=R).steps
 
 
 def test_centered_coords_range():
