@@ -112,7 +112,7 @@ def cmd_rw_beta(args):
     ms = [int(m) for m in args.M.split(",")]
     rep = wk.beta(dist, TorusGrid(args.d, ms[0]), args.s, refinements=1)
     betas = [rep.beta_kspace] + [
-        wk.beta_kspace(wk.folded_dhat(dist, TorusGrid(args.d, m)), args.s)
+        wk.beta_kspace(wk.dual_orthant(dist, TorusGrid(args.d, m)), args.s)
         for m in ms[1:]]
     result = {
         "s": args.s, "M_sequence": ms,

@@ -72,7 +72,9 @@ class TwoPointInput:
 
 def free_two_point(dist: StepDistribution, grid: TorusGrid,
                    z: float) -> TwoPointInput:
-    """The exactly solvable walk input: Ghat = 1/(1 - z Dhat), tau = z < 1."""
+    """The exactly solvable walk input: Ghat = 1/(1 - z Dhat), tau = z < 1,
+    with Dhat taken from the family on the dual grid (walk.folded_dhat), not
+    from a fold and FFT."""
     dhat = folded_dhat(dist, grid)
     return TwoPointInput(grid=grid, ghat=resolvent(dhat, z), tau=z, dhat=dhat)
 

@@ -88,19 +88,6 @@ def coupling_matrix_from_torus(grid: TorusGrid, J_table: dict,
     return J
 
 
-def coupling_tail(J_table: dict, z: float, R: float) -> float:
-    """Share of sum_y tanh(zJ(y)) lost to the range cutoff."""
-    total, outside = 0.0, 0.0
-    for off, val in J_table.items():
-        if not any(off):
-            continue
-        t = math.tanh(z * val)
-        total += t
-        if not within_range(off, R):
-            outside += t
-    return outside / total if total > 0 else 0.0
-
-
 @dataclass
 class SpinSample:
     g: np.ndarray        # G(t) = <phi_0 phi_t> per site index (translation avg)

@@ -5,12 +5,13 @@ independently with probability z * D_M(y - x) (clipped to [0,1] with a loud
 warning when clipping binds).  bond_offsets picks one offset per bond
 direction in one whole-array pass over the torus, with the range cut of
 torus.within_range.  bond_table lists every bond of the torus once, as
-the far end fwd[s, j] of offset j from site s; the exact oracle reads it
-as is, and the sampler reads it from both ends, [fwd | bwd], with one bond
-id per bond.  The Monte Carlo sampler grows the origin's cluster
-by a depth-first search over that table, probing a bond only when its far
-end is not yet in the cluster, with one counter_uniform draw keyed by
-(seed, replica, bond id); so the search order cannot change the sample.
+the far end fwd[s, j] of offset j from site s, and is built once per
+config (PercConfig.bonds); the exact oracle reads it as is, and the
+sampler reads it from both ends, [fwd | bwd], with one bond id per bond.
+The Monte Carlo sampler grows the origin's cluster by a depth-first search
+over that table, probing a bond only when its far end is not yet in the
+cluster, with one counter_uniform draw keyed by (seed, replica, bond id);
+so the search order cannot change the sample.
 Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
 exact_small runs the shared enumerator (exact.bit_chunks) once over all
 2^bonds configurations, labels every cluster by min-label propagation,
@@ -56,6 +57,12 @@ class PercConfig:
         """D_M on the grid, folded once per config and read by bond_offsets,
         range_tail and restricted_triangle."""
         return self.dist.fold(self.grid).values
+
+    @cached_property
+    def bonds(self):
+        """bond_table(self), built once per config and read by the sampler
+        and the exact oracle, so its warnings fire once per run."""
+        return bond_table(self)
 
 
 def bond_offsets(config: PercConfig):
@@ -133,13 +140,14 @@ def bond_table(config: PercConfig):
 
 
 def sampler_input(config: PercConfig):
-    """(neighbors, bond_ids, probs) for kernels.percolation_clusters.
+    """(neighbors, bond_ids, probs) for kernels.percolation_clusters, from
+    config.bonds.
 
     Columns [fwd | bwd] list every site's bonds in both directions; the
     bond from s back along offs[j] is the one that leaves bwd[s, j]
     forwards, so it takes that bond's id bwd[s, j] * n_offsets + j.
     """
-    offs, probs, fwd = bond_table(config)
+    offs, probs, fwd = config.bonds
     grid = config.grid
     bwd = grid.flat_index(grid.sites()[:, None, :] - offs)
     ids = np.arange(fwd.size).reshape(fwd.shape)
@@ -191,13 +199,14 @@ class ExactGraph:
 
 def exact_graph_from_config(config: PercConfig) -> ExactGraph:
     """Every bond of the torus, site-major then offset-minor: bond j of
-    site s joins s to fwd[s, j] of bond_table, the table the sampler reads.
+    site s joins s to fwd[s, j] of config.bonds, the table the sampler
+    reads.
 
     bond_offsets keeps one of each pair o, -o and no offset that is its own
     negation mod M, so no bond is a self-loop and no pair of sites is
     joined twice.
     """
-    _, probs, fwd = bond_table(config)
+    _, probs, fwd = config.bonds
     n = config.grid.n_sites
     site = np.repeat(np.arange(n), len(probs))
     q = np.tile(probs / config.z, n)  # z = 0 leaves no offsets

@@ -9,7 +9,15 @@ Families:
 
 All families put no mass at the origin and are invariant under coordinate
 permutations and sign flips.  StepDistribution.support_chunks is the one
-walk over the support; everything that sums over the support reads it.
+walk over the support; fold, support, the SAW step filter and the oracle
+fourier_d_support_sum read it.
+
+The transform is built from the family, never from a fold: nn and uniform
+by their closed forms axis by axis, the power family from its orthant mass
+(the weight of x >= 0 and its sign images, made once in the constructor),
+contracted with a per-axis cosine table one axis at a time.
+fourier_d_grid gives Dhat on a whole product grid, the k-space paths of
+walk.py read it.
 """
 
 import math
@@ -23,6 +31,9 @@ from .torus import TorusField, TorusGrid, within_range
 POWER_POINT_BUDGET = int(2e7)  # support-point cap for the power family
 POWER_TAIL_TARGET = 1e-9
 _CHUNK = 1 << 20
+# largest array fourier_d builds to take the power transform on the product
+# of its k rows' per-axis values; beyond it the rows go one by one
+PRODUCT_GRID_LIMIT = 1 << 22
 
 
 def _sphere_area(d: int) -> float:
@@ -45,6 +56,22 @@ def dirichlet_kernel(t, L: int) -> np.ndarray:
     small = np.abs(np.sin(t / 2)) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(small, float(n), np.sin(n * t / 2) / np.sin(t / 2))
+
+
+def _outer_reduce(op, vals: np.ndarray, d: int, out=None) -> np.ndarray:
+    """out[j] = op over the d axes of vals[j_a], shape (len(vals),)^d, into
+    out if given (so out[j] op= ...); the whole array is allocated before any
+    work, so a grid too large for memory fails at once."""
+    if out is None:
+        out = np.full((len(vals),) * d, float(op.identity))
+    for a in range(d):
+        op(out, vals.reshape((-1,) + (1,) * (d - 1 - a)), out=out)
+    return out
+
+
+def _axis_cosines(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """cos(t_i x_j), the per-axis table of the power transform."""
+    return np.cos(np.multiply.outer(t, x.astype(float)))
 
 
 def _grid_points(axis: np.ndarray, d: int) -> np.ndarray:
@@ -71,6 +98,8 @@ class StepDistribution:
     # power family only, computed in __post_init__
     norm_const: float = field(default=0.0, init=False, compare=False)
     tail_bound: float = field(default=0.0, init=False, compare=False)
+    orthant_mass: np.ndarray | None = field(default=None, init=False,
+                                            compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -90,9 +119,13 @@ class StepDistribution:
             elif not isinstance(radius, (int, np.integer)) or radius < 1:
                 raise ValueError("truncation must be an integer >= 1")
             object.__setattr__(self, "support_radius", radius)
-            norm, tail = self._power_norm(radius)
+            h = self._power_orthant_h(radius)
+            tail = _power_tail_bound(self.d, self.L, self.alpha, radius)
+            norm = float(np.sum(h)) + tail
+            h /= norm
             object.__setattr__(self, "norm_const", norm)
             object.__setattr__(self, "tail_bound", tail / norm)
+            object.__setattr__(self, "orthant_mass", h)
 
     # -- power-law truncation policy ------------------------------------
     def _default_power_radius(self) -> int:
@@ -127,12 +160,20 @@ class StepDistribution:
             keep = np.any(xs != 0, axis=1)
             yield xs[keep], h[keep]
 
-    def _power_norm(self, radius: int):
-        total = 0.0
-        for _, h in self._power_h_chunks(radius):
-            total += float(np.sum(h))
-        tail = _power_tail_bound(self.d, self.L, self.alpha, radius)
-        return total + tail, tail
+    def _power_orthant_h(self, R: int) -> np.ndarray:
+        """h(x) = (|x/L| v 1)^{-d-alpha} times the number of sign images of
+        x, 2^(number of x_a != 0), on the orthant {0..R}^d; 0 at the origin.
+        Built in place: one array of (R+1)^d floats."""
+        d = self.d
+        h = _outer_reduce(np.add, (np.arange(R + 1) / self.L) ** 2, d)
+        np.sqrt(h, out=h)
+        np.maximum(h, 1.0, out=h)
+        np.power(h, -(d + self.alpha), out=h)
+        images = np.full(R + 1, 2.0)
+        images[0] = 1.0
+        _outer_reduce(np.multiply, images, d, out=h)
+        h[(0,) * d] = 0.0
+        return h
 
     # -- the support -------------------------------------------------------
     @property
@@ -218,18 +259,58 @@ class StepDistribution:
         raise ValueError("separable path needs a product-form transform")
 
     def fourier_d(self, k) -> np.ndarray | float:
-        """Dhat(k) = sum_x D(x) cos(k.x); k is (d,) or (n, d)."""
+        """Dhat(k) = sum_x D(x) cos(k.x); k is (d,) or (n, d).
+
+        The power family takes the product grid of the rows' distinct
+        per-axis values when that grid is small (a scan grid, or k sampled
+        from one), and the rows one by one otherwise."""
         k = np.asarray(k, dtype=float)
         single = k.ndim == 1
         ks = k[None, :] if single else k
         if ks.shape[-1] != self.d:
             raise ValueError("k must have %d components" % self.d)
-        if self.family == "power":
-            out = self.fourier_d_support_sum(ks)
-        else:
+        if self.family != "power":
             factors, combine, dhat = self.closed_form(ks)
             out = dhat(combine.reduce(factors, axis=-1))
+        else:
+            axes = [np.unique(ks[:, a], return_inverse=True)
+                    for a in range(self.d)]
+            sizes = [len(u) for u, _ in axes]
+            width = self.support_radius + 1
+            largest = max(math.prod(sizes[:a + 1]) * width ** (self.d - a - 1)
+                          for a in range(self.d))
+            if largest <= PRODUCT_GRID_LIMIT:
+                grid = self._power_transform([u for u, _ in axes])
+                out = grid[tuple(inv for _, inv in axes)]
+            else:
+                out = np.array([self._power_transform(row[:, None]).item()
+                                for row in ks])
         return float(out[0]) if single else out
+
+    def fourier_d_grid(self, t) -> np.ndarray:
+        """Dhat on the product grid t^d, shape (len(t),)^d, for one axis of
+        k values t; built axis by axis, never point by point."""
+        t = np.asarray(t, dtype=float)
+        if self.family == "power":
+            return self._power_transform([t] * self.d)
+        factors, combine, dhat = self.closed_form(t)
+        return dhat(_outer_reduce(combine, factors, self.d))
+
+    def _power_transform(self, ts) -> np.ndarray:
+        """sum over the orthant of mass(x) prod_a cos(ts[a] x_a), shape
+        (len(ts[0]), ..., len(ts[d-1])): one tensordot per axis.  The first
+        axis goes in blocks of x_0, so its cosine table stays small even
+        when the orthant is one long axis."""
+        mass = self.orthant_mass
+        x = np.arange(self.support_radius + 1)
+        step = max(1, _CHUNK // len(ts[0]))
+        out = sum(np.tensordot(mass[i:i + step],
+                               _axis_cosines(ts[0], x[i:i + step]),
+                               axes=(0, 1))
+                  for i in range(0, len(x), step))
+        for t in ts[1:]:
+            out = np.tensordot(out, _axis_cosines(t, x), axes=(0, 1))
+        return out
 
     def fourier_d_support_sum(self, ks) -> np.ndarray:
         """Dhat at the rows of an (n, d) array ks as a sum over the support
@@ -253,9 +334,15 @@ class StepDistribution:
     # -- moments and condition scan -------------------------------------
     def moment(self, kappa: float):
         """Sum |x|^kappa D(x), or "divergent" for the power family at kappa
-        >= alpha, decided analytically (shell_ratio_divergent is not run)."""
-        if self.family == "power" and kappa >= self.alpha:
-            return "divergent"
+        >= alpha, decided analytically (shell_ratio_divergent is not run).
+        The power family sums its orthant mass."""
+        if self.family == "power":
+            if kappa >= self.alpha:
+                return "divergent"
+            x2 = np.arange(self.support_radius + 1, dtype=float) ** 2
+            r = np.sqrt(_outer_reduce(np.add, x2, self.d))
+            r[(0,) * self.d] = 1.0  # no mass there; keeps 0^kappa finite
+            return float(np.sum(r ** kappa * self.orthant_mass))
         total = 0.0
         for xs, p in self.support_chunks():
             r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
@@ -323,11 +410,14 @@ def verify_conditions(dist: StepDistribution, grid_res: int = 16,
     axis = 2.0 * np.pi * (np.arange(grid_res) - grid_res // 2) / grid_res
     # always include a fine sample of the inner box ||k||_inf <= 1/L
     inner_axis = np.linspace(-1.0 / L, 1.0 / L, grid_res)
-    ks = np.concatenate([_k_sample(axis, d, 12345),
-                         _k_sample(inner_axis, d, 54321)])
-    ks = ks[np.any(ks != 0.0, axis=1)]
+    # each sample is one call, so its per-axis values stay a small grid
+    samples = [_k_sample(axis, d, 12345), _k_sample(inner_axis, d, 54321)]
+    ks = np.concatenate(samples)
+    dhat = np.concatenate([dist.fourier_d(sample) for sample in samples])
+    keep = np.any(ks != 0.0, axis=1)
+    ks = ks[keep]
 
-    one_minus = 1.0 - np.asarray(dist.fourier_d(ks))
+    one_minus = 1.0 - dhat[keep]
     norm_inf = np.max(np.abs(ks), axis=1)
     norm_2 = np.sqrt(np.sum(ks ** 2, axis=1))
 

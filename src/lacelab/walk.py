@@ -1,11 +1,19 @@
 """Random-walk Green's function and the s-condition integral beta.
 
-beta_kspace is the plain Riemann sum over the dual grid with the k=0 mode
-excluded; beta_xspace evaluates the same quantity through torus convolutions
-of the zero-mode-removed Green's function, so the two must agree to machine
-precision (Parseval).  Convergence to the infinite-lattice integral is probed
-by refining the grid M -> 2M -> 4M and judged by refinement_divergent.  beta
-folds each grid once; the base grid's fold serves both spaces.
+k-space: on the dual grid of side M the folded transform equals the
+lattice one, Dhat_M(k) = Dhat(k), and every family is even in each
+coordinate.  So the k-space paths take Dhat from the family itself
+(StepDistribution.fourier_d_grid) on one orthant, 0 <= j_a <= M/2, of the
+dual grid (DualOrthant), and sum over it with each entry weighted by its
+mirror images; nothing of size M^d is built.  beta_kspace is the Riemann
+sum over the dual grid with the k = 0 mode excluded.
+
+x-space oracle: beta_xspace folds D onto the torus (StepDistribution.fold),
+transforms it by FFT (real_dft) and convolves with the zero-mode-removed
+Green's function.  The two sides are independent constructions that must
+agree to rounding (Parseval).  Convergence to the infinite-lattice integral
+is probed by refining the grid M -> 2M -> 4M in k-space and judged by
+refinement_divergent; beta folds only its base grid.
 """
 
 import math
@@ -24,9 +32,49 @@ from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
 CAUCHY_RATIO = 1.0
 
 
+@dataclass(frozen=True)
+class DualOrthant:
+    """Dhat at k = 2 pi j / M for 0 <= j_a <= M/2, shape (M/2 + 1,)^d.
+
+    Dhat is even in each coordinate, so this orthant is the whole dual
+    grid: entry j stands for the 2^(number of 0 < j_a < M/2) grid points
+    (+-j_1, ..., +-j_d) mod M."""
+    M: int
+    values: np.ndarray
+
+    def mean(self, term, keep=None) -> float:
+        """M^-d sum over the whole dual grid of term(Dhat(k)), over the
+        entries where the orthant mask keep is set, if given."""
+        vals = self.values
+        if keep is not None:
+            vals = np.where(keep, vals, 0.0)
+        total = term(vals)
+        if keep is not None:
+            total[~keep] = 0.0
+        images = np.full(self.M // 2 + 1, 2.0)
+        images[[0, -1]] = 1.0
+        for _ in range(vals.ndim):
+            total = total @ images
+        return float(total) / self.M ** vals.ndim
+
+    def full(self) -> np.ndarray:
+        """The whole dual grid in numpy index order (index m of an axis is
+        orthant entry min(m, M - m))."""
+        m = np.arange(self.M)
+        fold = np.minimum(m, self.M - m)
+        return self.values[np.ix_(*[fold] * self.values.ndim)]
+
+
+def dual_orthant(dist: StepDistribution, grid: TorusGrid) -> DualOrthant:
+    """Dhat on the orthant of grid's dual grid, from the family (no fold)."""
+    t = 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
+    return DualOrthant(grid.M, dist.fourier_d_grid(t))
+
+
 def folded_dhat(dist: StepDistribution, grid: TorusGrid) -> np.ndarray:
-    """Transform of the torus-folded step weights (real array)."""
-    return real_dft(dist.fold(grid))
+    """Dhat_M on the whole dual grid (real array), mirrored from the orthant.
+    It equals the transform of the torus-folded D, which is not built."""
+    return dual_orthant(dist, grid).full()
 
 
 def resolvent(dhat: np.ndarray, z: float) -> np.ndarray:
@@ -48,16 +96,23 @@ def nonzero_modes(shape) -> np.ndarray:
     return mask
 
 
-def _kspace_mean(dhat: np.ndarray, term, region=None) -> float:
-    """M^-d sum of term(Dhat(k)) over k != 0 (and inside region, if given)."""
-    keep = nonzero_modes(dhat.shape)
+def _kspace_mean(dhat, term, region=None) -> float:
+    """M^-d sum of term(Dhat(k)) over k != 0 (and inside region, if given).
+    dhat is the whole dual grid or a DualOrthant, region a mask of its
+    shape."""
+    orthant = isinstance(dhat, DualOrthant)
+    values = dhat.values if orthant else dhat
+    keep = nonzero_modes(values.shape)
     if region is not None:
         keep &= region
+    if orthant:
+        return dhat.mean(term, keep)
     return float(np.sum(term(dhat[keep])) / dhat.size)
 
 
-def beta_kspace(dhat: np.ndarray, s: int, region=None) -> float:
-    """k-space beta = M^-d sum_{k != 0} Dhat(k)^2 / (1 - Dhat(k))^s."""
+def beta_kspace(dhat, s: int, region=None) -> float:
+    """k-space beta = M^-d sum_{k != 0} Dhat(k)^2 / (1 - Dhat(k))^s, over
+    the whole dual grid dhat or a DualOrthant."""
     return _kspace_mean(dhat, lambda v: v ** 2 / (1.0 - v) ** s, region)
 
 
@@ -88,8 +143,8 @@ def return_probability(dist: StepDistribution, grid: TorusGrid, n: int) -> float
 
 def return_probability_kspace(dist: StepDistribution, grid: TorusGrid,
                               n: int) -> float:
-    dhat = folded_dhat(dist, grid)
-    return float(np.mean(dhat ** n))
+    """D^{*n}(0) = M^-d sum_k Dhat(k)^n, over the orthant."""
+    return dual_orthant(dist, grid).mean(lambda v: v ** n)
 
 
 @dataclass
@@ -107,9 +162,10 @@ class BetaReport:
     tail_bound: float = 0.0
 
 
-def _beta_xspace(dm: TorusField, dhat: np.ndarray, s: int) -> float:
-    """The same beta through x-space convolutions of D_M and C_1."""
-    c1 = real_idft(TorusField(dm.grid, _critical(dhat), "k"))
+def _beta_xspace(dm: TorusField, s: int) -> float:
+    """The same beta through x-space convolutions of D_M and C_1, with C_1
+    built from the FFT of the fold."""
+    c1 = real_idft(TorusField(dm.grid, _critical(real_dft(dm)), "k"))
     u = convolve(dm, c1)  # D * C_1
     if s == 2:
         # (D*C1*D*C1)(0) = sum_x u(x) u(-x)
@@ -129,19 +185,19 @@ def refinement_divergent(values) -> bool:
 
 def beta(dist: StepDistribution, grid: TorusGrid, s: int,
          refinements: int = 3) -> BetaReport:
-    """beta in k- and x-space on grid and in k-space on M, 2M, ...; each
-    grid is folded once, the base grid's fold serving all three."""
+    """beta in k- and x-space on grid and in k-space on M, 2M, ...; the
+    k-space values come from the orthant transform, and only the base grid
+    is folded, for the x-space side."""
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
-    dm = dist.fold(grid)
-    dhat = real_dft(dm)
-    bk = beta_kspace(dhat, s)
+    bk = beta_kspace(dual_orthant(dist, grid), s)
     seq = [(grid.M, bk)][:refinements]
     for i in range(1, refinements):
         g = TorusGrid(grid.d, grid.M * 2 ** i)
-        seq.append((g.M, beta_kspace(folded_dhat(dist, g), s)))
+        seq.append((g.M, beta_kspace(dual_orthant(dist, g), s)))
     return BetaReport(
-        s=s, M=grid.M, beta_kspace=bk, beta_xspace=_beta_xspace(dm, dhat, s),
+        s=s, M=grid.M, beta_kspace=bk,
+        beta_xspace=_beta_xspace(dist.fold(grid), s),
         sup_d=dist.sup_d,
         zero_mode_policy="k=0 dual point excluded; x-space C_1 built from "
                          "the transform with its zero mode removed",
@@ -232,10 +288,10 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
     same grid with the zero mode excluded; for L > 1 families the k-sum is
     also split at ||k||_inf = 1/L.
     """
-    dhat = folded_dhat(dist, grid)
-    lhs = beta_kspace(dhat, s)
-    d4 = float(np.sum(dhat ** 4) / grid.n_sites)
-    inv = _kspace_mean(dhat, lambda v: 1.0 / (1.0 - v) ** (2 * s))
+    orth = dual_orthant(dist, grid)
+    lhs = beta_kspace(orth, s)
+    d4 = orth.mean(lambda v: v ** 4)
+    inv = _kspace_mean(orth, lambda v: 1.0 / (1.0 - v) ** (2 * s))
     rhs = math.sqrt(d4) * math.sqrt(inv)
 
     record = {"s": s, "M": grid.M, "beta": lhs,
@@ -244,7 +300,8 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
 
     L = dist.L if dist.family != "nn" else 1
     if L > 1:
-        inner = np.max(np.abs(grid.dual_values()), axis=0) <= 1.0 / L
-        record["inner_region"] = beta_kspace(dhat, s, inner)
-        record["outer_region"] = beta_kspace(dhat, s, ~inner)
+        j = np.indices(orth.values.shape)
+        inner = np.max(2.0 * np.pi * j / grid.M, axis=0) <= 1.0 / L
+        record["inner_region"] = beta_kspace(orth, s, inner)
+        record["outer_region"] = beta_kspace(orth, s, ~inner)
     return record

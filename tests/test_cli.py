@@ -2,11 +2,15 @@ import json
 import pathlib
 import re
 import shlex
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from lacelab import steps
 from lacelab.cli import _jsonify, main
+from lacelab.steps import StepDistribution
 
 
 def run_cli(capsys, argv):
@@ -178,15 +182,18 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv, folds", [
     (["--family", "nn", "--d", "2", "--M", "8"], [8]),
-    (["--family", "nn", "--d", "2", "--M", "8,16,32"], [8, 16, 32]),
+    (["--family", "nn", "--d", "2", "--M", "8,16,32"], [8]),
     (["--family", "power", "--alpha", "1.2", "--d", "2", "--truncation", "8",
-      "--M", "4,8"], [4, 8]),
+      "--M", "4,8"], [4]),
 ])
 def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
+    # the first grid is folded once, for beta's x-space side; the extra M
+    # take Dhat from the family on the dual orthant and fold zero times
     code, doc = run_cli(capsys, ["rw-beta", "--s", "2"] + argv)
     assert code == 0
     assert fold_calls == folds
-    assert doc["result"]["M_sequence"] == folds
+    assert doc["result"]["M_sequence"] == [int(m)
+                                           for m in argv[-1].split(",")]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -233,8 +240,8 @@ def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
 
 
 def test_a_grid_too_large_for_memory_exits_1(capsys):
-    # the M = 64 refinement in d = 6 folds onto a 512 GiB array; the
-    # address-space cap makes that allocation fail at once whatever the
+    # the M = 96 grid in d = 6 needs a 103 GiB dual orthant (49^6 floats);
+    # the address-space cap makes that allocation fail at once whatever the
     # host's overcommit policy
     resource = pytest.importorskip("resource")
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -244,7 +251,7 @@ def test_a_grid_too_large_for_memory_exits_1(capsys):
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
     try:
         code = main(["rw-beta", "--family", "nn", "--d", "6", "--s", "2",
-                     "--M", "8,64"])
+                     "--M", "8,96"])
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     captured = capsys.readouterr()
@@ -345,3 +352,89 @@ def test_free_input_builds_the_distribution_once(capsys, dist_inits, argv):
 def test_numpy_bools_serialise():
     assert json.dumps({"holds": np.bool_(True)}, default=_jsonify) == \
         '{"holds": true}'
+
+
+def test_perc_warns_once_per_run(capsys):
+    # fires the half-period and the clip warning; the sampler and the exact
+    # oracle's graph (built on tori of at most 64 sites) read one bond
+    # table, built once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, doc = run_cli(capsys, ["perc", "--family", "uniform", "--d",
+                                     "2", "--L", "2", "--M", "4", "--z", "14",
+                                     "--R", "3", "--replicas", "200",
+                                     "--seed", "4"])
+    assert code == 0
+    messages = sorted(str(w.message).split(";")[0] for w in caught)
+    assert messages == ["bond probability clipped at 1",
+                        "offset at half the torus period excluded"]
+
+
+class TestPowerDistCheck:
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        """Counts the cosines the power transform evaluates and the support
+        points its walk yields."""
+        counts = {"cosines": 0, "support_points": 0}
+        cosines = steps._axis_cosines
+        walk = StepDistribution._power_h_chunks
+
+        def counting_cosines(t, x):
+            table = cosines(t, x)
+            counts["cosines"] += table.size
+            return table
+
+        def counting_walk(self, R):
+            for xs, h in walk(self, R):
+                counts["support_points"] += len(h)
+                yield xs, h
+
+        monkeypatch.setattr(steps, "_axis_cosines", counting_cosines)
+        monkeypatch.setattr(StepDistribution, "_power_h_chunks",
+                            counting_walk)
+        return counts
+
+    def test_the_default_family_is_not_summed_point_by_point(self, capsys,
+                                                             evaluated):
+        # the support sum took cos(k.x) at 511 k and 19,989,840 points
+        code, doc = run_cli(capsys, ["dist-check", "--family", "power",
+                                     "--alpha", "1.2", "--d", "2"])
+        assert code == 0
+        assert doc["result"]["ok"] is True
+        width = doc["spec"]["truncation"] + 1
+        # two scan samples, 16 distinct values on each of 2 axes
+        assert evaluated["cosines"] == 2 * 2 * 16 * width
+        assert evaluated["support_points"] == 0
+
+    def test_d3_transform_matches_the_support_sum(self, capsys, monkeypatch):
+        seen = []
+        fourier_d = StepDistribution.fourier_d
+
+        def recording(self, k):
+            out = fourier_d(self, k)
+            seen.append((self, np.asarray(k, dtype=float), out))
+            return out
+
+        monkeypatch.setattr(StepDistribution, "fourier_d", recording)
+        code, doc = run_cli(capsys, ["dist-check", "--family", "power",
+                                     "--alpha", "1.2", "--d", "3",
+                                     "--truncation", "8"])
+        assert code == 0
+        assert [len(k) for _, k, _ in seen] == [16 ** 3, 16 ** 3]
+        for dist, k, out in seen:
+            want = dist.fourier_d_support_sum(k)
+            assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def test_rw_beta_nn_d5_stays_small(capsys):
+    # folding every grid of the M sequence onto M^d sites peaked at 1.3 GB
+    tracemalloc.start()
+    try:
+        code, doc = run_cli(capsys, ["rw-beta", "--family", "nn", "--d", "5",
+                                     "--s", "2", "--M", "8,16,32"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert doc["result"]["M_sequence"] == [8, 16, 32]
+    assert peak < 200e6

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lacelab.ising import (IsingConfig, coupling_matrix_from_torus,
-                           coupling_tail, exact_correlation_matrix,
-                           exact_ising, metropolis, tau_and_g_relation_check)
+                           exact_correlation_matrix, exact_ising, metropolis,
+                           tau_and_g_relation_check)
 from lacelab.torus import TorusGrid
 
 RING_TABLE = {(1,): 1.0, (-1,): 1.0}
@@ -66,10 +66,6 @@ class TestConfig:
         table = {(1,): 1.0, (-1,): 1.0, (3,): 0.5, (-3,): 0.5}
         J = coupling_matrix_from_torus(TorusGrid(1, 8), table, R=2.0)
         assert J[0, 3] == 0.0
-        tail = coupling_tail(table, 0.5, 2.0)
-        want = 2 * math.tanh(0.25) / (2 * math.tanh(0.5)
-                                      + 2 * math.tanh(0.25))
-        assert tail == pytest.approx(want)
 
 
 class TestExact:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lacelab import steps
 from lacelab.steps import StepDistribution, ising_tau, verify_conditions
-from lacelab.torus import TorusGrid
+from lacelab.torus import TorusGrid, real_dft
+from lacelab.walk import folded_dhat
 
 
 class TestEval:
@@ -193,6 +195,67 @@ class TestFourier:
         ks = 2.0 * np.pi * np.arange(8)[:, None] / 8.0
         direct = dist.fourier_d(ks)
         assert np.max(np.abs(dhat - direct)) < 1e-12
+
+
+# (family, d, kwargs, M): every family at d = 1..4; the power cases include
+# grids smaller than the support, M < 2R, where the fold aliases
+DUAL_GRID_CASES = (
+    [("nn", d, {}, M) for d in (1, 2, 3, 4) for M in (4, 6, 8)]
+    + [("uniform", d, {"L": L}, M) for d, L, M in
+       ((1, 3, 4), (1, 2, 10), (2, 1, 6), (2, 3, 4), (3, 2, 6), (4, 1, 4))]
+    + [("power", d, kw, M) for d, kw, M in
+       ((1, {"alpha": 1.5, "support_radius": 40}, 8),
+        (1, {"alpha": 0.7, "L": 3, "support_radius": 9}, 32),
+        (2, {"alpha": 1.2, "support_radius": 7}, 6),
+        (2, {"alpha": 0.7, "L": 2, "support_radius": 5}, 16),
+        (3, {"alpha": 1.5, "support_radius": 5}, 4),
+        (3, {"alpha": 2.5, "L": 2, "support_radius": 3}, 8),
+        (4, {"alpha": 1.2, "support_radius": 3}, 4),
+        (4, {"alpha": 1.2, "support_radius": 2}, 6))])
+
+
+class TestDualGridTransform:
+    @pytest.mark.parametrize("family,d,kw,M", DUAL_GRID_CASES)
+    def test_grid_transform_matches_fold_and_support_sum(self, family, d,
+                                                         kw, M):
+        dist = StepDistribution(family, d, **kw)
+        grid = TorusGrid(d, M)
+        got = folded_dhat(dist, grid)
+        assert np.max(np.abs(got - real_dft(dist.fold(grid)))) <= 1e-12
+        ks = 2.0 * np.pi * grid.sites() / M
+        want = dist.fourier_d_support_sum(ks).reshape(grid.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(dist.fourier_d(ks).reshape(grid.shape)
+                             - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d,kw", [
+        (1, {"alpha": 1.5, "support_radius": 40}),
+        (2, {"alpha": 0.7, "L": 2, "support_radius": 12}),
+        (3, {"alpha": 1.5, "support_radius": 5})])
+    def test_power_rows_match_the_product_grid(self, d, kw, monkeypatch):
+        dist = StepDistribution("power", d, **kw)
+        ks = np.random.default_rng(d).uniform(-np.pi, np.pi, size=(300, d))
+        want = dist.fourier_d_support_sum(ks)
+        assert np.max(np.abs(dist.fourier_d(ks) - want)) <= 1e-12
+        # a product grid of zero size sends every row down the row path
+        monkeypatch.setattr(steps, "PRODUCT_GRID_LIMIT", 0)
+        assert np.max(np.abs(dist.fourier_d(ks) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d,kw", [
+        (1, {"alpha": 1.5, "support_radius": 40}),
+        (2, {"alpha": 0.7, "L": 2, "support_radius": 12}),
+        (3, {"alpha": 1.5, "support_radius": 5}),
+        (2, {"alpha": 1.2})])
+    def test_power_norm_and_moment_match_the_support_walk(self, d, kw):
+        dist = StepDistribution("power", d, **kw)
+        total, moment = 0.0, 0.0
+        for xs, p in dist.support_chunks():
+            total += float(np.sum(p))
+            r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
+            moment += float(np.sum(r ** (0.5 * dist.alpha) * p))
+        assert total + dist.tail_bound == pytest.approx(1.0, rel=1e-13)
+        assert dist.moment(0.5 * dist.alpha) == pytest.approx(moment,
+                                                              rel=1e-12)
 
 
 class TestMoments:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lacelab.steps import StepDistribution
-from lacelab.torus import TorusGrid
-from lacelab.walk import (beta, beta_kspace, beta_scaling_table,
-                          beta_separable, bound_diagnostics, folded_dhat,
-                          greens_c, greens_c_critical, refinement_divergent,
-                          return_probability, return_probability_kspace)
+from lacelab.torus import TorusGrid, real_dft
+from lacelab.walk import (DualOrthant, beta, beta_kspace, beta_scaling_table,
+                          beta_separable, bound_diagnostics, dual_orthant,
+                          folded_dhat, greens_c, greens_c_critical,
+                          refinement_divergent, return_probability,
+                          return_probability_kspace)
 
 
 class TestReturnProbability:
@@ -106,6 +107,60 @@ class TestBeta:
                                             support_radius=16), 8, 2)
 
 
+class TestDualOrthant:
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("dist,M", [
+        (StepDistribution("nn", d), M) for d in (1, 2, 3, 4, 5)
+        for M in (4, 8, 16)] + [
+        (StepDistribution("uniform", d, L=L), M) for d in (1, 2, 3)
+        for L in (1, 2, 3) for M in (4, 10)])
+    def test_orthant_beta_is_the_separable_beta(self, dist, M, s):
+        got = beta_kspace(dual_orthant(dist, TorusGrid(dist.d, M)), s)
+        assert got == pytest.approx(beta_separable(dist, M, s), rel=1e-12)
+
+    @pytest.mark.parametrize("dist,M", [
+        (StepDistribution("power", 1, alpha=0.7, L=3, support_radius=9), 8),
+        (StepDistribution("power", 2, alpha=1.2, support_radius=7), 6),
+        (StepDistribution("power", 3, alpha=1.5, support_radius=5), 8),
+        (StepDistribution("uniform", 2, L=3), 12)])
+    def test_orthant_sums_match_the_fold(self, dist, M):
+        grid = TorusGrid(dist.d, M)
+        orth = dual_orthant(dist, grid)
+        dhat = real_dft(dist.fold(grid))
+        for s in (2, 3):
+            assert beta_kspace(orth, s) == pytest.approx(
+                beta_kspace(dhat, s), rel=1e-12)
+        for n in (0, 1, 2, 5):
+            assert orth.mean(lambda v: v ** n) == pytest.approx(
+                float(np.mean(dhat ** n)), rel=1e-12, abs=1e-15)
+        # a region: the orthant mask of ||k||_inf <= 1, mirrored to the grid
+        j = np.indices(orth.values.shape)
+        inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0
+        full = np.max(np.abs(grid.dual_values()), axis=0) <= 1.0
+        assert np.array_equal(DualOrthant(M, inner).full(), full)
+        assert beta_kspace(orth, 2, inner) == pytest.approx(
+            beta_kspace(dhat, 2, full), rel=1e-12)
+
+    def test_bound_diagnostics_splits_like_the_whole_grid(self):
+        dist = StepDistribution("uniform", 2, L=2)
+        grid = TorusGrid(2, 12)
+        rec = bound_diagnostics(dist, grid, 2)
+        dhat = real_dft(dist.fold(grid))
+        inner = np.max(np.abs(grid.dual_values()), axis=0) <= 0.5
+        assert rec["inner_region"] == pytest.approx(
+            beta_kspace(dhat, 2, inner), rel=1e-12)
+        assert rec["outer_region"] == pytest.approx(
+            beta_kspace(dhat, 2, ~inner), rel=1e-12)
+        assert rec["d4_return"] == pytest.approx(
+            float(np.mean(dhat ** 4)), rel=1e-12)
+
+    def test_power_return_probability(self):
+        dist = StepDistribution("power", 2, alpha=1.2, support_radius=7)
+        grid = TorusGrid(2, 6)
+        assert return_probability_kspace(dist, grid, 3) == pytest.approx(
+            return_probability(dist, grid, 3), rel=1e-12)
+
+
 class TestScalingTable:
     def test_nn_rows(self):
         rows = beta_scaling_table("nn", 2, {"d_values": [9, 10], "M": 8})
@@ -137,10 +192,13 @@ def test_bound_diagnostics_cauchy_schwarz():
 
 @pytest.mark.parametrize("refinements", [1, 2, 3])
 def test_beta_folds_each_grid_once(fold_calls, refinements):
+    # the base grid is folded once, for the x-space side; the refinement
+    # grids take Dhat from the family on the dual orthant and fold zero times
     dist = StepDistribution("power", 2, alpha=1.2, support_radius=8)
     rep = beta(dist, TorusGrid(2, 4), 3, refinements=refinements)
-    assert fold_calls == [4 * 2 ** i for i in range(refinements)]
-    assert [M for M, _ in rep.refinement] == fold_calls
+    assert fold_calls == [4]
+    assert [M for M, _ in rep.refinement] == [4 * 2 ** i
+                                              for i in range(refinements)]
     assert rep.refinement[0][1] == rep.beta_kspace
 
 
