@@ -19,6 +19,7 @@ and weights stored on the WalkSeries, so a series enumerated under a
 support_radius is expanded with the same truncated D.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,35 +55,50 @@ class WalkSeries:
         return [self.mass(n) for n in range(self.n_max + 1)]
 
 
-def _support_for_enum(dist: StepDistribution, support_radius, mode):
-    """Kept steps, their weights and the truncation loss.
+def _branching_guard(n_steps: int):
+    if n_steps > MAX_BRANCHING:
+        raise ValueError("branching factor exceeds %d; pass a smaller "
+                         "support_radius" % MAX_BRANCHING)
 
-    Only the cube ||x||_inf <= support_radius can hold a kept step, so only
-    it is walked, chunk by chunk, until more than MAX_BRANCHING steps are
-    kept.  The loss is the dropped weight, or, when the cube leaves part of
-    the support out, the support's mass 1 - tail_bound less the kept mass.
-    """
-    steps, weights, dropped, kept, walked = [], [], 0.0, 0.0, 0
-    for offs, probs in dist.support_chunks(support_radius):
-        walked += len(offs)
+
+def _power_steps(dist: StepDistribution, support_radius) -> np.ndarray:
+    """The power family's kept steps, decided on the orthant sub-cube
+    {0..floor(r)}^d by within_range's rule ||y||_2 <= r; only the kept
+    points are expanded to their sign images, in lexicographic order."""
+    d, r = dist.d, dist.support_radius
+    if support_radius is None:
+        keep = np.ones((r + 1,) * d, dtype=bool)
+    else:
+        r = int(min(r, max(support_radius, 0)))
+        keep = dist.orthant_norms(r) <= support_radius
+    keep[(0,) * d] = False
+    _branching_guard(int(np.count_nonzero(keep)))  # one image or more each
+    images = sorted(itertools.chain.from_iterable(
+        itertools.product(*[(-v, v) if v else (0,) for v in y])
+        for y in np.argwhere(keep).tolist()))
+    return np.array(images, dtype=np.int64).reshape(-1, d)
+
+
+def _support_for_enum(dist: StepDistribution, support_radius, mode):
+    """Kept steps, their weights and the truncation loss: the support's
+    mass (1 - tail_bound for the power family) less the kept mass.  nn and
+    uniform filter their table by within_range."""
+    if dist.family == "power":
+        offs = _power_steps(dist, support_radius)
+        probs, total = dist.probs_at(offs), 1.0 - dist.tail_bound
+    else:
+        offs, probs = dist.support()
+        total = float(np.sum(probs))
         if support_radius is not None:
             keep = within_range(offs, support_radius)
-            dropped += float(np.sum(probs[~keep]))
             offs, probs = offs[keep], probs[keep]
-        if len(steps) + len(offs) > MAX_BRANCHING:
-            raise ValueError(
-                "branching factor exceeds %d (%d steps kept so far); "
-                "pass a smaller support_radius"
-                % (MAX_BRANCHING, len(steps) + len(offs)))
-        kept += float(np.sum(probs))
-        steps += [tuple(int(v) for v in o) for o in offs]
-        if mode == "rational":
-            weights += [dist.eval_d_exact(o) for o in offs]
-        else:
-            weights += [float(p) for p in probs]
-    if walked < dist.support_size:
-        return steps, weights, (1.0 - dist.tail_bound) - kept
-    return steps, weights, dropped
+    _branching_guard(len(offs))
+    steps = [tuple(o) for o in offs.tolist()]
+    if mode == "rational":
+        weights = [dist.eval_d_exact(o) for o in offs]
+    else:
+        weights = [float(p) for p in probs]
+    return steps, weights, total - float(np.sum(probs))
 
 
 def _unflatten(f: int, base: int, d: int) -> tuple:

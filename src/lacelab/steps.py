@@ -8,14 +8,14 @@ Families:
            tail bound so that sum_x D(x) = 1 by construction.
 
 All families put no mass at the origin and are invariant under coordinate
-permutations and sign flips.  StepDistribution.support_chunks is the one
-walk over the support; fold, support, the SAW step filter and the oracle
-fourier_d_support_sum read it.
+permutations and sign flips.  nn and uniform list their support as one
+table.  The power family's one weight table is its orthant mass, the weight
+of each x >= 0 with its sign images, made once in the constructor; its
+norm, transform, moments, fold, support and SAW steps all read it.
 
 The transform is built from the family, never from a fold: nn and uniform
-by their closed forms axis by axis, the power family from its orthant mass
-(the weight of x >= 0 and its sign images, made once in the constructor),
-contracted with a per-axis cosine table one axis at a time.
+by their closed forms axis by axis, the power family by contracting its
+orthant mass with a per-axis cosine table one axis at a time.
 fourier_d_grid gives Dhat on a whole product grid, the k-space paths of
 walk.py read it.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .torus import TorusField, TorusGrid, within_range
+from .torus import TorusField, TorusGrid
 
 POWER_POINT_BUDGET = int(2e7)  # support-point cap for the power family
 POWER_TAIL_TARGET = 1e-9
@@ -72,6 +72,21 @@ def _outer_reduce(op, vals: np.ndarray, d: int, out=None) -> np.ndarray:
 def _axis_cosines(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     """cos(t_i x_j), the per-axis table of the power transform."""
     return np.cos(np.multiply.outer(t, x.astype(float)))
+
+
+def _fold_orthant(mass: np.ndarray, M: int) -> np.ndarray:
+    """The orthant mass folded onto (Z / M Z)^d, one axis at a time: y != 0
+    sends half its mass to y mod M and half to -y mod M, so the folded axis
+    is (A[j] + A[-j mod M]) / 2 with A[j] the sum of mass[y], y = j mod M."""
+    out = mass
+    flip = -np.arange(M) % M
+    for _ in range(mass.ndim):
+        n = len(out)
+        whole = n - n % M
+        periodic = out[:whole].reshape((-1, M) + out.shape[1:]).sum(axis=0)
+        periodic[:n - whole] += out[whole:]
+        out = np.moveaxis(0.5 * (periodic + periodic[flip]), 0, -1)
+    return out
 
 
 def _grid_points(axis: np.ndarray, d: int) -> np.ndarray:
@@ -138,28 +153,6 @@ class StepDistribution:
         budget_r = int((POWER_POINT_BUDGET ** (1.0 / d) - 1) / 2)
         return int(min(r, max(budget_r, 2 * L)))
 
-    def _power_h_chunks(self, R: int):
-        """Yield (offsets, h-values) blocks covering 0 < ||x||_inf <= R."""
-        d, L, a = self.d, self.L, self.alpha
-        if d == 1:
-            for start in range(1, R + 1, _CHUNK):
-                stop = min(start + _CHUNK - 1, R)
-                x = np.arange(start, stop + 1, dtype=np.int64)
-                h = np.maximum(x / L, 1.0) ** (-(d + a))
-                xs = np.concatenate([x, -x])[:, None]
-                yield xs, np.concatenate([h, h])
-            return
-        axis = np.arange(-R, R + 1, dtype=np.int64)
-        # iterate over hyperplanes of the first coordinate to bound memory
-        rest = _grid_points(axis, d - 1)
-        for x0 in axis:
-            xs = np.concatenate(
-                [np.full((rest.shape[0], 1), x0, dtype=np.int64), rest], axis=1)
-            r = np.sqrt(np.sum((xs / L) ** 2, axis=1))
-            h = np.maximum(r, 1.0) ** (-(d + a))
-            keep = np.any(xs != 0, axis=1)
-            yield xs[keep], h[keep]
-
     def _power_orthant_h(self, R: int) -> np.ndarray:
         """h(x) = (|x/L| v 1)^{-d-alpha} times the number of sign images of
         x, 2^(number of x_a != 0), on the orthant {0..R}^d; 0 at the origin.
@@ -185,35 +178,31 @@ class StepDistribution:
         R = self.L if self.family == "uniform" else self.support_radius
         return (2 * R + 1) ** self.d - 1
 
-    def _table(self):
-        """The nn or uniform support as one (offsets, probs) block."""
+    def support(self):
+        """(offsets, probs) of the whole support: nn's 2d neighbours, or the
+        cube 0 < ||x||_inf <= R (L for uniform) in lexicographic order."""
         if self.family == "nn":
             eye = np.eye(self.d, dtype=np.int64)
             offs = np.stack([eye, -eye], axis=1).reshape(-1, self.d)
         else:
-            cube = _grid_points(np.arange(-self.L, self.L + 1), self.d)
+            R = self.L if self.family == "uniform" else self.support_radius
+            cube = _grid_points(np.arange(-R, R + 1, dtype=np.int64), self.d)
             offs = cube[np.any(cube != 0, axis=1)]
+        if self.family == "power":
+            return offs, self.probs_at(offs)
         return offs, np.full(len(offs), 1.0 / self.support_size)
 
-    def support_chunks(self, radius: float | None = None):
-        """(offsets, probs) blocks of the support, always in one order.
+    def probs_at(self, offs) -> np.ndarray:
+        """Power-family D at the rows of an (n, d) array of offsets in the
+        support: mass[|x|] / 2^(number of x_a != 0)."""
+        y = np.abs(offs)
+        return (self.orthant_mass[tuple(y.T)]
+                / 2.0 ** np.count_nonzero(y, axis=1))
 
-        Given a radius, the power family walks only the cube ||x||_inf <=
-        floor(radius), in the full walk's order; the small nn and uniform
-        tables always come whole, as one block."""
-        if self.family != "power":
-            yield self._table()
-            return
-        R = self.support_radius
-        if radius is not None:
-            R = int(min(R, radius))
-        for xs, h in self._power_h_chunks(R):
-            yield xs, h / self.norm_const
-
-    def support(self):
-        """Materialized (offsets, probs): support_chunks() joined."""
-        offs, probs = zip(*self.support_chunks())
-        return np.concatenate(offs), np.concatenate(probs)
+    def orthant_norms(self, r: int) -> np.ndarray:
+        """||y||_2 on the orthant sub-cube {0..r}^d, shape (r + 1,)^d."""
+        x2 = np.arange(r + 1, dtype=float) ** 2
+        return np.sqrt(_outer_reduce(np.add, x2, self.d))
 
     # -- evaluation ------------------------------------------------------
     def eval_d(self, x) -> float:
@@ -314,11 +303,14 @@ class StepDistribution:
 
     def fourier_d_support_sum(self, ks) -> np.ndarray:
         """Dhat at the rows of an (n, d) array ks as a sum over the support
-        (oracle for the closed forms)."""
+        in row blocks (oracle for the closed forms)."""
         ks = np.asarray(ks, dtype=float)
+        offs, probs = self.support()
         out = np.zeros(len(ks))
-        for xs, p in self.support_chunks():
-            out += np.cos(ks @ xs.T.astype(float)) @ p
+        step = max(1, _CHUNK // max(len(ks), 1))
+        for i in range(0, len(offs), step):
+            out += np.cos(ks @ offs[i:i + step].T.astype(float)) \
+                @ probs[i:i + step]
         return out
 
     # -- torus folding ------------------------------------------------------
@@ -326,44 +318,28 @@ class StepDistribution:
         """D_M(x) = sum over images y = x mod M of D(y)."""
         if grid.d != self.d:
             raise ValueError("grid dimension mismatch")
-        vals = np.zeros(grid.n_sites)
-        for xs, p in self.support_chunks():
-            np.add.at(vals, grid.flat_index(xs), p)
+        if self.family == "power":
+            vals = _fold_orthant(self.orthant_mass, grid.M)
+        else:
+            offs, probs = self.support()
+            vals = np.zeros(grid.n_sites)
+            np.add.at(vals, grid.flat_index(offs), probs)
         return TorusField(grid, vals.reshape(grid.shape), "x")
 
     # -- moments and condition scan -------------------------------------
     def moment(self, kappa: float):
         """Sum |x|^kappa D(x), or "divergent" for the power family at kappa
-        >= alpha, decided analytically (shell_ratio_divergent is not run).
-        The power family sums its orthant mass."""
+        >= alpha, decided analytically.  The power family sums its orthant
+        mass."""
         if self.family == "power":
             if kappa >= self.alpha:
                 return "divergent"
-            x2 = np.arange(self.support_radius + 1, dtype=float) ** 2
-            r = np.sqrt(_outer_reduce(np.add, x2, self.d))
+            r = self.orthant_norms(self.support_radius)
             r[(0,) * self.d] = 1.0  # no mass there; keeps 0^kappa finite
             return float(np.sum(r ** kappa * self.orthant_mass))
-        total = 0.0
-        for xs, p in self.support_chunks():
-            r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
-            total += float(np.sum(r ** kappa * p))
-        return total
-
-    def shell_ratio_divergent(self, kappa: float) -> bool:
-        """Ratio heuristic: partial sums over radius grow like r^{kappa-alpha}."""
-        if self.family != "power":
-            return False
-        radii = np.geomspace(4 * self.L, max(self.support_radius, 8 * self.L), 6)
-        partial = []
-        for R in radii:
-            tot = 0.0
-            for xs, p in self.support_chunks(R):
-                m = within_range(xs, R)
-                r = np.sqrt(np.sum(xs[m].astype(float) ** 2, axis=1))
-                tot += float(np.sum(r ** kappa * p[m]))
-            partial.append(tot)
-        diffs = np.diff(partial)
-        return bool(len(diffs) >= 2 and diffs[-1] > 0.5 * diffs[-2] > 0)
+        offs, p = self.support()
+        r = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
+        return float(np.sum(r ** kappa * p))
 
     def to_spec(self) -> dict:
         out = {"family": self.family, "d": self.d}

@@ -29,3 +29,24 @@ def dist_inits(monkeypatch):
 
     monkeypatch.setattr(StepDistribution, "__post_init__", counting_post_init)
     return calls
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts the StepDistribution.support calls and the power-family
+    offsets whose weight is read from the orthant mass (probs_at), the
+    points expanded from the orthant to signed steps."""
+    counts = {"support_calls": 0, "points": 0}
+    support, probs_at = StepDistribution.support, StepDistribution.probs_at
+
+    def counting_support(self):
+        counts["support_calls"] += 1
+        return support(self)
+
+    def counting_probs_at(self, offs):
+        counts["points"] += len(offs)
+        return probs_at(self, offs)
+
+    monkeypatch.setattr(StepDistribution, "support", counting_support)
+    monkeypatch.setattr(StepDistribution, "probs_at", counting_probs_at)
+    return counts

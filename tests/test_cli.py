@@ -372,30 +372,22 @@ def test_perc_warns_once_per_run(capsys):
 
 class TestPowerDistCheck:
     @pytest.fixture
-    def evaluated(self, monkeypatch):
-        """Counts the cosines the power transform evaluates and the support
-        points its walk yields."""
-        counts = {"cosines": 0, "support_points": 0}
+    def cosines(self, monkeypatch):
+        """Counts the cosines the power transform evaluates."""
+        counts = {"cosines": 0}
         cosines = steps._axis_cosines
-        walk = StepDistribution._power_h_chunks
 
         def counting_cosines(t, x):
             table = cosines(t, x)
             counts["cosines"] += table.size
             return table
 
-        def counting_walk(self, R):
-            for xs, h in walk(self, R):
-                counts["support_points"] += len(h)
-                yield xs, h
-
         monkeypatch.setattr(steps, "_axis_cosines", counting_cosines)
-        monkeypatch.setattr(StepDistribution, "_power_h_chunks",
-                            counting_walk)
         return counts
 
     def test_the_default_family_is_not_summed_point_by_point(self, capsys,
-                                                             evaluated):
+                                                             cosines,
+                                                             expansions):
         # the support sum took cos(k.x) at 511 k and 19,989,840 points
         code, doc = run_cli(capsys, ["dist-check", "--family", "power",
                                      "--alpha", "1.2", "--d", "2"])
@@ -403,8 +395,8 @@ class TestPowerDistCheck:
         assert doc["result"]["ok"] is True
         width = doc["spec"]["truncation"] + 1
         # two scan samples, 16 distinct values on each of 2 axes
-        assert evaluated["cosines"] == 2 * 2 * 16 * width
-        assert evaluated["support_points"] == 0
+        assert cosines["cosines"] == 2 * 2 * 16 * width
+        assert expansions == {"support_calls": 0, "points": 0}
 
     def test_d3_transform_matches_the_support_sum(self, capsys, monkeypatch):
         seen = []

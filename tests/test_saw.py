@@ -184,21 +184,27 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_a_large_support_radius_is_refused_on_the_orthant(
+            self, default_power):
+        # the signed cube ||x||_inf <= 1000 holds 4,004,000 offsets, 64 MB
+        # of them alone; its orthant holds a quarter as many points
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="branching factor"):
+                enumerate_walks(default_power, 2, mode="double",
+                                support_radius=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_a_support_radius_evaluates_only_its_cube(self, default_power,
-                                                      monkeypatch):
-        evaluated = []
-        walk = StepDistribution._power_h_chunks
-
-        def counting_walk(self, R):
-            for xs, h in walk(self, R):
-                evaluated.append(len(h))
-                yield xs, h
-
-        monkeypatch.setattr(StepDistribution, "_power_h_chunks",
-                            counting_walk)
+                                                      expansions):
         series = enumerate_walks(default_power, 3, mode="double",
                                  support_radius=2)
-        assert sum(evaluated) <= 5 ** 2
+        # only the kept steps are expanded from the orthant; the support
+        # is never built
+        assert expansions == {"support_calls": 0, "points": 12}
         assert series.steps == [(-2, 0), (-1, -1), (-1, 0), (-1, 1), (0, -2),
                                 (0, -1), (0, 1), (0, 2), (1, -1), (1, 0),
                                 (1, 1), (2, 0)]

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lacelab import steps
+from lacelab.saw import MAX_BRANCHING, enumerate_walks
 from lacelab.steps import StepDistribution, ising_tau, verify_conditions
-from lacelab.torus import TorusGrid, real_dft
+from lacelab.torus import TorusGrid, real_dft, within_range
 from lacelab.walk import folded_dhat
 
 
@@ -89,9 +90,7 @@ class TestNormalization:
     def test_power_sum_within_tail_bound(self):
         dist = StepDistribution("power", 2, L=1, alpha=1.2,
                                 support_radius=64)
-        total = 0.0
-        for _, p in dist.support_chunks():
-            total += float(np.sum(p))
+        total = float(np.sum(dist.support()[1]))
         # support + analytic tail = 1 by construction
         assert 0.0 < 1.0 - total <= dist.tail_bound + 1e-15
 
@@ -113,36 +112,61 @@ SUPPORTS = [("nn", 3, {}), ("uniform", 2, {"L": 2}),
             ("power", 3, {"alpha": 1.5, "support_radius": 5})]
 
 
-def _joined(chunks):
-    offs, probs = zip(*chunks)
-    return np.concatenate(offs), np.concatenate(probs)
-
-
 class TestSupportWalk:
     @pytest.mark.parametrize("family,d,kw", SUPPORTS)
-    def test_support_is_the_chunks_joined(self, family, d, kw):
+    def test_support_is_eval_d_at_every_point(self, family, d, kw):
         dist = StepDistribution(family, d, **kw)
         offs, probs = dist.support()
-        want_offs, want_probs = _joined(dist.support_chunks())
+        R = kw.get("support_radius", kw.get("L", 1))
+        cube = [x for x in itertools.product(range(-R, R + 1), repeat=d)
+                if dist.eval_d(x) > 0]
         assert offs.dtype == np.int64
-        assert np.array_equal(offs, want_offs)
-        assert np.array_equal(probs, want_probs)
-        assert len(offs) == dist.support_size
+        assert len(offs) == dist.support_size == len(cube)
+        got = [tuple(x) for x in offs.tolist()]
+        if family == "power":
+            assert got == cube  # lexicographic
+        np.testing.assert_allclose(probs, [dist.eval_d(x) for x in got],
+                                   rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("family,d,kw", SUPPORTS)
     @pytest.mark.parametrize("radius", [1, 2.7, 4, 100])
     def test_a_radius_walks_the_cube_in_the_full_walks_order(
             self, family, d, kw, radius):
-        # power: exactly the points with ||x||_inf <= floor(radius), in
-        # order and bit for bit; nn/uniform: the whole table
+        # a radius keeps exactly the support's steps within range, in
+        # support()'s order and bit for bit, or refuses a branching factor
+        # above MAX_BRANCHING
         dist = StepDistribution(family, d, **kw)
         offs, probs = dist.support()
-        if family == "power":
-            keep = np.max(np.abs(offs), axis=1) <= int(radius)
-            offs, probs = offs[keep], probs[keep]
-        got_offs, got_probs = _joined(dist.support_chunks(radius))
-        assert np.array_equal(got_offs, offs)
-        assert np.array_equal(got_probs, probs)
+        keep = within_range(offs, radius)
+        if np.count_nonzero(keep) > MAX_BRANCHING:
+            with pytest.raises(ValueError, match="branching factor"):
+                enumerate_walks(dist, 1, support_radius=radius, mode="double")
+            return
+        series = enumerate_walks(dist, 1, support_radius=radius,
+                                 mode="double")
+        assert series.steps == [tuple(x) for x in offs[keep].tolist()]
+        assert series.weights == probs[keep].tolist()
+
+
+# (d, kwargs): d = 1..4, at truncations from 40 down to 1
+FOLD_CASES = [(1, {"alpha": 1.5, "support_radius": 40}),
+              (2, {"alpha": 0.7, "L": 2, "support_radius": 12}),
+              (2, {"alpha": 1.2, "support_radius": 1}),
+              (3, {"alpha": 1.5, "support_radius": 5}),
+              (4, {"alpha": 1.2, "support_radius": 2})]
+
+
+@pytest.mark.parametrize("d,kw", FOLD_CASES)
+@pytest.mark.parametrize("M", [2, 3, 4, 7, 8, 64])
+def test_power_fold_is_the_support_added_up(d, kw, M):
+    # every M below 2R + 1 aliases: M = 2 at truncation 1, all M <= 8 at 5
+    dist = StepDistribution("power", d, **kw)
+    offs, probs = dist.support()
+    want = np.zeros(M ** d)
+    np.add.at(want, np.mod(offs, M) @ (M ** np.arange(d - 1, -1, -1)), probs)
+    got = steps._fold_orthant(dist.orthant_mass, M)
+    assert got.shape == (M,) * d
+    np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0)
 
 
 class TestFourier:
@@ -245,14 +269,13 @@ class TestDualGridTransform:
         (1, {"alpha": 1.5, "support_radius": 40}),
         (2, {"alpha": 0.7, "L": 2, "support_radius": 12}),
         (3, {"alpha": 1.5, "support_radius": 5}),
-        (2, {"alpha": 1.2})])
+        (2, {"alpha": 1.2, "support_radius": 400})])
     def test_power_norm_and_moment_match_the_support_walk(self, d, kw):
         dist = StepDistribution("power", d, **kw)
-        total, moment = 0.0, 0.0
-        for xs, p in dist.support_chunks():
-            total += float(np.sum(p))
-            r = np.sqrt(np.sum(xs.astype(float) ** 2, axis=1))
-            moment += float(np.sum(r ** (0.5 * dist.alpha) * p))
+        offs, p = dist.support()
+        total = float(np.sum(p))
+        r = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
+        moment = float(np.sum(r ** (0.5 * dist.alpha) * p))
         assert total + dist.tail_bound == pytest.approx(1.0, rel=1e-13)
         assert dist.moment(0.5 * dist.alpha) == pytest.approx(moment,
                                                               rel=1e-12)
@@ -268,7 +291,6 @@ class TestMoments:
         assert dist.moment(1.5) == "divergent"
         assert dist.moment(2.0) == "divergent"
         assert isinstance(dist.moment(1.0), float)
-        assert dist.shell_ratio_divergent(1.6)
 
     def test_uniform_moment_monotone_in_L(self):
         m1 = StepDistribution("uniform", 2, L=1).moment(2.0)
