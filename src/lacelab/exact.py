@@ -7,13 +7,13 @@ bit_chunks visits all 2^n configurations in order, in chunks of at most
 array with one row per variable.  The oracles reduce whole chunks with
 numpy, so no Python loop runs per configuration, and a chunk bounds the
 working set: exact Ising holds its float64 spins and one temporary of the
-same size, 2 x 20 x 2^15 x 8 B = 10 MB at the spin limit.
+same size, 2 x 20 x 2^13 x 8 B = 2.6 MB at the spin limit.
 """
 
 import numpy as np
 
 EXACT_LIMIT = 20    # variables, so at most 2^20 configurations
-CHUNK_BITS = 15
+CHUNK_BITS = 13
 
 
 def bit_chunks(n_bits: int, unit: str):

@@ -3,15 +3,14 @@
 All randomness is counter based (Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11): the uniform for key (seed, replica, counter)
 is SplitMix64 applied three times, so any draw can be made on its own and
-in any order.  counter_uniform makes one draw from Python ints masked to
-64 bits; counter_uniforms makes a run of consecutive counters at once from
-numpy uint64 arrays, which wrap the same way.  Both go through the one
-_splitmix64, so the two give the same bits for the same key.
+in any order.  counter_uniform is the one generator: from Python ints
+masked to 64 bits it makes one draw, and from uint64 arrays, which wrap
+the same way, it makes one draw per element with the same bits.
 
-percolation_clusters grows the origin's cluster by a depth-first search
-over Python lists read from a bond table (perc.sampler_input) and draws
-each bond it probes with one counter_uniform call; metropolis_run draws
-its uniforms in blocks with counter_uniforms.
+percolation_clusters grows the origin's cluster of many replicas at once,
+one breadth-first level at a time over flat index arrays, with one
+counter_uniform call per level for every bond the level probes;
+metropolis_run draws its uniforms in blocks of consecutive counters.
 """
 
 import numpy as np
@@ -23,9 +22,12 @@ _MASK = (1 << 64) - 1
 _INV_2_53 = 1.0 / float(1 << 53)
 _SEED_KEY = 0xA0761D6478BD642F
 
-# Counters per counter_uniforms call in metropolis_run: bounds the memory
+# Counters per counter_uniform call in metropolis_run: bounds the memory
 # of the drawn uniforms whatever the chain length.
 DRAW_BLOCK = 4096
+# Sites per replica batch in percolation_clusters: bounds the memory of the
+# cluster flags and of a level's probes whatever the replica count.
+CLUSTER_BLOCK = 1 << 17
 
 
 def _splitmix64(x):
@@ -36,54 +38,75 @@ def _splitmix64(x):
     return z ^ (z >> 31)
 
 
-def counter_uniform(seed, replica, counter):
-    """Uniform in [0,1) keyed by (seed, replica, counter)."""
+def _key(x):
+    """x as key material: an int masked to 64 bits, or a uint64 array."""
+    if isinstance(x, np.ndarray):
+        return x.astype(np.uint64, copy=False)
     # int() accepts numpy integers, which cannot be masked directly
+    return int(x) & _MASK
+
+
+def counter_uniform(seed, replica, counter):
+    """Uniform in [0,1) keyed by (seed, replica, counter).
+
+    replica and counter are each an int or a uint64 array.  With an array
+    the result is a float64 array, one draw per element of replica and
+    counter broadcast together, bit for bit the draw of that element's key.
+    """
     h = _splitmix64((int(seed) & _MASK) ^ _SEED_KEY)
-    h = _splitmix64(h ^ (int(replica) & _MASK))
-    h = _splitmix64(h ^ (int(counter) & _MASK))
+    h = _splitmix64(h ^ _key(replica))
+    h = _splitmix64(h ^ _key(counter))
+    if isinstance(h, np.ndarray):
+        return (h >> 11).astype(np.float64) * _INV_2_53
     return (h >> 11) * _INV_2_53
 
 
-def counter_uniforms(seed, replica, start, count):
-    """counter_uniform(seed, replica, c) for c in start .. start + count - 1,
-    as a float64 array."""
-    h = _splitmix64((int(seed) & _MASK) ^ _SEED_KEY)
-    h = _splitmix64(h ^ (int(replica) & _MASK))
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    h = _splitmix64(counters ^ h)
-    return (h >> 11).astype(np.float64) * _INV_2_53
-
-
 def percolation_clusters(neighbors, bond_ids, probs, seed, replicas, targets):
-    """Grow the origin's cluster by depth-first search for each replica.
+    """Grow the origin's cluster for each replica, one level at a time.
 
     Site s has a bond to neighbors[s, j] with id bond_ids[s, j], open with
     probability probs[j]; perc.sampler_input lists each bond from both of
-    its ends under one id.  A bond is probed, with one counter_uniform draw
-    keyed by (seed, replica, bond id), only when its far end is not yet in
-    the cluster.  The key, not the order of the search, decides the bond,
+    its ends under one id.  A bond is probed, with the draw keyed by
+    (seed, replica, bond id), only when its far end is not yet in the
+    cluster.  The key, not the order of the search, decides the bond,
     so any search order grows the same cluster.
+
+    Replicas run in batches of CLUSTER_BLOCK // n_sites, whose clusters
+    live in one flat flag array: replica r's site s is entry
+    r * n_sites + s.  Each level gathers the frontier's bonds, probes all
+    of them with one counter_uniform call, and makes the far ends of the
+    open ones, each counted once, the next frontier.
 
     Returns (sizes, hits): cluster size per replica and, per replica, a 0/1
     row recording which target sites joined the origin's cluster.
     """
-    rows = [list(zip(nbs, bonds, probs.tolist()))
-            for nbs, bonds in zip(neighbors.tolist(), bond_ids.tolist())]
-    targets = np.asarray(targets).tolist()
-    sizes, hits = [], []
-    for rep in range(replicas):
-        in_cluster = bytearray(len(rows))
-        in_cluster[0] = 1
-        stack = [0]
-        while stack:
-            for nb, bond, p in rows[stack.pop()]:
-                if not in_cluster[nb] and counter_uniform(seed, rep, bond) < p:
-                    in_cluster[nb] = 1
-                    stack.append(nb)
-        sizes.append(in_cluster.count(1))
-        hits.append([in_cluster[t] for t in targets])
-    return np.array(sizes, dtype=np.int64), np.array(hits, dtype=np.int64)
+    n_sites = len(neighbors)
+    bond_ids = bond_ids.astype(np.uint64)
+    targets = np.asarray(targets, dtype=np.int64)
+    sizes = np.ones(replicas, dtype=np.int64)
+    hits = np.empty((replicas, len(targets)), dtype=np.int64)
+    per_batch = max(1, CLUSTER_BLOCK // n_sites)
+    for first in range(0, replicas, per_batch):
+        count = min(per_batch, replicas - first)
+        in_cluster = np.zeros(count * n_sites, dtype=bool)
+        frontier = np.arange(count) * n_sites
+        in_cluster[frontier] = True
+        while frontier.size:
+            rep, site = np.divmod(frontier, n_sites)
+            far = neighbors[site] + (frontier - site)[:, None]
+            row, col = np.nonzero(~in_cluster[far])
+            u = counter_uniform(seed, (rep[row] + first).astype(np.uint64),
+                                bond_ids[site[row], col])
+            new = np.sort(far[row, col][u < probs[col]])
+            if new.size > 1:
+                new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+            in_cluster[new] = True
+            sizes[first:first + count] += np.bincount(new // n_sites,
+                                                      minlength=count)
+            frontier = new
+        hits[first:first + count] = in_cluster.reshape(count, n_sites)[
+            :, targets]
+    return sizes, hits
 
 
 def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
@@ -110,8 +133,8 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     z, h = float(z), float(h)
     neighbors = [list(zip(idx, js))
                  for idx, js in zip(neighbor_idx, neighbor_j)]
-    spins = np.where(counter_uniforms(seed, replica, 0, n_sites) < 0.5,
-                     1, -1).tolist()
+    hot = counter_uniform(seed, replica, np.arange(n_sites, dtype=np.uint64))
+    spins = np.where(hot < 0.5, 1, -1).tolist()
     kept = (sweeps - burn_in + thinning - 1) // thinning
     configs = np.empty((kept, n_sites), dtype=np.int8)
     # 1 + exp(delta) per distinct delta, from np.exp: math.exp may round
@@ -121,8 +144,9 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     out = 0
     for first in range(0, sweeps, per_block):
         last = min(first + per_block, sweeps)
-        draws = counter_uniforms(seed, replica, n_sites * (first + 1),
-                                 n_sites * (last - first)).tolist()
+        counters = np.arange(n_sites * (first + 1), n_sites * (last + 1),
+                             dtype=np.uint64)
+        draws = counter_uniform(seed, replica, counters).tolist()
         for sweep in range(first, last):
             at = (sweep - first) * n_sites
             for i, (pairs, u) in enumerate(

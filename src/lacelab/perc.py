@@ -8,10 +8,11 @@ torus.within_range.  bond_table lists every bond of the torus once, as
 the far end fwd[s, j] of offset j from site s, and is built once per
 config (PercConfig.bonds); the exact oracle reads it as is, and the
 sampler reads it from both ends, [fwd | bwd], with one bond id per bond.
-The Monte Carlo sampler grows the origin's cluster by a depth-first search
-over that table, probing a bond only when its far end is not yet in the
-cluster, with one counter_uniform draw keyed by (seed, replica, bond id);
-so the search order cannot change the sample.
+The Monte Carlo sampler (kernels.percolation_clusters) grows the origin's
+cluster of many replicas at once, one breadth-first level at a time over
+that table, probing a bond only when its far end is not yet in the
+cluster; the draw is keyed by (seed, replica, bond id), so the search
+order cannot change the sample.
 Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
 exact_small runs the shared enumerator (exact.bit_chunks) once over all
 2^bonds configurations, labels every cluster by min-label propagation,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lacelab import kernels
-from lacelab.kernels import (counter_uniform, counter_uniforms,
-                             metropolis_run, percolation_clusters)
+from lacelab.kernels import (counter_uniform, metropolis_run,
+                             percolation_clusters)
 from lacelab.perc import PercConfig, bond_offsets, sampler_input
 from lacelab.steps import StepDistribution
 from lacelab.torus import TorusGrid
@@ -55,10 +55,31 @@ class TestCounterUniform:
                 seed % 2 ** 64, [replica % 2 ** 64], range(5000))
             scalar = [counter_uniform(seed, replica, c) for c in range(5000)]
             assert scalar == oracle.tolist()
+            counters = np.arange(5000, dtype=np.uint64)
             np.testing.assert_array_equal(
-                counter_uniforms(seed, replica, 0, 5000), oracle)
+                counter_uniform(seed, replica, counters), oracle)
             np.testing.assert_array_equal(
-                counter_uniforms(seed, replica, 4321, 679), oracle[4321:])
+                counter_uniform(seed, replica, counters[4321:]), oracle[4321:])
+
+    def test_array_draws_are_the_scalar_draws(self):
+        """Each element of an array draw is the scalar draw of its key."""
+        rng = np.random.default_rng(11)
+        top = 2 ** 64 - 1
+        replicas, counters = np.concatenate(
+            [np.array([[0, top, 0, top], [0, 0, top, top]], dtype=np.uint64),
+             rng.integers(0, 2 ** 64, size=(2, 300), dtype=np.uint64)],
+            axis=1)
+        assert replicas.dtype == np.uint64 and replicas.max() == top
+        for seed in (0, 5, -3, 2 ** 64 - 1):
+            got = counter_uniform(seed, replicas, counters)
+            assert got.shape == replicas.shape
+            assert got.tolist() == [counter_uniform(seed, int(r), int(c))
+                                    for r, c in zip(replicas, counters)]
+            # a scalar replica broadcasts against the counters
+            got = counter_uniform(seed, 2 ** 40, counters.reshape(4, -1))
+            assert got.shape == (4, 76)
+            assert got.ravel().tolist() == [
+                counter_uniform(seed, 2 ** 40, int(c)) for c in counters]
 
     def test_splitmix64_published_first_output(self):
         assert splitmix64_oracle(np.zeros(1, np.uint64))[0] == \
@@ -68,15 +89,25 @@ class TestCounterUniform:
             SPLITMIX64_FROM_ZERO
 
 
+SCALAR_DFS_SPECS = [
+    ("nn", 1, 1, 6, 0.5, 1.0),
+    ("uniform", 1, 2, 8, 1.5, 2.0),
+    ("nn", 2, 1, 8, 0.8, 1.0),
+    ("nn", 2, 1, 8, 3.9, 1.0),   # supercritical: every cluster wraps
+    ("uniform", 2, 1, 6, 2.0, 1.5),
+    ("nn", 3, 1, 4, 1.5, 1.0),
+    ("uniform", 3, 1, 4, 3.0, 1.0),
+]
+
+
 class TestPercolationKernel:
-    def _run(self, probs_val, seed=0, replicas=50, M=6):
+    def _run(self, probs_val, seed=0, replicas=50, M=6, targets=(2,)):
         ring = np.arange(M)
         neighbors = np.stack([(ring + 1) % M, (ring - 1) % M], axis=1)
         bond_ids = np.stack([ring, (ring - 1) % M], axis=1)
         probs = np.array([probs_val, probs_val])
-        targets = np.array([2], dtype=np.int64)
-        return percolation_clusters(neighbors, bond_ids, probs,
-                                    seed, replicas, targets)
+        return percolation_clusters(neighbors, bond_ids, probs, seed,
+                                    replicas, np.array(targets, np.int64))
 
     def test_closed_and_open_extremes(self):
         sizes, hits = self._run(0.0)
@@ -97,36 +128,60 @@ class TestPercolationKernel:
         sizes_b, _ = self._run(0.5, replicas=30)
         assert np.array_equal(np.asarray(sizes_a), np.asarray(sizes_b)[:10])
 
+    def test_a_table_without_bonds_leaves_every_origin_alone(self):
+        neighbors = np.zeros((5, 0), dtype=np.int64)
+        sizes, hits = percolation_clusters(
+            neighbors, neighbors, np.zeros(0), 3, 20, np.array([0, 4]))
+        np.testing.assert_array_equal(sizes, np.ones(20))
+        np.testing.assert_array_equal(hits, [[1, 0]] * 20)
 
-    @pytest.mark.parametrize("family,d,L,M,z,R", [
-        ("nn", 1, 1, 6, 0.5, 1.0),
-        ("uniform", 1, 2, 8, 1.5, 2.0),
-        ("nn", 2, 1, 8, 0.8, 1.0),
-        ("nn", 2, 1, 8, 3.9, 1.0),   # supercritical: every cluster wraps
-        ("uniform", 2, 1, 6, 2.0, 1.5),
-        ("nn", 3, 1, 4, 1.5, 1.0),
-        ("uniform", 3, 1, 4, 3.0, 1.0),
-    ])
+    def test_no_targets_give_empty_hit_rows(self):
+        sizes, hits = self._run(0.5, replicas=30, targets=())
+        np.testing.assert_array_equal(sizes, self._run(0.5, replicas=30)[0])
+        assert hits.shape == (30, 0) and hits.dtype == np.int64
+
+    @pytest.mark.parametrize("family,d,L,M,z,R", SCALAR_DFS_SPECS)
     def test_matches_the_scalar_dfs(self, family, d, L, M, z, R):
-        grid = TorusGrid(d, M)
-        cfg = PercConfig(grid, StepDistribution(family, d, L=L), z, R,
-                         seed=4, replicas=100)
-        targets = grid.flat_index([[0] * d, [1] + [0] * (d - 1),
-                                   [M // 2] * d, [M - 1] * d])
-        got = percolation_clusters(*sampler_input(cfg), cfg.seed,
-                                   cfg.replicas, targets)
-        offs, probs = bond_offsets(cfg)
-        want = percolation_reference(offs, grid.strides, probs, M,
-                                     grid.n_sites, len(offs), cfg.seed,
-                                     cfg.replicas, targets)
+        got, want = _against_the_reference(family, d, L, M, z, R)
         sizes, hits = got
         assert np.any(sizes > 1)
         if z == 3.9:
             assert np.all(hits[:, 2] == 1)  # the antipode, in every replica
         else:
-            assert np.any(sizes < grid.n_sites)
+            assert np.any(sizes < M ** d)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [SCALAR_DFS_SPECS[i] for i in (0, 2, 4)],
+                             ids=lambda spec: "-".join(map(str, spec)))
+    @pytest.mark.parametrize("batch", ["one", "seven", "default"])
+    def test_batches_give_the_scalar_dfs(self, spec, batch, monkeypatch):
+        # one replica per batch, then batches of 7 that leave a ragged last
+        # one among the 100 replicas, then the default block
+        n_sites = spec[3] ** spec[1]
+        block = {"one": n_sites - 1, "seven": 7 * n_sites,
+                 "default": kernels.CLUSTER_BLOCK}[batch]
+        monkeypatch.setattr(kernels, "CLUSTER_BLOCK", block)
+        got, want = _against_the_reference(*spec)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def _against_the_reference(family, d, L, M, z, R):
+    """(percolation_clusters, percolation_reference) outputs for 100
+    replicas of the spec, at four targets."""
+    grid = TorusGrid(d, M)
+    cfg = PercConfig(grid, StepDistribution(family, d, L=L), z, R,
+                     seed=4, replicas=100)
+    targets = grid.flat_index([[0] * d, [1] + [0] * (d - 1),
+                               [M // 2] * d, [M - 1] * d])
+    got = percolation_clusters(*sampler_input(cfg), cfg.seed,
+                               cfg.replicas, targets)
+    offs, probs = bond_offsets(cfg)
+    want = percolation_reference(offs, grid.strides, probs, M,
+                                 grid.n_sites, len(offs), cfg.seed,
+                                 cfg.replicas, targets)
+    return got, want
 
 
 def percolation_reference(coords, strides, probs, M, n_sites, n_offsets,

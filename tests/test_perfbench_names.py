@@ -1,4 +1,5 @@
-"""The names perfbench/run.py traces must exist in lacelab.
+"""The names perfbench/run.py traces must exist in lacelab, and the
+counter draws it pins must hold.
 
 run.py is read with ast, not imported: importing it rewrites os.environ.
 A traced function that a refactor renames or deletes would otherwise break
@@ -9,6 +10,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -40,3 +42,14 @@ def test_traced_name_resolves(name):
 def test_traced_method_resolves(attr):
     from lacelab.steps import StepDistribution
     assert callable(getattr(StepDistribution, attr, None)), attr
+
+
+def test_golden_draws_hold_for_scalar_and_array_keys():
+    from lacelab.kernels import counter_uniform
+    golden = _literal("GOLDEN_DRAWS")
+    counters = np.arange(len(golden), dtype=np.uint64)
+    replicas = np.full(len(golden), 7, dtype=np.uint64)
+    assert [counter_uniform(12345, 7, c) for c in range(len(golden))] == \
+        golden
+    assert counter_uniform(12345, 7, counters).tolist() == golden
+    assert counter_uniform(12345, replicas, counters).tolist() == golden
