@@ -4,7 +4,7 @@ import pytest
 from lacelab.exact import CHUNK_BITS, EXACT_LIMIT, bit_chunks
 
 
-@pytest.mark.parametrize("n_bits", [0, 1, 5, CHUNK_BITS, CHUNK_BITS + 2])
+@pytest.mark.parametrize("n_bits", [0, 1, 5, CHUNK_BITS, CHUNK_BITS + 2, 17])
 def test_chunks_visit_every_configuration_once_in_order(n_bits):
     chunks = list(bit_chunks(n_bits, "bits"))
     starts = [start for start, _ in chunks]
