@@ -1,4 +1,5 @@
-"""Ferromagnetic Ising model: exact enumeration oracle plus Metropolis.
+"""Ferromagnetic Ising model: exact enumeration oracle plus a heat-bath
+sampler.
 
 Instances are explicit coupling matrices (n_sites x n_sites, symmetric,
 nonnegative, zero diagonal).  Up to EXACT_SPIN_LIMIT (20) spins, the exact
@@ -40,6 +41,12 @@ class IsingConfig:
         n = self.J.shape[0]
         if self.J.shape != (n, n):
             raise ValueError("J must be square")
+        if not np.all(np.isfinite(self.J)):
+            raise ValueError("J entries must be finite")
+        if not math.isfinite(self.z):
+            raise ValueError("z must be finite")
+        if not math.isfinite(self.h):
+            raise ValueError("h must be finite")
         if np.any(self.J < 0):
             raise ValueError("ferromagnetic model needs J >= 0")
         if np.max(np.abs(self.J - self.J.T)) > 1e-12:
@@ -143,7 +150,11 @@ def _exact_moments(config: IsingConfig):
 
 
 def metropolis(config: IsingConfig) -> SpinSample:
-    """Single-spin-flip Metropolis with batch-means errors.
+    """Single-spin-flip heat-bath sampling with batch-means errors.
+
+    Despite the name, kept for its callers, the rule is heat-bath: a flip
+    is accepted with probability 1/(1 + exp(delta)), not min(1,
+    exp(-delta)) (see kernels.metropolis_run).
 
     With a grid, g[t] = <phi_i phi_{i + x_t}> averaged over every site i,
     where x_t is the torus vector of site t and + is torus translation.

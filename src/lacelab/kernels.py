@@ -9,8 +9,11 @@ the same way, it makes one draw per element with the same bits.
 
 percolation_clusters grows the origin's cluster of many replicas at once,
 one breadth-first level at a time over flat index arrays, with one
-counter_uniform call per level for every bond the level probes;
-metropolis_run draws its uniforms in blocks of consecutive counters.
+counter_uniform call per level for every bond the level probes.
+metropolis_run draws its uniforms in blocks of consecutive counters and
+reads each visit's flip threshold from a per-site table keyed by the
+site's spin and its neighbors' spins, so the local field is summed only
+the first time a site meets a state.
 """
 
 import numpy as np
@@ -128,17 +131,33 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     phi_i * phi_{corr_targets[i, t]} averaged over the rows i of
     corr_targets (row i pairs site i with its partner for each t).
 
+    A visit does no float arithmetic once its site has met its current
+    state.  code[i] sets bit 0 when spin i is down and bit k + 1 when the
+    k-th entry of neighbor_idx[i] is down, so a neighbor listed twice owns
+    two bits.  A flip of spin j toggles the (site, bit) pairs of
+    watchers[j], its own bit 0 among them; a rejected visit changes
+    nothing.  tables[i] maps site i's code to its threshold t, and site i
+    flips when u * t < 1.  The first time site i meets a code, its local
+    field is summed in neighbor order and t = 1 + exp(delta) comes from
+    np.exp, shared across sites by delta (math.exp may round differently,
+    and the test must keep its bits).  When delta >= 40, t is inf, which no
+    u in [0, 1) accepts (0 * inf is nan).  Each visit thus tests the same
+    float as the draw-by-draw loop.
+
     Returns (mag_series, corr_series) with one row per kept sample.
     """
     z, h = float(z), float(h)
-    neighbors = [list(zip(idx, js))
-                 for idx, js in zip(neighbor_idx, neighbor_j)]
     hot = counter_uniform(seed, replica, np.arange(n_sites, dtype=np.uint64))
     spins = np.where(hot < 0.5, 1, -1).tolist()
+    code = [int(s < 0) for s in spins]
+    watchers = [[(j, 1)] for j in range(n_sites)]
+    for i, row in enumerate(neighbor_idx):
+        for k, nb in enumerate(row):
+            code[i] |= (spins[nb] < 0) << (k + 1)
+            watchers[nb].append((i, 2 << k))
     kept = (sweeps - burn_in + thinning - 1) // thinning
     configs = np.empty((kept, n_sites), dtype=np.int8)
-    # 1 + exp(delta) per distinct delta, from np.exp: math.exp may round
-    # differently, and the acceptance test must keep its bits
+    tables = [{} for _ in range(n_sites)]
     threshold = {}
     per_block = max(1, DRAW_BLOCK // n_sites)
     out = 0
@@ -146,22 +165,24 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
         last = min(first + per_block, sweeps)
         counters = np.arange(n_sites * (first + 1), n_sites * (last + 1),
                              dtype=np.uint64)
-        draws = counter_uniform(seed, replica, counters).tolist()
+        draws = iter(counter_uniform(seed, replica, counters).tolist())
         for sweep in range(first, last):
-            at = (sweep - first) * n_sites
-            for i, (pairs, u) in enumerate(
-                    zip(neighbors, draws[at:at + n_sites])):
-                local = 0.0
-                for nb, coupling in pairs:
-                    local += coupling * spins[nb]
-                s = spins[i]
-                delta = 2.0 * s * (z * local + h)
-                if delta < 40.0:
-                    t = threshold.get(delta)
-                    if t is None:
-                        t = threshold[delta] = 1.0 + float(np.exp(delta))
-                    if u * t < 1.0:
-                        spins[i] = -s
+            # zip ends on tables, before it takes a draw of the next sweep
+            for i, (table, u) in enumerate(zip(tables, draws)):
+                t = table.get(code[i])
+                if t is None:
+                    local = 0.0
+                    for nb, coupling in zip(neighbor_idx[i], neighbor_j[i]):
+                        local += coupling * spins[nb]
+                    delta = 2.0 * spins[i] * (z * local + h)
+                    if delta not in threshold:
+                        threshold[delta] = (1.0 + float(np.exp(delta))
+                                            if delta < 40.0 else np.inf)
+                    t = table[code[i]] = threshold[delta]
+                if u * t < 1.0:
+                    spins[i] = -spins[i]
+                    for site, bit in watchers[i]:
+                        code[site] ^= bit
             if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
                 configs[out] = spins
                 out += 1

@@ -48,7 +48,8 @@ class PercConfig:
     replicas: int = 400
 
     def __post_init__(self):
-        if self.z < 0 or self.z > 1.0 / self.dist.sup_d + 1e-12:
+        # written so that a NaN z fails it too
+        if not 0 <= self.z <= 1.0 / self.dist.sup_d + 1e-12:
             raise ValueError("z must lie in [0, 1/sup_D]")
         if self.replicas < 1:
             raise ValueError("replicas must be positive")

@@ -69,7 +69,8 @@ def _power_steps(dist: StepDistribution, support_radius) -> np.ndarray:
     if support_radius is None:
         keep = np.ones((r + 1,) * d, dtype=bool)
     else:
-        r = int(min(r, max(support_radius, 0)))
+        within_range(np.zeros(d), support_radius)  # rejects R < 0 and NaN
+        r = int(min(r, support_radius))
         keep = dist.orthant_norms(r) <= support_radius
     keep[(0,) * d] = False
     _branching_guard(int(np.count_nonzero(keep)))  # one image or more each

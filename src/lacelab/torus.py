@@ -75,7 +75,12 @@ class TorusGrid:
 
 
 def within_range(offsets, R) -> np.ndarray:
-    """||x||_2 <= R for each offset x of an (..., d) array."""
+    """||x||_2 <= R for each offset x of an (..., d) array.
+
+    R must be >= 0; the test is written so that NaN fails it too.
+    """
+    if not R >= 0:
+        raise ValueError("R must be >= 0")
     return np.sqrt(np.sum(np.square(offsets), axis=-1)) <= R
 
 

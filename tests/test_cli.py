@@ -230,6 +230,23 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
       "--burn-in", "10", "--seed", "0"], "z must be >= 0"),
     (["ising", "--d", "1", "--M", "6", "--z", "0.4", "--replicas", "0",
       "--seed", "0"], "replicas must be positive"),
+    # these ran with no bonds or steps: perc printed chi_hat = 1.0
+    (["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
+      "--R", "-1", "--seed", "1"], "R must be >= 0"),
+    (["ising", "--d", "1", "--M", "4", "--z", "0.4", "--R", "-1",
+      "--seed", "1"], "R must be >= 0"),
+    (["saw", "--family", "nn", "--d", "2", "--nmax", "3",
+      "--support-radius", "-1"], "R must be >= 0"),
+    (["saw", "--family", "power", "--alpha", "1.2", "--d", "2", "--nmax",
+      "2", "--mode", "double", "--support-radius", "nan"], "R must be >= 0"),
+    # --z inf ran every sweep, warned from np.exp and failed on a NaN in
+    # the JSON; a NaN h or perc z passed every comparison-based check
+    (["ising", "--d", "1", "--M", "4", "--z", "inf", "--seed", "1"],
+     "z must be finite"),
+    (["ising", "--d", "1", "--M", "4", "--z", "0.4", "--h", "nan",
+      "--seed", "1"], "h must be finite"),
+    (["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "nan",
+      "--R", "1", "--seed", "1"], r"\[0, 1/sup_D\]"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)

@@ -50,6 +50,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="replicas"):
             IsingConfig(J=ring, z=0.4, replicas=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("z", np.inf, "z must be finite"),
+        ("z", np.nan, "z must be finite"),
+        ("h", np.nan, "h must be finite"),
+        ("h", -np.inf, "h must be finite"),
+        ("J", np.inf, "J entries must be finite"),
+        ("J", np.nan, "J entries must be finite"),
+    ])
+    def test_non_finite_parameters_are_rejected(self, field, value, message):
+        # a NaN passes every comparison-based check, and an infinite z or h
+        # gives NaN local fields (inf * 0) and so a NaN result
+        kwargs = {"J": coupling_matrix_from_torus(TorusGrid(1, 6),
+                                                  RING_TABLE),
+                  "z": 0.4, "h": 0.1}
+        if field == "J":
+            kwargs["J"][0, 1] = kwargs["J"][1, 0] = value
+        else:
+            kwargs[field] = value
+        with pytest.raises(ValueError, match=message):
+            IsingConfig(**kwargs)
+
     def test_coupling_matrix_ring(self):
         J = coupling_matrix_from_torus(TorusGrid(1, 6), RING_TABLE)
         assert J[0, 1] == 1.0 and J[0, 5] == 1.0

@@ -266,6 +266,58 @@ class TestMetropolisKernel:
                     assert a.shape == b.shape
                     assert a.tobytes() == b.tobytes()
 
+    @staticmethod
+    def _assert_matches_reference(idx, jj, z, h, sweeps, corr_targets):
+        args = (idx, jj, len(idx), z, h, 3, 2, sweeps, 4, 3)
+        want = metropolis_reference(*args, corr_targets)
+        got = metropolis_run(*args, corr_targets)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        return got
+
+    @pytest.mark.parametrize("block", [5, 4096])
+    def test_a_dense_graph_matches_the_scalar_loop(self, block, monkeypatch):
+        # every pair coupled: degree 11, so a site's code has 12 bits, and
+        # random couplings give every site and code its own threshold
+        monkeypatch.setattr(kernels, "DRAW_BLOCK", block)
+        n = 12
+        rng = np.random.default_rng(12)
+        J = np.triu(rng.uniform(0.05, 0.6, size=(n, n)), 1)
+        J += J.T
+        idx = [[j for j in range(n) if j != i] for i in range(n)]
+        jj = [J[i, row].tolist() for i, row in enumerate(idx)]
+        targets = rng.integers(0, n, size=(n, n))
+        for z, h in [(0.3, 0.25), (1.1, -0.4)]:
+            self._assert_matches_reference(idx, jj, z, h, 120, targets)
+
+    def test_a_site_without_neighbors_matches_the_scalar_loop(
+            self, monkeypatch):
+        # site 2 has an empty row, so its code is its own bit alone and only
+        # the field moves it
+        monkeypatch.setattr(kernels, "DRAW_BLOCK", 7)
+        idx = [[1, 4], [0], [], [4], [3, 0]]
+        jj = [[0.5, 1.0], [0.5], [], [0.8], [0.8, 1.0]]
+        targets = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4]])
+        for z, h in [(0.7, -0.4), (0.2, 0.0)]:
+            self._assert_matches_reference(idx, jj, z, h, 200, targets)
+
+    def test_thresholds_past_the_cutoff_match_the_scalar_loop(
+            self, monkeypatch):
+        # bond 0-1 is so strong that delta >= 40 whenever sites 0 and 1
+        # agree (no flip) and delta <= -40 when they disagree (a sure
+        # flip); the other sites' deltas stay small
+        monkeypatch.setattr(kernels, "DRAW_BLOCK", 9)
+        n = 6
+        idx = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+        jj = [[0.5, 30.0], [30.0, 0.5], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5],
+              [0.5, 0.5]]
+        _, corr = self._assert_matches_reference(
+            idx, jj, 1.0, 0.2, 150, np.array([[1, 3]]))
+        # sites 0 and 1 agree in every kept sweep; sites 0 and 3 do not always
+        np.testing.assert_array_equal(corr[:, 0], 1.0)
+        assert np.any(corr[:, 1] < 1.0)
+
 
 def metropolis_reference(neighbor_idx, neighbor_j, n_sites, z, h, seed,
                          replica, sweeps, burn_in, thinning, corr_targets):

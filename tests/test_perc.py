@@ -72,6 +72,9 @@ class TestConfig:
             _ring_config(z=2.1)  # 1/sup_D = 2 for nn d=1
         with pytest.raises(ValueError):
             _ring_config(z=-0.1)
+        # every comparison with NaN is False, so it must not slip through
+        with pytest.raises(ValueError, match="1/sup_D"):
+            _ring_config(z=float("nan"))
 
     def test_bond_offsets_half_convention(self):
         offs, probs = bond_offsets(_ring_config())

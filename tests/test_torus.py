@@ -30,6 +30,18 @@ def test_grid_validation():
     assert g.n_sites == 216
 
 
+@pytest.mark.parametrize("R", [-1.0, -1e-300, float("nan"), -np.inf])
+def test_a_negative_or_nan_range_is_rejected(R):
+    with pytest.raises(ValueError, match="R must be >= 0"):
+        within_range(np.zeros((3, 2)), R)
+
+
+def test_range_zero_keeps_only_the_origin():
+    x = np.array([[0, 0], [1, 0], [0, -1]])
+    assert within_range(x, 0.0).tolist() == [True, False, False]
+    assert within_range(x, np.inf).tolist() == [True, True, True]
+
+
 @pytest.mark.parametrize("x", [(1, 0), (1, 1), (1, 2)])
 def test_an_offset_at_exactly_R_is_in_range(x):
     # R = 1, sqrt 2, sqrt 5, met exactly by x, so every reader of the one
