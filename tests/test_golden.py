@@ -42,6 +42,14 @@ SPECS = {
     "saw_uniform_d2": (
         ["saw", "--family", "uniform", "--d", "2", "--L", "1", "--nmax", "5"],
         0),
+    # nonzero z: bubble sums G_z(x)^2 in c_n's key order
+    "saw_nn_d3": (
+        ["saw", "--family", "nn", "--d", "3", "--nmax", "8", "--z", "0.12"],
+        0),
+    # 8 of the 24 steps kept, each of weight 1/24
+    "saw_uniform_d2_radius": (
+        ["saw", "--family", "uniform", "--d", "2", "--L", "2", "--nmax", "4",
+         "--support-radius", "1.5", "--z", "0.1"], 0),
     "perc_with_exact": (
         ["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
          "--R", "1", "--replicas", "200", "--seed", "9"], 0),
