@@ -371,7 +371,7 @@ def main(argv=None) -> int:
     except CheckFailed as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, sw.BudgetExceeded) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -8,18 +8,26 @@ the largest |component| of a kept step, so every step is one int delta
 and the self-avoidance set holds ints.
 
 In rational mode (nn/uniform families) every kept step weighs the same
-1/|Omega|, so c_n(x) = N_n(x) / |Omega|^n with N_n(x) an exact int count;
-the counts become Fractions only once, at the end.  Exactness matters for
-the coefficient extraction: it is a telescoping difference of nearly equal
-quantities.  Double mode (power family) carries the float product of the
-step weights along the same search.
+w = 1/|Omega|, so c_n(x) = N_n(x) w^n with N_n(x) an exact int count.  The
+search then visits one first step s0 per orbit of G, the signed axis
+permutations that map the kept steps onto themselves, and folds each
+orbit back, N_n(g_s x) += N_n^{(s0)}(x) with g_s(s0) = s for every s in
+the orbit: nn visits 1/(2d) of the walks.  c_n's keys come out sorted.
+Double mode (which the power family needs) carries the float product of the step weights
+along the same search with the trivial group, writing every first step's
+walks into the shared sums in step order, so its keys come in the order
+the search first reaches them.
 
 Lace extraction convolves with the walks' own step set, the kept steps
 and weights stored on the WalkSeries, so a series enumerated under a
-support_radius is expanded with the same truncated D.
+support_radius is expanded with the same truncated D.  Exactness matters
+there: the recursion is a telescoping difference of nearly equal
+quantities.  In rational mode it runs on the int counts N_n and unit
+steps, and pi_m = P_m w^m comes out only at the end.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,6 +54,13 @@ class WalkSeries:
     # the kept steps and their weights, as the enumeration used them
     steps: list = field(kw_only=True)
     weights: list = field(kw_only=True)
+    # rational mode: counts[n] maps x-tuples to the int N_n(x) = c_n(x)
+    # |Omega|^n, keyed like c[n]; None in double mode
+    counts: list | None = field(default=None, kw_only=True)
+    # walks of length >= 1 the search represents (the nodes a search over
+    # every first step visits), and the DFS nodes it visited
+    walks: int = field(default=0, kw_only=True)
+    visited: int = field(default=0, kw_only=True)
 
     def mass(self, n: int):
         """sum_x c_n(x)."""
@@ -113,63 +128,149 @@ def _unflatten(f: int, base: int, d: int) -> tuple:
     return tuple(x)
 
 
+def _act(g: tuple, x: tuple) -> tuple:
+    """g(x) for the signed axis permutation g = (perm, signs):
+    g(x)_a = signs[a] x[perm[a]]."""
+    perm, signs = g
+    return tuple(sg * x[p] for p, sg in zip(perm, signs))
+
+
+def _first_step_orbits(steps: list) -> list:
+    """The kept steps' orbits under G, as [(i0, [g, ...]), ...]: each orbit's
+    representative steps[i0] and, for every step s of the orbit, one g in G
+    with g(steps[i0]) = s.
+
+    G is generated by the axis reflections and axis swaps that map the kept
+    steps onto themselves.  Every rational step set (nn, the uniform cube,
+    either cut by a Euclidean radius) is invariant under all of them, so
+    there G is the whole group of 2^d d! signed axis permutations.
+    """
+    if not steps:
+        return []
+    axes = tuple(range(len(steps[0])))
+    ones = (1,) * len(axes)
+    gens = [(axes, tuple(-1 if b == a else 1 for b in axes)) for a in axes]
+    for a, b in itertools.combinations(axes, 2):
+        perm = list(axes)
+        perm[a], perm[b] = b, a
+        gens.append((tuple(perm), ones))
+    kept = set(steps)
+    gens = [h for h in gens if all(_act(h, s) in kept for s in steps)]
+    orbits, seen = [], set()
+    for i0, s0 in enumerate(steps):
+        if s0 in seen:
+            continue
+        member = {s0: (axes, ones)}  # s -> g with g(s0) = s
+        queue = [s0]
+        for s in queue:
+            perm, signs = member[s]
+            for h in gens:
+                t = _act(h, s)
+                if t not in member:
+                    # h after g: x_a -> hsigns[a] signs[hperm[a]]
+                    # x[perm[hperm[a]]]
+                    hperm, hsigns = h
+                    member[t] = (tuple(perm[p] for p in hperm),
+                                 tuple(hs * signs[p]
+                                       for p, hs in zip(hperm, hsigns)))
+                    queue.append(t)
+        seen.update(member)
+        orbits.append((i0, list(member.values())))
+    return orbits
+
+
 def enumerate_walks(dist: StepDistribution, n_max: int,
                     support_radius: float | None = None,
                     mode: str = "rational",
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> WalkSeries:
-    """Exact c_n(x) for n <= n_max by self-avoiding DFS."""
+                    node_budget: int | None = None) -> WalkSeries:
+    """Exact c_n(x) for n <= n_max by self-avoiding DFS.
+
+    node_budget (default DEFAULT_NODE_BUDGET) caps the walks of length >= 1
+    the search visits or, in rational mode, represents: a node visited
+    under a first step whose orbit holds k steps counts k times.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if mode not in ("rational", "double"):
         raise ValueError("mode must be 'rational' or 'double'")
     if mode == "rational" and dist.family == "power":
         raise ValueError("rational mode needs rational step weights")
+    if node_budget is None:
+        node_budget = DEFAULT_NODE_BUDGET
     steps, weights, loss = _support_for_enum(dist, support_radius, mode)
     r = max((abs(v) for step in steps for v in step), default=0)
     base = 2 * n_max * r + 1
     strides = [base ** a for a in range(dist.d)]
     deltas = [sum(v * s for v, s in zip(step, strides)) for step in steps]
-    # rational mode counts walks (unit int weights), scaled at the end
+    # rational mode counts walks (unit int weights), scaled at the end, and
+    # walks one first step per orbit; double mode keeps the trivial group
+    # and writes every first step's walks straight into `sums`, in order
     rational = mode == "rational"
     moves = list(zip(deltas, [1] * len(steps) if rational else weights))
     zero, one = (0, 1) if rational else (0.0, 1.0)
     sums = [dict() for _ in range(n_max + 1)]
     sums[0][0] = one
-    nodes = 0
+    if n_max == 0:
+        orbits = []
+    elif rational:
+        orbits = _first_step_orbits(steps)
+    else:
+        orbits = [(i, [None]) for i in range(len(steps))]
+    visited = walks = limit = 0
     last = n_max - 1
 
     path = {0}
-    def dfs(x, n, w):
-        nonlocal nodes
-        sn = sums[n + 1]
-        for delta, wstep in moves:
+    def dfs(x, n, w, options):
+        nonlocal visited
+        sn = part[n + 1]
+        for delta, wstep in options:
             y = x + delta
             if y in path:
                 continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded("enumeration budget exhausted")
+            visited += 1
+            if visited > limit:
+                raise BudgetExceeded("enumeration budget of %d walks "
+                                     "exhausted; use a smaller n_max"
+                                     % node_budget)
             wy = w * wstep
             sn[y] = sn.get(y, zero) + wy
             if n < last:
                 path.add(y)
-                dfs(y, n + 1, wy)
+                dfs(y, n + 1, wy, moves)
                 path.discard(y)
 
-    if n_max > 0:
-        dfs(0, 0, one)
-    key = {f: _unflatten(f, base, dist.d) for sn in sums for f in sn}
+    counts = [dict() for _ in range(n_max + 1)]
+    counts[0][(0,) * dist.d] = 1
+    for i0, images in orbits:
+        part = [dict() for _ in range(n_max + 1)] if rational else sums
+        # each node visited under this orbit stands for its k images, so
+        # the budget stays exact in walks
+        k, before = len(images), visited
+        limit = before + (node_budget - walks) // k
+        dfs(0, 0, one, moves[i0:i0 + 1])
+        walks += k * (visited - before)
+        if rational:
+            # fold back: N_n(g x) += N_n^{(s0)}(x) for each image g(s0)
+            ends = {f: _unflatten(f, base, dist.d) for pn in part for f in pn}
+            for g in images:
+                gx = {f: _act(g, x) for f, x in ends.items()}
+                for pn, cn in zip(part, counts):
+                    for f, v in pn.items():
+                        y = gx[f]
+                        cn[y] = cn.get(y, 0) + v
     if rational:
-        # every kept step weighs the same 1/|Omega|: c_n = N_n w^n
-        w = weights[0] if weights else Fraction(0)
-        c = []
-        for n, sn in enumerate(sums):
-            wn = w ** n
-            c.append({key[f]: count * wn for f, count in sn.items()})
+        # every kept step weighs the same w = 1/|Omega|: c_n = N_n w^n
+        counts = [dict(sorted(cn.items())) for cn in counts]
+        w = Fraction(1, dist.support_size)
+        c = [{x: v * w ** n for x, v in cn.items()}
+             for n, cn in enumerate(counts)]
     else:
+        counts = None
+        key = {f: _unflatten(f, base, dist.d) for sn in sums for f in sn}
         c = [{key[f]: v for f, v in sn.items()} for sn in sums]
     return WalkSeries(dist=dist, n_max=n_max, c=c, mode=mode,
-                      weight_loss=loss, steps=steps, weights=weights)
+                      weight_loss=loss, steps=steps, weights=weights,
+                      counts=counts, walks=walks, visited=visited)
 
 
 def _sparse_convolve(a: dict, b: dict):
@@ -185,7 +286,10 @@ def _sparse_convolve(a: dict, b: dict):
 
 @dataclass
 class LaceCoefficients:
-    pi: dict  # m -> dict of x-tuples
+    pi: dict       # m -> dict of x-tuples
+    # m -> P_m, the recursion's own unknowns: pi_m |Omega|^m as ints in
+    # rational mode, pi_m itself in double mode
+    kernels: dict = field(repr=False)
 
     def mass(self, m: int):
         return sum(self.pi[m].values())
@@ -196,16 +300,28 @@ class LaceCoefficients:
                    for m, p in self.pi.items())
 
 
-def _add_recursion(series: WalkSeries, pi: dict, n: int, acc: dict,
+def _recursion_terms(series: WalkSeries):
+    """(a_n, step kernel, w): what the recursion runs on and the weight that
+    scales its unknowns back, pi_m = P_m w^m.  Rational mode: the int counts
+    N_n with a unit kernel on the kept steps, and w = 1/|Omega|, the kept
+    steps' common weight.  Double mode: c_n with the kept weights, w = None
+    (P_m = pi_m)."""
+    if series.mode == "rational":
+        return (series.counts, dict.fromkeys(series.steps, 1),
+                Fraction(1, series.dist.support_size))
+    return series.c, dict(zip(series.steps, series.weights)), None
+
+
+def _add_recursion(a: list, step: dict, kernels: dict, n: int, acc: dict,
                    sign: int) -> dict:
-    """acc + sign [(D*c_n) + sum_m (pi_m * c_{n+1-m})], over the m in pi
-    with 2 <= m <= n + 1, added term by term; zero entries are dropped."""
-    d_map = dict(zip(series.steps, series.weights))
-    terms = [(d_map, series.c[n])] + [(pi[m], series.c[n + 1 - m])
-                                      for m in range(2, n + 2) if m in pi]
-    for a, b in terms:
-        for k, v in _sparse_convolve(a, b).items():
-            acc[k] = acc.get(k, 0) + sign * v
+    """acc + sign [(step*a_n) + sum_m (P_m * a_{n+1-m})], over the m in
+    kernels with 2 <= m <= n + 1, added term by term; zero entries are
+    dropped."""
+    terms = [(step, a[n])] + [(kernels[m], a[n + 1 - m])
+                              for m in range(2, n + 2) if m in kernels]
+    for u, v in terms:
+        for k, x in _sparse_convolve(u, v).items():
+            acc[k] = acc.get(k, 0) + sign * x
     return {k: v for k, v in acc.items() if v != 0}
 
 
@@ -213,18 +329,33 @@ def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """Solve the step recursion for the correction kernels pi_m.
 
     pi_{n+1}(x) = c_{n+1}(x) - (D*c_n)(x) - sum_{m=2}^{n} (pi_m * c_{n+1-m})(x)
+
+    In rational mode it runs on the counts N_n = c_n |Omega|^n, where it
+    reads P_{n+1} = N_{n+1} - sum_{s kept} N_n(. - s) - sum_m P_m * N_{n+1-m}
+    with P_m = pi_m |Omega|^m, all exact ints.
     """
     if series.n_max < 2:
         raise ValueError("need n_max >= 2")
-    pi = {}
+    a, step, w = _recursion_terms(series)
+    kernels = {}
     for n in range(1, series.n_max):
-        pi[n + 1] = _add_recursion(series, pi, n, dict(series.c[n + 1]), -1)
-    return LaceCoefficients(pi=pi)
+        kernels[n + 1] = _add_recursion(a, step, kernels, n, dict(a[n + 1]),
+                                        -1)
+    if w is None:
+        return LaceCoefficients(pi=kernels, kernels=kernels)
+    pi = {m: {x: v * w ** m for x, v in p.items()}
+          for m, p in kernels.items()}
+    return LaceCoefficients(pi=pi, kernels=kernels)
 
 
 def reconstruct_c(series: WalkSeries, lace: LaceCoefficients, n: int) -> dict:
     """c_{n+1} rebuilt from the recursion; must equal the enumerated value."""
-    return _add_recursion(series, lace.pi, n, {}, 1)
+    a, step, w = _recursion_terms(series)
+    rebuilt = _add_recursion(a, step, lace.kernels, n, {}, 1)
+    if w is None:
+        return rebuilt
+    wn = w ** (n + 1)
+    return {x: v * wn for x, v in rebuilt.items()}
 
 
 def zc_estimate(series: WalkSeries) -> dict:
@@ -247,8 +378,10 @@ def zc_estimate(series: WalkSeries) -> dict:
 
 
 def _powers(z, n_max: int) -> list:
-    """[z^0, ..., z^n_max] for chi_series and two_point_series; a float
-    overflow becomes a ValueError that names it."""
+    """[z^0, ..., z^n_max] for chi_series and two_point_series; a
+    non-finite z and a float overflow become ValueErrors that name them."""
+    if not math.isfinite(z):
+        raise ValueError("z must be finite")
     try:
         return [z ** n for n in range(n_max + 1)]
     except OverflowError:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lacelab import saw as sw
 from lacelab import steps
 from lacelab.cli import _jsonify, main
 from lacelab.steps import StepDistribution
@@ -247,6 +248,12 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
       "--seed", "1"], "h must be finite"),
     (["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "nan",
       "--R", "1", "--seed", "1"], r"\[0, 1/sup_D\]"),
+    # these failed on JSON output: "Out of range float values are not JSON
+    # compliant"
+    (["saw", "--family", "nn", "--d", "2", "--nmax", "3", "--z", "nan"],
+     "z must be finite"),
+    (["saw", "--family", "nn", "--d", "2", "--nmax", "3", "--z", "inf"],
+     "z must be finite"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)
@@ -254,6 +261,17 @@ def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert re.search("invalid configuration: .*" + message, captured.err)
+
+
+def test_an_exhausted_saw_budget_exits_1(capsys, monkeypatch):
+    # at the default budget of 50,000,000 walks this ended in a
+    # BudgetExceeded traceback, after seconds of search
+    monkeypatch.setattr(sw, "DEFAULT_NODE_BUDGET", 1000)
+    code = main(["saw", "--family", "nn", "--d", "2", "--nmax", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.search("invalid configuration: .*budget", captured.err)
 
 
 def test_a_grid_too_large_for_memory_exits_1(capsys):

@@ -56,9 +56,34 @@ def enumerate_reference(dist, n_max, support_radius=None, mode="rational"):
     return c, nodes
 
 
-def typed_items(cn):
+def typed_items(items):
     """c_n's items in order, with the type of each value and coordinate."""
-    return [(x, v, type(v), tuple(type(a) for a in x)) for x, v in cn.items()]
+    return [(x, v, type(v), tuple(type(a) for a in x)) for x, v in items]
+
+
+def sparse_convolve(a, b):
+    out = {}
+    for xa, va in a.items():
+        for xb, vb in b.items():
+            key = tuple(p + q for p, q in zip(xa, xb))
+            out[key] = out.get(key, 0) + va * vb
+    return out
+
+
+def lace_reference(c, steps, weights):
+    """pi_m by the recursion on the Fraction series c_n itself:
+    pi_{n+1} = c_{n+1} - D*c_n - sum_{m=2}^{n} pi_m * c_{n+1-m}."""
+    d_map = dict(zip(steps, weights))
+    pi = {}
+    for n in range(1, len(c) - 1):
+        acc = dict(c[n + 1])
+        terms = [(d_map, c[n])] + [(pi[m], c[n + 1 - m])
+                                   for m in range(2, n + 1)]
+        for a, b in terms:
+            for x, v in sparse_convolve(a, b).items():
+                acc[x] = acc.get(x, 0) - v
+        pi[n + 1] = {x: v for x, v in acc.items() if v != 0}
+    return pi
 
 
 # (family, d, distribution kwargs, n_max, support_radius, mode)
@@ -96,7 +121,48 @@ def test_enumeration_matches_the_reference(family, d, kw, n_max, radius,
     want, _ = enumerate_reference(dist, n_max, radius, mode)
     assert len(series.c) == n_max + 1
     for n in range(n_max + 1):
-        assert typed_items(series.c[n]) == typed_items(want[n]), n
+        # the orbit search emits rational keys sorted; double mode keeps
+        # the order in which the search first reaches them
+        items = want[n].items()
+        if mode == "rational":
+            items = sorted(items)
+        assert typed_items(series.c[n].items()) == typed_items(items), n
+
+
+# among them uniform L=2 cut at radius 1.5, whose 8 kept steps each weigh
+# 1/24, and radius 0.5, which keeps no step
+RATIONAL_LACE_SPECS = [spec for spec in REFERENCE_SPECS
+                       if spec[5] == "rational" and spec[3] >= 2]
+
+
+@pytest.mark.parametrize("family,d,kw,n_max,radius,mode",
+                         RATIONAL_LACE_SPECS)
+def test_integer_lace_matches_the_fraction_recursion(family, d, kw, n_max,
+                                                     radius, mode):
+    dist = StepDistribution(family, d, **kw)
+    series = enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
+    c, _ = enumerate_reference(dist, n_max, radius, mode)
+    want = lace_reference(c, series.steps, series.weights)
+    lace = extract_lace(series)
+    assert lace.pi == want
+    assert all(type(v) is Fraction for p in lace.pi.values()
+               for v in p.values())
+    for n in range(1, n_max):
+        truth = {x: v for x, v in c[n + 1].items() if v != 0}
+        assert reconstruct_c(series, lace, n) == truth, n
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 7), (3, 5)])
+def test_nn_visits_one_node_in_2d(d, n_max):
+    # one first step stands for all 2d; a search over every first step
+    # would visit all the walks it represents
+    dist = StepDistribution("nn", d)
+    _, nodes = enumerate_reference(dist, n_max)
+    series = enumerate_walks(dist, n_max)
+    assert series.walks == nodes
+    assert series.visited * 2 * d == nodes
+    double = enumerate_walks(dist, n_max, mode="double")
+    assert double.visited == double.walks == nodes
 
 
 @pytest.mark.parametrize("family,d,kw,n_max,radius,mode", [
@@ -307,6 +373,12 @@ class TestSeriesFunctions:
         rec = check_diff_inequality(square_series, 0.5, zc, b)
         assert rec["holds"]
         assert not rec["truncation_dominated"]
+
+    @pytest.mark.parametrize("z", [float("nan"), float("inf")])
+    def test_a_non_finite_z_is_rejected(self, square_series, z):
+        for fn in (chi_series, two_point_series, bubble_saw):
+            with pytest.raises(ValueError, match="z must be finite"):
+                fn(square_series, z)
 
     def test_diff_inequality_validation(self, square_series):
         with pytest.raises(ValueError):
