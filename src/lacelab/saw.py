@@ -13,10 +13,10 @@ search then visits one first step s0 per orbit of G, the signed axis
 permutations that map the kept steps onto themselves, and folds each
 orbit back, N_n(g_s x) += N_n^{(s0)}(x) with g_s(s0) = s for every s in
 the orbit: nn visits 1/(2d) of the walks.  c_n's keys come out sorted.
-Double mode (which the power family needs) carries the float product of the step weights
-along the same search with the trivial group, writing every first step's
-walks into the shared sums in step order, so its keys come in the order
-the search first reaches them.
+Double mode (which the power family needs) carries the float product of
+the step weights along the same search with the trivial group, writing
+every first step's walks into one set of sums in step order, so its keys
+come in the order the search first reaches them.
 
 Lace extraction convolves with the walks' own step set, the kept steps
 and weights stored on the WalkSeries, so a series enumerated under a
@@ -202,27 +202,26 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
     base = 2 * n_max * r + 1
     strides = [base ** a for a in range(dist.d)]
     deltas = [sum(v * s for v, s in zip(step, strides)) for step in steps]
-    # rational mode counts walks (unit int weights), scaled at the end, and
-    # walks one first step per orbit; double mode keeps the trivial group
-    # and writes every first step's walks straight into `sums`, in order
+    # rational mode counts walks (unit int weights) from one first step
+    # per orbit into fresh sums, folded into `counts` and scaled at the
+    # end; double mode keeps the trivial group and writes every first
+    # step's walks into one set of sums, in step order
     rational = mode == "rational"
     moves = list(zip(deltas, [1] * len(steps) if rational else weights))
     zero, one = (0, 1) if rational else (0.0, 1.0)
-    sums = [dict() for _ in range(n_max + 1)]
-    sums[0][0] = one
-    if n_max == 0:
-        orbits = []
-    elif rational:
-        orbits = _first_step_orbits(steps)
+    if rational:
+        orbits = _first_step_orbits(steps) if n_max else []
+        counts = [{(0,) * dist.d: 1}] + [dict() for _ in range(n_max)]
     else:
-        orbits = [(i, [None]) for i in range(len(steps))]
+        orbits = [(i, [None]) for i in range(len(steps))] if n_max else []
+        sums = [{0: one}] + [dict() for _ in range(n_max)]
     visited = walks = limit = 0
     last = n_max - 1
 
     path = {0}
     def dfs(x, n, w, options):
         nonlocal visited
-        sn = part[n + 1]
+        sn = sums[n + 1]
         for delta, wstep in options:
             y = x + delta
             if y in path:
@@ -239,10 +238,9 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
                 dfs(y, n + 1, wy, moves)
                 path.discard(y)
 
-    counts = [dict() for _ in range(n_max + 1)]
-    counts[0][(0,) * dist.d] = 1
     for i0, images in orbits:
-        part = [dict() for _ in range(n_max + 1)] if rational else sums
+        if rational:
+            sums = [dict() for _ in range(n_max + 1)]
         # each node visited under this orbit stands for its k images, so
         # the budget stays exact in walks
         k, before = len(images), visited
@@ -251,11 +249,11 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
         walks += k * (visited - before)
         if rational:
             # fold back: N_n(g x) += N_n^{(s0)}(x) for each image g(s0)
-            ends = {f: _unflatten(f, base, dist.d) for pn in part for f in pn}
+            ends = {f: _unflatten(f, base, dist.d) for sn in sums for f in sn}
             for g in images:
                 gx = {f: _act(g, x) for f, x in ends.items()}
-                for pn, cn in zip(part, counts):
-                    for f, v in pn.items():
+                for sn, cn in zip(sums, counts):
+                    for f, v in sn.items():
                         y = gx[f]
                         cn[y] = cn.get(y, 0) + v
     if rational:
