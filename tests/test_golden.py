@@ -27,6 +27,14 @@ SPECS = {
     "rw_beta_nn_d2": (
         ["rw-beta", "--family", "nn", "--d", "2", "--s", "2",
          "--M", "8,16,32"], 0),
+    # the largest orthant of the suite: 17^5 entries at M = 32
+    "rw_beta_nn_d5": (
+        ["rw-beta", "--family", "nn", "--d", "5", "--s", "2",
+         "--M", "8,16,32"], 0),
+    # the s = 3 (triangle) condition on a closed form with L > 1
+    "rw_beta_uniform_d3": (
+        ["rw-beta", "--family", "uniform", "--L", "2", "--d", "3", "--s", "3",
+         "--M", "8,16,32"], 0),
     "rw_beta_power_d2": (
         ["rw-beta", "--family", "power", "--alpha", "1.2", "--d", "2",
          "--truncation", "16", "--M", "8", "--s", "3"], 0),
