@@ -238,13 +238,16 @@ class StepDistribution:
     def closed_form(self, t):
         """The nn/uniform transform axis by axis: the factors at t, the ufunc
         that combines them over the d axes, and the map from the combined
-        key to Dhat.  nn: sum_a cos k_a, divided by d; uniform: the product
-        of Dirichlet kernels less the origin term, divided by |Omega|."""
+        key to Dhat, which overwrites the key array.  nn: sum_a cos k_a,
+        divided by d; uniform: the product of Dirichlet kernels less the
+        origin term, divided by |Omega|."""
         if self.family == "nn":
-            return np.cos(t), np.add, lambda key: key / self.d
+            return np.cos(t), np.add, lambda key: np.divide(key, self.d,
+                                                            out=key)
         if self.family == "uniform":
             return (dirichlet_kernel(t, self.L), np.multiply,
-                    lambda key: (key - 1.0) / self.support_size)
+                    lambda key: np.divide(np.subtract(key, 1.0, out=key),
+                                          self.support_size, out=key))
         raise ValueError("separable path needs a product-form transform")
 
     def fourier_d(self, k) -> np.ndarray | float:
@@ -278,7 +281,8 @@ class StepDistribution:
 
     def fourier_d_grid(self, t) -> np.ndarray:
         """Dhat on the product grid t^d, shape (len(t),)^d, for one axis of
-        k values t; built axis by axis, never point by point."""
+        k values t; built axis by axis, never point by point, and for nn
+        and uniform in place: one grid."""
         t = np.asarray(t, dtype=float)
         if self.family == "power":
             return self._power_transform([t] * self.d)

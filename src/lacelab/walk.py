@@ -8,6 +8,14 @@ dual grid (DualOrthant), and sum over it with each entry weighted by its
 mirror images; nothing of size M^d is built.  beta_kspace is the Riemann
 sum over the dual grid with the k = 0 mode excluded.
 
+Working set: one orthant, built in place for nn and uniform, plus the
+temporaries of one slab (one row of its first axis).  DualOrthant.mean
+reduces slab by slab, and its masks (k != 0, the ||k||_inf <= 1/L region)
+are built per slab or as one bool orthant.  The contraction order is fixed:
+every slab is contracted to one row of the (M/2 + 1)^2 array that the
+whole-array sum reaches, and the last two contractions run on it, so the
+sums keep the bits of the whole-array reduction.
+
 x-space oracle: beta_xspace folds D onto the torus (StepDistribution.fold),
 transforms it by FFT (real_dft) and convolves with the zero-mode-removed
 Green's function.  The two sides are independent constructions that must
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steps import StepDistribution
+from .steps import StepDistribution, _outer_reduce
 from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
                     real_dft, real_idft, reflect)
 
@@ -43,19 +51,38 @@ class DualOrthant:
     values: np.ndarray
 
     def mean(self, term, keep=None) -> float:
-        """M^-d sum over the whole dual grid of term(Dhat(k)), over the
-        entries where the orthant mask keep is set, if given."""
+        """M^-d sum over the whole dual grid of term(Dhat(k)).  With keep,
+        only over the entries where keep(rows) is set: the mask of the slab
+        values[rows], or None for the whole slab.
+
+        Working set: the orthant plus the temporaries of one slab, one row
+        of axis 0 (the whole orthant when d = 1).  The contraction order is
+        fixed by the whole-array reduction, `total @ images` d times on the
+        masked term: each slab is contracted d - 2 times, which gives row i
+        of the (m, m) array that reduction reaches at that point, and the
+        last two contractions run on that array.  A slab contracted down to
+        a scalar sums in another order and moves the last digits."""
         vals = self.values
-        if keep is not None:
-            vals = np.where(keep, vals, 0.0)
-        total = term(vals)
-        if keep is not None:
-            total[~keep] = 0.0
-        images = np.full(self.M // 2 + 1, 2.0)
+        d, m = vals.ndim, self.M // 2 + 1
+        images = np.full(m, 2.0)
         images[[0, -1]] = 1.0
-        for _ in range(vals.ndim):
+        rows = 1 if d > 1 else m
+        total = np.empty((m,) * min(d, 2))
+        for i in range(0, m, rows):
+            block = slice(i, i + rows)
+            mask = None if keep is None else keep(block)
+            slab = vals[block]
+            if mask is not None:
+                slab = np.where(mask, slab, 0.0)
+            slab = term(slab)
+            if mask is not None:
+                slab[~mask] = 0.0
+            for _ in range(d - 2):
+                slab = slab @ images
+            total[block] = slab
+        for _ in range(min(d, 2)):
             total = total @ images
-        return float(total) / self.M ** vals.ndim
+        return float(total) / self.M ** d
 
     def full(self) -> np.ndarray:
         """The whole dual grid in numpy index order (index m of an axis is
@@ -99,14 +126,20 @@ def nonzero_modes(shape) -> np.ndarray:
 def _kspace_mean(dhat, term, region=None) -> float:
     """M^-d sum of term(Dhat(k)) over k != 0 (and inside region, if given).
     dhat is the whole dual grid or a DualOrthant, region a mask of its
-    shape."""
-    orthant = isinstance(dhat, DualOrthant)
-    values = dhat.values if orthant else dhat
-    keep = nonzero_modes(values.shape)
+    shape.  On the orthant the mask is built slab by slab (DualOrthant.mean):
+    k = 0 lies in slab 0."""
+    if isinstance(dhat, DualOrthant):
+        def slab_keep(block):
+            if block.start > 0:
+                return None if region is None else region[block]
+            keep = nonzero_modes(dhat.values[block].shape)
+            if region is not None:
+                keep &= region[block]
+            return keep
+        return dhat.mean(term, slab_keep)
+    keep = nonzero_modes(dhat.shape)
     if region is not None:
         keep &= region
-    if orthant:
-        return dhat.mean(term, keep)
     return float(np.sum(term(dhat[keep])) / dhat.size)
 
 
@@ -300,8 +333,10 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
 
     L = dist.L if dist.family != "nn" else 1
     if L > 1:
-        j = np.indices(orth.values.shape)
-        inner = np.max(2.0 * np.pi * j / grid.M, axis=0) <= 1.0 / L
+        # max_a k_a <= 1/L axis by axis: one bool orthant, no index grid
+        k = 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
+        inner = _outer_reduce(np.logical_and, k <= 1.0 / L, grid.d,
+                              out=np.ones(orth.values.shape, dtype=bool))
         record["inner_region"] = beta_kspace(orth, s, inner)
         record["outer_region"] = beta_kspace(orth, s, ~inner)
     return record

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -279,6 +280,24 @@ class TestDualGridTransform:
         assert total + dist.tail_bound == pytest.approx(1.0, rel=1e-13)
         assert dist.moment(0.5 * dist.alpha) == pytest.approx(moment,
                                                               rel=1e-12)
+
+    @pytest.mark.parametrize("dist,key_to_dhat", [
+        (StepDistribution("nn", 5), lambda key: key / 5),
+        (StepDistribution("uniform", 5, L=2), lambda key: (key - 1.0) / 3124)])
+    def test_closed_form_grid_is_one_grid(self, dist, key_to_dhat):
+        # the key grid becomes Dhat in place, by the same operations in the
+        # same order as mapping it to a second grid
+        t = 2.0 * np.pi * np.arange(17) / 32
+        tracemalloc.start()
+        try:
+            got = dist.fourier_d_grid(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * got.nbytes
+        factors, combine, _ = dist.closed_form(t)
+        want = key_to_dhat(steps._outer_reduce(combine, factors, 5))
+        assert np.array_equal(got, want)
 
 
 class TestMoments:

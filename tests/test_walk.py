@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from lacelab.torus import TorusGrid, real_dft
 from lacelab.walk import (DualOrthant, beta, beta_kspace, beta_scaling_table,
                           beta_separable, bound_diagnostics, dual_orthant,
                           folded_dhat, greens_c, greens_c_critical,
-                          refinement_divergent, return_probability,
+                          nonzero_modes, refinement_divergent, return_probability,
                           return_probability_kspace)
 
 
@@ -159,6 +160,70 @@ class TestDualOrthant:
         grid = TorusGrid(2, 6)
         assert return_probability_kspace(dist, grid, 3) == pytest.approx(
             return_probability(dist, grid, 3), rel=1e-12)
+
+
+def full_array_mean(self, term, keep=None) -> float:
+    """DualOrthant.mean as it was before it went slab by slab, with keep an
+    orthant mask: the oracle for the slabbed contraction order."""
+    vals = self.values
+    if keep is not None:
+        vals = np.where(keep, vals, 0.0)
+    total = term(vals)
+    if keep is not None:
+        total[~keep] = 0.0
+    images = np.full(self.M // 2 + 1, 2.0)
+    images[[0, -1]] = 1.0
+    for _ in range(vals.ndim):
+        total = total @ images
+    return float(total) / self.M ** vals.ndim
+
+
+class TestSlabOrder:
+    @pytest.mark.parametrize("M", [4, 8, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("dist_of", [
+        lambda d: StepDistribution("nn", d),
+        lambda d: StepDistribution("uniform", d, L=2)], ids=["nn", "uniform"])
+    def test_slab_sums_equal_the_whole_array_sums_bit_for_bit(self, dist_of,
+                                                              d, M):
+        dist = dist_of(d)
+        orth = dual_orthant(dist, TorusGrid(d, M))
+        for n in (1, 2, 4):
+            term = lambda v: v ** n
+            assert orth.mean(term) == full_array_mean(orth, term)
+        # bound_diagnostics' region, built from the index grid
+        j = np.indices(orth.values.shape)
+        inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0 / 2
+        nonzero = nonzero_modes(orth.values.shape)
+        for s in (2, 3):
+            term = lambda v: v ** 2 / (1.0 - v) ** s
+            assert beta_kspace(orth, s) == full_array_mean(orth, term,
+                                                           nonzero)
+            for region in (inner, ~inner):
+                assert beta_kspace(orth, s, region) == full_array_mean(
+                    orth, term, nonzero & region)
+        rec = bound_diagnostics(dist, TorusGrid(d, M), 3)
+        term = lambda v: v ** 2 / (1.0 - v) ** 3
+        assert rec["beta"] == full_array_mean(orth, term, nonzero)
+        assert rec["d4_return"] == full_array_mean(orth, lambda v: v ** 4)
+        assert rec["inverse_power_mean"] == full_array_mean(
+            orth, lambda v: 1.0 / (1.0 - v) ** 6, nonzero)
+        if dist.family == "uniform":
+            assert rec["inner_region"] == full_array_mean(
+                orth, term, nonzero & inner)
+            assert rec["outer_region"] == full_array_mean(
+                orth, term, nonzero & ~inner)
+
+    def test_working_set_is_one_orthant_and_one_slab(self):
+        # the whole-array reduction allocated 3.1 orthants beyond this one
+        orth = dual_orthant(StepDistribution("nn", 5), TorusGrid(5, 32))
+        tracemalloc.start()
+        try:
+            beta_kspace(orth, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * orth.values.nbytes
 
 
 class TestScalingTable:
