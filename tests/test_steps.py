@@ -283,7 +283,8 @@ class TestDualGridTransform:
 
     @pytest.mark.parametrize("dist,key_to_dhat", [
         (StepDistribution("nn", 5), lambda key: key / 5),
-        (StepDistribution("uniform", 5, L=2), lambda key: (key - 1.0) / 3124)])
+        (StepDistribution("uniform", 5, L=2),
+         lambda key: (key - 1.0) / 3124)])
     def test_closed_form_grid_is_one_grid(self, dist, key_to_dhat):
         # the key grid becomes Dhat in place, by the same operations in the
         # same order as mapping it to a second grid

@@ -9,8 +9,8 @@ from lacelab.torus import TorusGrid, real_dft
 from lacelab.walk import (DualOrthant, beta, beta_kspace, beta_scaling_table,
                           beta_separable, bound_diagnostics, dual_orthant,
                           folded_dhat, greens_c, greens_c_critical,
-                          nonzero_modes, refinement_divergent, return_probability,
-                          return_probability_kspace)
+                          nonzero_modes, refinement_divergent,
+                          return_probability, return_probability_kspace)
 
 
 class TestReturnProbability:
@@ -162,20 +162,20 @@ class TestDualOrthant:
             return_probability(dist, grid, 3), rel=1e-12)
 
 
-def full_array_mean(self, term, keep=None) -> float:
-    """DualOrthant.mean as it was before it went slab by slab, with keep an
-    orthant mask: the oracle for the slabbed contraction order."""
-    vals = self.values
+def full_array_mean(orth, term, keep=None) -> float:
+    """The whole-array body of DualOrthant.mean from before it went slab by
+    slab, with keep an orthant mask: the oracle for the slab order."""
+    vals = orth.values
     if keep is not None:
         vals = np.where(keep, vals, 0.0)
     total = term(vals)
     if keep is not None:
         total[~keep] = 0.0
-    images = np.full(self.M // 2 + 1, 2.0)
+    images = np.full(orth.M // 2 + 1, 2.0)
     images[[0, -1]] = 1.0
     for _ in range(vals.ndim):
         total = total @ images
-    return float(total) / self.M ** vals.ndim
+    return float(total) / orth.M ** vals.ndim
 
 
 class TestSlabOrder:
