@@ -58,6 +58,12 @@ SPECS = {
     "saw_uniform_d2_radius": (
         ["saw", "--family", "uniform", "--d", "2", "--L", "2", "--nmax", "4",
          "--support-radius", "1.5", "--z", "0.1"], 0),
+    # unequal float weights: first-reached key order, float sums in search
+    # order and double-mode pi_masses
+    "saw_power_d2_double": (
+        ["saw", "--family", "power", "--alpha", "1.2", "--d", "2",
+         "--truncation", "16", "--support-radius", "2.5", "--mode", "double",
+         "--nmax", "4", "--z", "0.1"], 0),
     "perc_with_exact": (
         ["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
          "--R", "1", "--replicas", "200", "--seed", "9"], 0),
