@@ -1,29 +1,43 @@
 """Exact self-avoiding-walk enumeration and lace-coefficient extraction.
 
-Walks are enumerated depth-first over the (possibly truncated) support of
-the step distribution; each length-n walk contributes the product of its
-step weights to c_n(x).  The search runs on flat integer coordinates: a
-site x is the int sum_a x_a B^a with base B = 2 n_max r + 1, where r is
-the largest |component| of a kept step, so every step is one int delta
-and the self-avoidance set holds ints.
+Walks are enumerated over the (possibly truncated) support of the step
+distribution; each length-n walk contributes the product of its step
+weights to c_n(x).  Sites are flat integers: x is sum_a x_a B^a with base
+B = 2 n_max r + 1, where r is the largest |component| of a kept step, so
+every step is one int delta.
+
+The search is level-synchronous on numpy arrays.  The walks of length n
+are the rows of a (W, n + 1) int array of their flat sites, in
+lexicographic order of their steps.  One numpy step extends up to
+WALK_BLOCK rows by every kept step at once and keeps, in the same order,
+the new rows whose last site no earlier column holds.  Blocks are
+extended depth first, so every level is still made in global
+lexicographic order while only one block per level is alive; the last
+level is only counted.  A level's sums over the walks' ends keep their
+keys in the order the search first reaches them and add the weights in
+search order.  Before searching, a budget that the walks along strictly
+increasing coordinate sums alone exceed is refused.
 
 In rational mode (nn/uniform families) every kept step weighs the same
 w = 1/|Omega|, so c_n(x) = N_n(x) w^n with N_n(x) an exact int count.  The
-search then visits one first step s0 per orbit of G, the signed axis
+search then starts from one first step s0 per orbit of G, the signed axis
 permutations that map the kept steps onto themselves, and folds each
-orbit back, N_n(g_s x) += N_n^{(s0)}(x) with g_s(s0) = s for every s in
-the orbit: nn visits 1/(2d) of the walks.  c_n's keys come out sorted.
-Double mode (which the power family needs) carries the float product of
-the step weights along the same search with the trivial group, writing
-every first step's walks into one set of sums in step order, so its keys
-come in the order the search first reaches them.
+orbit back on arrays, N_n(g_s x) += N_n^{(s0)}(x) with g_s(s0) = s for
+every s in the orbit: nn makes 1/(2d) of the walks.  c_n's keys come out
+sorted.  Double mode (which the power family needs) carries the float
+product of the step weights from every first step in one search with the
+trivial group, so its keys come in the order a depth-first search would
+first reach them and its sums are that search's sums, bit for bit.
 
 Lace extraction convolves with the walks' own step set, the kept steps
 and weights stored on the WalkSeries, so a series enumerated under a
-support_radius is expanded with the same truncated D.  Exactness matters
-there: the recursion is a telescoping difference of nearly equal
-quantities.  In rational mode it runs on the int counts N_n and unit
-steps, and pi_m = P_m w^m comes out only at the end.
+support_radius is expanded with the same truncated D.  The recursion runs
+on the same flat int keys, where the key of x + y is the sum of the keys
+(no term leaves |x_a| <= n_max r < B/2), and turns them into x-tuples
+once at the end.  Exactness matters there: the recursion is a telescoping
+difference of nearly equal quantities.  In rational mode it runs on the
+int counts N_n and unit steps, and pi_m = P_m w^m comes out only at the
+end.
 """
 
 import itertools
@@ -38,6 +52,9 @@ from .torus import within_range
 
 MAX_BRANCHING = 50
 DEFAULT_NODE_BUDGET = 50_000_000
+# walks extended per numpy step: the search holds at most one block's
+# children per level
+WALK_BLOCK = 1 << 12
 
 
 class BudgetExceeded(RuntimeError):
@@ -57,13 +74,17 @@ class WalkSeries:
     # rational mode: counts[n] maps x-tuples to the int N_n(x) = c_n(x)
     # |Omega|^n, keyed like c[n]; None in double mode
     counts: list | None = field(default=None, kw_only=True)
-    # walks of length >= 1 the search represents (the nodes a search over
-    # every first step visits), and the DFS nodes it visited
+    # walks of length >= 1 the search represents (the walks a search over
+    # every first step makes), and the walks it made by extending one
     walks: int = field(default=0, kw_only=True)
     visited: int = field(default=0, kw_only=True)
 
     def mass(self, n: int):
-        """sum_x c_n(x)."""
+        """sum_x c_n(x): in rational mode one exact division of the summed
+        int counts, sum_x N_n(x) / |Omega|^n."""
+        counts = self.counts[n] if self.counts else None
+        if counts:
+            return Fraction(sum(counts.values()), self.dist.support_size ** n)
         return sum(self.c[n].values())
 
     def masses(self):
@@ -117,15 +138,80 @@ def _support_for_enum(dist: StepDistribution, support_radius, mode):
     return steps, weights, total - float(np.sum(probs))
 
 
-def _unflatten(f: int, base: int, d: int) -> tuple:
-    """The x-tuple of flat coordinate f = sum_a x_a base^a, |x_a| < base/2."""
+def _site_base(steps: list, n_max: int) -> int:
+    """B = 2 n_max r + 1, r the largest |component| of a kept step: every
+    site within n_max steps of the origin has |x_a| < B/2."""
+    return 2 * n_max * max((abs(v) for s in steps for v in s), default=0) + 1
+
+
+def _flatten(x: np.ndarray, base: int) -> np.ndarray:
+    """The flat sites sum_a x_a base^a of the rows x of a (K, d) int array,
+    in the smallest signed int type that holds +-base^d (Python ints,
+    object, beyond int64), so sums of two sites cannot wrap."""
+    d = x.shape[1]
+    dtype = np.min_scalar_type(-base ** d)
+    return x.astype(dtype) @ np.array([base ** a for a in range(d)],
+                                      dtype=dtype)
+
+
+def _unflatten(f: np.ndarray, base: int, d: int) -> np.ndarray:
+    """The (K, d) int64 rows x of the flat sites f, |x_a| < base/2."""
     half = base // 2
-    x = []
-    for _ in range(d):
-        digit = (f + half) % base - half
-        x.append(digit)
-        f = (f - digit) // base
-    return tuple(x)
+    x = np.empty((len(f), d), dtype=np.int64)
+    for a in range(d):
+        x[:, a] = (f + half) % base - half
+        f = (f - x[:, a]) // base
+    return x
+
+
+def _tuple_dict(keys: np.ndarray, vals: list, base: int, d: int,
+                sort: bool = False) -> dict:
+    """{x-tuple: value} for flat keys and their values, in the keys' order
+    or, with sort, in x-tuple order."""
+    x = _unflatten(keys, base, d)
+    if sort:
+        order = np.lexsort(x.T[::-1])
+        x, vals = x[order], [vals[i] for i in order.tolist()]
+    return dict(zip(map(tuple, x.tolist()), vals))
+
+
+class _LevelSums:
+    """Per flat end, the sum of the weights of a level's walks, keys in the
+    order first reached and weights added in the order given; no weights
+    counts the walks."""
+
+    def __init__(self, keys: np.ndarray, vals: np.ndarray):
+        self.keys, self.vals = keys, vals
+        self._index()
+
+    def _index(self):
+        self._order = np.argsort(self.keys, kind="stable")
+        self._sorted = self.keys[self._order]
+
+    def add(self, ends: np.ndarray, w: np.ndarray | None = None):
+        if w is None:
+            u, count = np.unique(ends, return_counts=True)
+            first = np.arange(len(u))
+        else:
+            u, first, inv = np.unique(ends, return_index=True,
+                                      return_inverse=True)
+        at = np.searchsorted(self._sorted, u)
+        old = at < len(self._sorted)
+        old[old] = self._sorted[at[old]] == u[old]
+        slot = np.empty(len(u), dtype=np.int64)
+        slot[old] = self._order[at[old]]
+        new = np.flatnonzero(~old)
+        new = new[np.argsort(first[new])]
+        if len(new):
+            slot[new] = len(self.keys) + np.arange(len(new))
+            self.keys = np.concatenate([self.keys, u[new]])
+            self.vals = np.concatenate(
+                [self.vals, np.zeros(len(new), dtype=self.vals.dtype)])
+            self._index()
+        if w is None:
+            self.vals[slot] += count
+        else:
+            np.add.at(self.vals, slot[inv], w)
 
 
 def _act(g: tuple, x: tuple) -> tuple:
@@ -179,15 +265,34 @@ def _first_step_orbits(steps: list) -> list:
     return orbits
 
 
+def _walks_lower_bound(steps: list, n_max: int, cap: int) -> int:
+    """sum_{n=1}^{n_max} k^n, k the kept steps with a positive coordinate
+    sum, or a partial sum above cap: walks that take only those steps are
+    self-avoiding, since the sum strictly increases along them, so this
+    bounds the walks of length 1..n_max from below."""
+    k = sum(1 for s in steps if sum(s) > 0)
+    if k < 2:
+        return k * n_max
+    total, term = 0, 1
+    for _ in range(n_max):
+        term *= k
+        total += term
+        if total > cap:
+            break
+    return total
+
+
 def enumerate_walks(dist: StepDistribution, n_max: int,
                     support_radius: float | None = None,
                     mode: str = "rational",
                     node_budget: int | None = None) -> WalkSeries:
-    """Exact c_n(x) for n <= n_max by self-avoiding DFS.
+    """Exact c_n(x) for n <= n_max by a level-synchronous self-avoiding
+    search.
 
     node_budget (default DEFAULT_NODE_BUDGET) caps the walks of length >= 1
-    the search visits or, in rational mode, represents: a node visited
-    under a first step whose orbit holds k steps counts k times.
+    the search makes or, in rational mode, represents: a walk made under a
+    first step whose orbit holds k steps counts k times.  An n_max whose
+    walks provably exceed it is refused before the search.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -198,74 +303,90 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
     if node_budget is None:
         node_budget = DEFAULT_NODE_BUDGET
     steps, weights, loss = _support_for_enum(dist, support_radius, mode)
-    r = max((abs(v) for step in steps for v in step), default=0)
-    base = 2 * n_max * r + 1
-    strides = [base ** a for a in range(dist.d)]
-    deltas = [sum(v * s for v, s in zip(step, strides)) for step in steps]
-    # rational mode counts walks (unit int weights) from one first step
-    # per orbit into fresh sums, folded into `counts` and scaled at the
-    # end; double mode keeps the trivial group and writes every first
-    # step's walks into one set of sums, in step order
+    if _walks_lower_bound(steps, n_max, node_budget) > node_budget:
+        raise BudgetExceeded("n_max = %d needs more than the enumeration "
+                             "budget of %d walks; use a smaller n_max"
+                             % (n_max, node_budget))
+    d = dist.d
+    base = _site_base(steps, n_max)
+    deltas = _flatten(np.array(steps, dtype=np.int64).reshape(-1, d), base)
+    origin = np.zeros((1, 1), dtype=deltas.dtype)
+    # rational mode counts walks (no weights) from one first step per
+    # orbit into fresh sums, folded into `counts` and scaled at the end;
+    # double mode keeps the trivial group and searches from every first
+    # step at once, carrying the step products
     rational = mode == "rational"
-    moves = list(zip(deltas, [1] * len(steps) if rational else weights))
-    zero, one = (0, 1) if rational else (0.0, 1.0)
     if rational:
-        orbits = _first_step_orbits(steps) if n_max else []
-        counts = [{(0,) * dist.d: 1}] + [dict() for _ in range(n_max)]
+        orbits = [(slice(i0, i0 + 1), images)
+                  for i0, images in _first_step_orbits(steps)] if n_max else []
+        step_w, one = None, None
+        counts = [_LevelSums(origin[0], np.ones(1, dtype=np.int64))] + [
+            _LevelSums(origin[0, :0], np.zeros(0, dtype=np.int64))
+            for _ in range(n_max)]
     else:
-        orbits = [(i, [None]) for i in range(len(steps))] if n_max else []
-        sums = [{0: one}] + [dict() for _ in range(n_max)]
-    visited = walks = limit = 0
-    last = n_max - 1
+        orbits = [(slice(None), [None])] if n_max and steps else []
+        step_w, one = np.array(weights), np.ones(1)
+        sums = [_LevelSums(origin[0], np.ones(1))] + [
+            _LevelSums(origin[0, :0], np.zeros(0)) for _ in range(n_max)]
+    visited = walks = 0
 
-    path = {0}
-    def dfs(x, n, w, options):
-        nonlocal visited
-        sn = sums[n + 1]
-        for delta, wstep in options:
-            y = x + delta
-            if y in path:
-                continue
-            visited += 1
+    for moves, images in orbits:
+        if rational:
+            sums = [None] + [_LevelSums(origin[0, :0],
+                                        np.zeros(0, dtype=np.int64))
+                             for _ in range(n_max)]
+        # each walk made under this orbit stands for its k images, so the
+        # budget stays exact in walks
+        k, before = len(images), visited
+        limit = before + (node_budget - walks) // k
+        # (walks of length n - 1 as rows, their weights, the steps to try,
+        # the first row not yet extended), the deepest level last
+        todo = [(origin, one, moves, 0)]
+        while todo:
+            paths, ws, moves, lo = todo.pop()
+            if lo + WALK_BLOCK < len(paths):
+                todo.append((paths, ws, moves, lo + WALK_BLOCK))
+            block = paths[lo:lo + WALK_BLOCK]
+            n = block.shape[1]
+            ys = block[:, -1:] + deltas[moves]
+            rows, cols = np.nonzero(
+                ~(block[:, None, :] == ys[:, :, None]).any(axis=2))
+            visited += len(rows)
             if visited > limit:
                 raise BudgetExceeded("enumeration budget of %d walks "
                                      "exhausted; use a smaller n_max"
                                      % node_budget)
-            wy = w * wstep
-            sn[y] = sn.get(y, zero) + wy
-            if n < last:
-                path.add(y)
-                dfs(y, n + 1, wy, moves)
-                path.discard(y)
-
-    for i0, images in orbits:
-        if rational:
-            sums = [dict() for _ in range(n_max + 1)]
-        # each node visited under this orbit stands for its k images, so
-        # the budget stays exact in walks
-        k, before = len(images), visited
-        limit = before + (node_budget - walks) // k
-        dfs(0, 0, one, moves[i0:i0 + 1])
+            ends = ys[rows, cols]
+            wy = None if rational else ws[lo + rows] * step_w[moves][cols]
+            sums[n].add(ends, wy)
+            if n < n_max and len(rows):
+                todo.append((np.concatenate([block[rows], ends[:, None]],
+                                            axis=1), wy, slice(None), 0))
         walks += k * (visited - before)
         if rational:
             # fold back: N_n(g x) += N_n^{(s0)}(x) for each image g(s0)
-            ends = {f: _unflatten(f, base, dist.d) for sn in sums for f in sn}
-            for g in images:
-                gx = {f: _act(g, x) for f, x in ends.items()}
-                for sn, cn in zip(sums, counts):
-                    for f, v in sn.items():
-                        y = gx[f]
-                        cn[y] = cn.get(y, 0) + v
+            x = _unflatten(np.concatenate([s.keys for s in sums[1:]]), base,
+                           d)
+            gx = [_flatten(x[:, list(perm)] * signs, base)
+                  for perm, signs in images]
+            at = 0
+            for s, cn in zip(sums[1:], counts[1:]):
+                m = len(s.keys)
+                cn.add(np.concatenate([g[at:at + m] for g in gx]),
+                       np.tile(s.vals, k))
+                at += m
     if rational:
         # every kept step weighs the same w = 1/|Omega|: c_n = N_n w^n
-        counts = [dict(sorted(cn.items())) for cn in counts]
+        counts = [_tuple_dict(cn.keys, cn.vals.tolist(), base, d, sort=True)
+                  for cn in counts]
         w = Fraction(1, dist.support_size)
-        c = [{x: v * w ** n for x, v in cn.items()}
-             for n, cn in enumerate(counts)]
+        c = []
+        for n, cn in enumerate(counts):
+            wn = w ** n
+            c.append({x: v * wn for x, v in cn.items()})
     else:
         counts = None
-        key = {f: _unflatten(f, base, dist.d) for sn in sums for f in sn}
-        c = [{key[f]: v for f, v in sn.items()} for sn in sums]
+        c = [_tuple_dict(s.keys, s.vals.tolist(), base, d) for s in sums]
     return WalkSeries(dist=dist, n_max=n_max, c=c, mode=mode,
                       weight_loss=loss, steps=steps, weights=weights,
                       counts=counts, walks=walks, visited=visited)
@@ -277,7 +398,7 @@ def _sparse_convolve(a: dict, b: dict):
         if va == 0:
             continue
         for xb, vb in b.items():
-            key = tuple(p + q for p, q in zip(xa, xb))
+            key = xa + xb
             out[key] = out.get(key, 0) + va * vb
     return {k: v for k, v in out.items() if v != 0}
 
@@ -285,8 +406,8 @@ def _sparse_convolve(a: dict, b: dict):
 @dataclass
 class LaceCoefficients:
     pi: dict       # m -> dict of x-tuples
-    # m -> P_m, the recursion's own unknowns: pi_m |Omega|^m as ints in
-    # rational mode, pi_m itself in double mode
+    # m -> P_m, the recursion's own unknowns on flat keys: pi_m |Omega|^m
+    # as ints in rational mode, pi_m itself in double mode
     kernels: dict = field(repr=False)
 
     def mass(self, m: int):
@@ -298,16 +419,24 @@ class LaceCoefficients:
                    for m, p in self.pi.items())
 
 
-def _recursion_terms(series: WalkSeries):
-    """(a_n, step kernel, w): what the recursion runs on and the weight that
-    scales its unknowns back, pi_m = P_m w^m.  Rational mode: the int counts
-    N_n with a unit kernel on the kept steps, and w = 1/|Omega|, the kept
-    steps' common weight.  Double mode: c_n with the kept weights, w = None
-    (P_m = pi_m)."""
+def _recursion_terms(series: WalkSeries, upto: int):
+    """(a_0..a_upto, step kernel, w, base): what the recursion runs on, on
+    flat keys of base `base`, and the weight that scales its unknowns back,
+    pi_m = P_m w^m.  Rational mode: the int counts N_n with a unit kernel on
+    the kept steps, and w = 1/|Omega|, the kept steps' common weight.
+    Double mode: c_n with the kept weights, w = None (P_m = pi_m)."""
+    d, base = series.dist.d, _site_base(series.steps, series.n_max)
+
+    def flat(p: dict) -> dict:
+        x = np.array(list(p), dtype=np.int64).reshape(-1, d)
+        return dict(zip(_flatten(x, base).tolist(), p.values()))
+
     if series.mode == "rational":
-        return (series.counts, dict.fromkeys(series.steps, 1),
-                Fraction(1, series.dist.support_size))
-    return series.c, dict(zip(series.steps, series.weights)), None
+        a, step = series.counts, dict.fromkeys(series.steps, 1)
+        w = Fraction(1, series.dist.support_size)
+    else:
+        a, step, w = series.c, dict(zip(series.steps, series.weights)), None
+    return [flat(p) for p in a[:upto + 1]], flat(step), w, base
 
 
 def _add_recursion(a: list, step: dict, kernels: dict, n: int, acc: dict,
@@ -323,6 +452,12 @@ def _add_recursion(a: list, step: dict, kernels: dict, n: int, acc: dict,
     return {k: v for k, v in acc.items() if v != 0}
 
 
+def _scaled_tuple_dict(p: dict, wn, base: int, d: int) -> dict:
+    """p with x-tuple keys and, unless wn is None, its values times wn."""
+    vals = list(p.values()) if wn is None else [v * wn for v in p.values()]
+    return _tuple_dict(np.array(list(p)), vals, base, d)
+
+
 def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """Solve the step recursion for the correction kernels pi_m.
 
@@ -334,26 +469,23 @@ def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """
     if series.n_max < 2:
         raise ValueError("need n_max >= 2")
-    a, step, w = _recursion_terms(series)
+    a, step, w, base = _recursion_terms(series, series.n_max)
     kernels = {}
     for n in range(1, series.n_max):
         kernels[n + 1] = _add_recursion(a, step, kernels, n, dict(a[n + 1]),
                                         -1)
-    if w is None:
-        return LaceCoefficients(pi=kernels, kernels=kernels)
-    pi = {m: {x: v * w ** m for x, v in p.items()}
+    pi = {m: _scaled_tuple_dict(p, None if w is None else w ** m, base,
+                                series.dist.d)
           for m, p in kernels.items()}
     return LaceCoefficients(pi=pi, kernels=kernels)
 
 
 def reconstruct_c(series: WalkSeries, lace: LaceCoefficients, n: int) -> dict:
     """c_{n+1} rebuilt from the recursion; must equal the enumerated value."""
-    a, step, w = _recursion_terms(series)
+    a, step, w, base = _recursion_terms(series, n)
     rebuilt = _add_recursion(a, step, lace.kernels, n, {}, 1)
-    if w is None:
-        return rebuilt
-    wn = w ** (n + 1)
-    return {x: v * wn for x, v in rebuilt.items()}
+    return _scaled_tuple_dict(rebuilt, None if w is None else w ** (n + 1),
+                              base, series.dist.d)
 
 
 def zc_estimate(series: WalkSeries) -> dict:

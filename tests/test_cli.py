@@ -274,6 +274,17 @@ def test_an_exhausted_saw_budget_exits_1(capsys, monkeypatch):
     assert re.search("invalid configuration: .*budget", captured.err)
 
 
+def test_a_hopeless_saw_nmax_is_refused_before_the_search(capsys):
+    # the 2^30 walks that only go up or right already pass the default
+    # budget, so no search runs
+    code = main(["saw", "--family", "nn", "--d", "2", "--nmax", "30"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert re.search("invalid configuration: n_max = 30 needs more than the "
+                     "enumeration budget of 50000000 walks", captured.err)
+
+
 def test_a_grid_too_large_for_memory_exits_1(capsys):
     # the M = 96 grid in d = 6 needs a 103 GiB dual orthant (49^6 floats);
     # the address-space cap makes that allocation fail at once whatever the

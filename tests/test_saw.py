@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lacelab.saw import (MAX_BRANCHING, BudgetExceeded, chi_series,
+from lacelab import saw
+from lacelab.saw import (DEFAULT_NODE_BUDGET, MAX_BRANCHING, BudgetExceeded,
+                         _walks_lower_bound, chi_series,
                          check_diff_inequality, bubble_saw, enumerate_walks,
                          extract_lace, reconstruct_c, two_point_series,
                          zc_estimate)
@@ -59,6 +61,15 @@ def enumerate_reference(dist, n_max, support_radius=None, mode="rational"):
 def typed_items(items):
     """c_n's items in order, with the type of each value and coordinate."""
     return [(x, v, type(v), tuple(type(a) for a in x)) for x, v in items]
+
+
+def reference_items(dist, n_max, support_radius, mode):
+    """The reference c_n's items in the order enumerate_walks emits them:
+    the orbit search sorts rational keys; double mode keeps the order in
+    which the search first reaches them."""
+    want, _ = enumerate_reference(dist, n_max, support_radius, mode)
+    return [typed_items(sorted(cn.items()) if mode == "rational"
+                        else cn.items()) for cn in want]
 
 
 def sparse_convolve(a, b):
@@ -118,15 +129,84 @@ def test_enumeration_matches_the_reference(family, d, kw, n_max, radius,
                                            mode):
     dist = StepDistribution(family, d, **kw)
     series = enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
-    want, _ = enumerate_reference(dist, n_max, radius, mode)
+    want = reference_items(dist, n_max, radius, mode)
     assert len(series.c) == n_max + 1
     for n in range(n_max + 1):
-        # the orbit search emits rational keys sorted; double mode keeps
-        # the order in which the search first reaches them
-        items = want[n].items()
-        if mode == "rational":
-            items = sorted(items)
-        assert typed_items(series.c[n].items()) == typed_items(items), n
+        assert typed_items(series.c[n].items()) == want[n], n
+
+
+# every spec in each mode its family has: nn and uniform run in both
+BOTH_MODES = REFERENCE_SPECS + [
+    spec[:5] + ("double",) for spec in REFERENCE_SPECS
+    if spec[5] == "rational" and spec[:5] + ("double",) not in REFERENCE_SPECS]
+
+
+@pytest.mark.parametrize("family,d,kw,n_max,radius,mode", BOTH_MODES)
+def test_block_splits_keep_the_search_order(family, d, kw, n_max, radius,
+                                            mode, monkeypatch):
+    # blocks of 3 walks split every level; the levels must still come in
+    # lexicographic order, which fixes double mode's keys and float sums
+    dist = StepDistribution(family, d, **kw)
+    whole = enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
+    monkeypatch.setattr(saw, "WALK_BLOCK", 3)
+    split = enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
+    want = reference_items(dist, n_max, radius, mode)
+    for n in range(n_max + 1):
+        assert typed_items(split.c[n].items()) == want[n], n
+    assert (split.visited, split.walks) == (whole.visited, whole.walks)
+    if n_max >= 2:
+        got, before = extract_lace(split).pi, extract_lace(whole).pi
+        assert list(got) == list(before)
+        for m in got:
+            assert typed_items(got[m].items()) == typed_items(
+                before[m].items()), m
+
+
+def test_the_search_working_set_is_bounded():
+    # 942,710 walks made, in blocks; the walks of one level are never
+    # held at once
+    tracemalloc.start()
+    try:
+        series = enumerate_walks(StepDistribution("nn", 2), 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.visited == 942710
+    assert peak <= 8 * 2 ** 20
+
+
+def test_sites_beyond_int64_are_python_ints():
+    # nn d=23 to n = 3 has base 7 and 7^23 > 2^64 flat sites
+    dist = StepDistribution("nn", 23)
+    series = enumerate_walks(dist, 3)
+    want = reference_items(dist, 3, None, "rational")
+    for n in range(4):
+        assert typed_items(series.c[n].items()) == want[n], n
+    lace = extract_lace(series)
+    assert reconstruct_c(series, lace, 2) == series.c[3]
+
+
+@pytest.mark.parametrize("family,d,kw,n_max,radius,mode", REFERENCE_SPECS)
+def test_the_refusal_bound_is_a_lower_bound(family, d, kw, n_max, radius,
+                                            mode):
+    dist = StepDistribution(family, d, **kw)
+    series = enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
+    assert _walks_lower_bound(series.steps, n_max,
+                              DEFAULT_NODE_BUDGET) <= series.walks
+
+
+def test_a_hopeless_n_max_is_refused_before_the_search():
+    steps = enumerate_walks(StepDistribution("nn", 2), 0).steps
+    # nn d=2 to n = 16 makes 27.4M walks, within the budget; to n = 30 the
+    # walks that only go up or right alone number 2^31 - 2
+    assert _walks_lower_bound(steps, 16, DEFAULT_NODE_BUDGET) == 2 ** 17 - 2
+    assert _walks_lower_bound(steps, 30,
+                              DEFAULT_NODE_BUDGET) > DEFAULT_NODE_BUDGET
+    with pytest.raises(BudgetExceeded, match="n_max = 30 needs more"):
+        enumerate_walks(StepDistribution("nn", 2), 30)
+    # one step with a positive sum: n_max walks at least
+    with pytest.raises(BudgetExceeded, match="needs more"):
+        enumerate_walks(StepDistribution("nn", 1), 10 ** 9)
 
 
 # among them uniform L=2 cut at radius 1.5, whose 8 kept steps each weigh
