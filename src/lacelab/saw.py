@@ -180,8 +180,9 @@ class _LevelSums:
     order first reached and weights added in the order given; no weights
     counts the walks."""
 
-    def __init__(self, keys: np.ndarray, vals: np.ndarray):
-        self.keys, self.vals = keys, vals
+    def __init__(self, key_dtype, val_dtype):
+        self.keys = np.zeros(0, dtype=key_dtype)
+        self.vals = np.zeros(0, dtype=val_dtype)
         self._index()
 
     def _index(self):
@@ -316,25 +317,24 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
     # double mode keeps the trivial group and searches from every first
     # step at once, carrying the step products
     rational = mode == "rational"
+    val_dtype = np.int64 if rational else np.float64
+    sums = [_LevelSums(deltas.dtype, val_dtype) for _ in range(n_max + 1)]
     if rational:
         orbits = [(slice(i0, i0 + 1), images)
                   for i0, images in _first_step_orbits(steps)] if n_max else []
-        step_w, one = None, None
-        counts = [_LevelSums(origin[0], np.ones(1, dtype=np.int64))] + [
-            _LevelSums(origin[0, :0], np.zeros(0, dtype=np.int64))
-            for _ in range(n_max)]
+        step_w = one = None
+        counts = sums
+        counts[0].add(origin[0])
     else:
         orbits = [(slice(None), [None])] if n_max and steps else []
         step_w, one = np.array(weights), np.ones(1)
-        sums = [_LevelSums(origin[0], np.ones(1))] + [
-            _LevelSums(origin[0, :0], np.zeros(0)) for _ in range(n_max)]
+        sums[0].add(origin[0], one)
     visited = walks = 0
 
     for moves, images in orbits:
         if rational:
-            sums = [None] + [_LevelSums(origin[0, :0],
-                                        np.zeros(0, dtype=np.int64))
-                             for _ in range(n_max)]
+            sums = [_LevelSums(deltas.dtype, val_dtype)
+                    for _ in range(n_max + 1)]
         # each walk made under this orbit stands for its k images, so the
         # budget stays exact in walks
         k, before = len(images), visited
@@ -365,12 +365,11 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
         walks += k * (visited - before)
         if rational:
             # fold back: N_n(g x) += N_n^{(s0)}(x) for each image g(s0)
-            x = _unflatten(np.concatenate([s.keys for s in sums[1:]]), base,
-                           d)
+            x = _unflatten(np.concatenate([s.keys for s in sums]), base, d)
             gx = [_flatten(x[:, list(perm)] * signs, base)
                   for perm, signs in images]
             at = 0
-            for s, cn in zip(sums[1:], counts[1:]):
+            for s, cn in zip(sums, counts):
                 m = len(s.keys)
                 cn.add(np.concatenate([g[at:at + m] for g in gx]),
                        np.tile(s.vals, k))
@@ -420,23 +419,31 @@ class LaceCoefficients:
 
 
 def _recursion_terms(series: WalkSeries, upto: int):
-    """(a_0..a_upto, step kernel, w, base): what the recursion runs on, on
-    flat keys of base `base`, and the weight that scales its unknowns back,
-    pi_m = P_m w^m.  Rational mode: the int counts N_n with a unit kernel on
-    the kept steps, and w = 1/|Omega|, the kept steps' common weight.
-    Double mode: c_n with the kept weights, w = None (P_m = pi_m)."""
+    """(a_0..a_upto, step kernel, out): what the recursion runs on, on flat
+    keys, and out(P, m), which turns an unknown of order m back into x-tuple
+    keys and scales it, pi_m = P_m w^m.  Rational mode: the int counts N_n
+    with a unit kernel on the kept steps, and w = 1/|Omega|, the kept
+    steps' common weight.  Double mode: c_n with the kept weights, and
+    P_m = pi_m."""
     d, base = series.dist.d, _site_base(series.steps, series.n_max)
 
     def flat(p: dict) -> dict:
         x = np.array(list(p), dtype=np.int64).reshape(-1, d)
         return dict(zip(_flatten(x, base).tolist(), p.values()))
 
+    def out(p: dict, m: int) -> dict:
+        vals = list(p.values())
+        if w is not None:
+            wm = w ** m
+            vals = [v * wm for v in vals]
+        return _tuple_dict(np.array(list(p)), vals, base, d)
+
     if series.mode == "rational":
         a, step = series.counts, dict.fromkeys(series.steps, 1)
         w = Fraction(1, series.dist.support_size)
     else:
         a, step, w = series.c, dict(zip(series.steps, series.weights)), None
-    return [flat(p) for p in a[:upto + 1]], flat(step), w, base
+    return [flat(p) for p in a[:upto + 1]], flat(step), out
 
 
 def _add_recursion(a: list, step: dict, kernels: dict, n: int, acc: dict,
@@ -452,12 +459,6 @@ def _add_recursion(a: list, step: dict, kernels: dict, n: int, acc: dict,
     return {k: v for k, v in acc.items() if v != 0}
 
 
-def _scaled_tuple_dict(p: dict, wn, base: int, d: int) -> dict:
-    """p with x-tuple keys and, unless wn is None, its values times wn."""
-    vals = list(p.values()) if wn is None else [v * wn for v in p.values()]
-    return _tuple_dict(np.array(list(p)), vals, base, d)
-
-
 def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """Solve the step recursion for the correction kernels pi_m.
 
@@ -469,23 +470,19 @@ def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """
     if series.n_max < 2:
         raise ValueError("need n_max >= 2")
-    a, step, w, base = _recursion_terms(series, series.n_max)
+    a, step, out = _recursion_terms(series, series.n_max)
     kernels = {}
     for n in range(1, series.n_max):
         kernels[n + 1] = _add_recursion(a, step, kernels, n, dict(a[n + 1]),
                                         -1)
-    pi = {m: _scaled_tuple_dict(p, None if w is None else w ** m, base,
-                                series.dist.d)
-          for m, p in kernels.items()}
-    return LaceCoefficients(pi=pi, kernels=kernels)
+    return LaceCoefficients(pi={m: out(p, m) for m, p in kernels.items()},
+                            kernels=kernels)
 
 
 def reconstruct_c(series: WalkSeries, lace: LaceCoefficients, n: int) -> dict:
     """c_{n+1} rebuilt from the recursion; must equal the enumerated value."""
-    a, step, w, base = _recursion_terms(series, n)
-    rebuilt = _add_recursion(a, step, lace.kernels, n, {}, 1)
-    return _scaled_tuple_dict(rebuilt, None if w is None else w ** (n + 1),
-                              base, series.dist.d)
+    a, step, out = _recursion_terms(series, n)
+    return out(_add_recursion(a, step, lace.kernels, n, {}, 1), n + 1)
 
 
 def zc_estimate(series: WalkSeries) -> dict:
