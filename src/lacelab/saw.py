@@ -75,7 +75,8 @@ class WalkSeries:
     # |Omega|^n, keyed like c[n]; None in double mode
     counts: list | None = field(default=None, kw_only=True)
     # walks of length >= 1 the search represents (the walks a search over
-    # every first step makes), and the walks it made by extending one
+    # every first step makes), and the walks it made, each a shorter walk
+    # extended by one step
     walks: int = field(default=0, kw_only=True)
     visited: int = field(default=0, kw_only=True)
 
@@ -317,18 +318,17 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
     # double mode keeps the trivial group and searches from every first
     # step at once, carrying the step products
     rational = mode == "rational"
-    val_dtype = np.int64 if rational else np.float64
-    sums = [_LevelSums(deltas.dtype, val_dtype) for _ in range(n_max + 1)]
     if rational:
         orbits = [(slice(i0, i0 + 1), images)
                   for i0, images in _first_step_orbits(steps)] if n_max else []
         step_w = one = None
-        counts = sums
-        counts[0].add(origin[0])
     else:
         orbits = [(slice(None), [None])] if n_max and steps else []
         step_w, one = np.array(weights), np.ones(1)
-        sums[0].add(origin[0], one)
+    val_dtype = np.int64 if rational else np.float64
+    counts = sums = [_LevelSums(deltas.dtype, val_dtype)
+                     for _ in range(n_max + 1)]
+    sums[0].add(origin[0], one)
     visited = walks = 0
 
     for moves, images in orbits:
