@@ -35,6 +35,13 @@ SPECS = {
     "rw_beta_uniform_d3": (
         ["rw-beta", "--family", "uniform", "--L", "2", "--d", "3", "--s", "3",
          "--M", "8,16,32"], 0),
+    # d - 2 = 4 contractions per slab, for each combine ufunc
+    "rw_beta_nn_d6": (
+        ["rw-beta", "--family", "nn", "--d", "6", "--s", "2",
+         "--M", "4,8,16"], 0),
+    "rw_beta_uniform_d4": (
+        ["rw-beta", "--family", "uniform", "--L", "2", "--d", "4", "--s", "3",
+         "--M", "4,8,16"], 0),
     "rw_beta_power_d2": (
         ["rw-beta", "--family", "power", "--alpha", "1.2", "--d", "2",
          "--truncation", "16", "--M", "8", "--s", "3"], 0),
