@@ -16,8 +16,9 @@ norm, transform, moments, fold, support and SAW steps all read it.
 The transform is built from the family, never from a fold: nn and uniform
 by their closed forms axis by axis, the power family by contracting its
 orthant mass with a per-axis cosine table one axis at a time.
-fourier_d_grid gives Dhat on a whole product grid, the k-space paths of
-walk.py read it.
+fourier_d_grid gives Dhat on a whole product grid; closed_form_grid, the
+one home of the nn/uniform grid, also gives it a slab of rows at a time,
+which is how walk.py's k-space paths read those two families.
 """
 
 import math
@@ -58,15 +59,33 @@ def dirichlet_kernel(t, L: int) -> np.ndarray:
         return np.where(small, float(n), np.sin(n * t / 2) / np.sin(t / 2))
 
 
-def _outer_reduce(op, vals: np.ndarray, d: int, out=None) -> np.ndarray:
+def _outer_reduce(op, vals: np.ndarray, d: int, out=None,
+                  rows=slice(None)) -> np.ndarray:
     """out[j] = op over the d axes of vals[j_a], shape (len(vals),)^d, into
     out if given (so out[j] op= ...); the whole array is allocated before any
-    work, so a grid too large for memory fails at once."""
+    work, so a grid too large for memory fails at once.  With rows, only
+    those rows of axis 0: shape (len(vals[rows]),) + (len(vals),)^(d-1),
+    each entry by the same operations in the same order as in the whole."""
     if out is None:
-        out = np.full((len(vals),) * d, float(op.identity))
+        out = np.full((len(vals[rows]),) + (len(vals),) * (d - 1),
+                      float(op.identity))
     for a in range(d):
-        op(out, vals.reshape((-1,) + (1,) * (d - 1 - a)), out=out)
+        axis = vals[rows] if a == 0 else vals
+        op(out, axis.reshape((-1,) + (1,) * (d - 1 - a)), out=out)
     return out
+
+
+def closed_form_grid(form, d: int, rows=slice(None), out=None) -> np.ndarray:
+    """Dhat from a closed form (StepDistribution.closed_form at t) on the
+    product grid t^d, or on its rows `rows` of axis 0, built in place, in
+    out if given (a buffer of the rows' shape; its contents are
+    overwritten).  Every entry starts from the combine identity, takes axis
+    0, then axes 1 .. d-1, then the key -> Dhat map, so a slab of rows
+    equals the same rows of the whole grid bit for bit."""
+    factors, combine, to_dhat = form
+    if out is not None:
+        out.fill(combine.identity)
+    return to_dhat(_outer_reduce(combine, factors, d, out=out, rows=rows))
 
 
 def _axis_cosines(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -282,12 +301,11 @@ class StepDistribution:
     def fourier_d_grid(self, t) -> np.ndarray:
         """Dhat on the product grid t^d, shape (len(t),)^d, for one axis of
         k values t; built axis by axis, never point by point, and for nn
-        and uniform in place: one grid."""
+        and uniform in place (closed_form_grid): one grid."""
         t = np.asarray(t, dtype=float)
         if self.family == "power":
             return self._power_transform([t] * self.d)
-        factors, combine, dhat = self.closed_form(t)
-        return dhat(_outer_reduce(combine, factors, self.d))
+        return closed_form_grid(self.closed_form(t), self.d)
 
     def _power_transform(self, ts) -> np.ndarray:
         """sum over the orthant of mass(x) prod_a cos(ts[a] x_a), shape

@@ -8,13 +8,18 @@ dual grid (DualOrthant), and sum over it with each entry weighted by its
 mirror images; nothing of size M^d is built.  beta_kspace is the Riemann
 sum over the dual grid with the k = 0 mode excluded.
 
-Working set: one orthant, built in place for nn and uniform, plus the
-temporaries of one slab (one row of its first axis).  DualOrthant.mean
-reduces slab by slab, and its masks (k != 0, the ||k||_inf <= 1/L region)
-are built per slab or as one bool orthant.  The contraction order is fixed:
-every slab is contracted to one row of the (M/2 + 1)^2 array that the
-whole-array sum reaches, and the last two contractions run on it, so the
-sums keep the bits of the whole-array reduction.
+Working set: one slab (one row of the orthant's first axis) and the
+temporaries of term on it.  For nn and uniform the orthant is never built:
+DualOrthant keeps the per-axis factors of the closed form and computes
+each slab into one reused buffer (steps.closed_form_grid), entry by entry
+as the whole grid would.  The power family stores its orthant, one
+contraction of its mass.  The masks (k != 0 per slab, the ||k||_inf <= 1/L
+region as one bool orthant) are the only orthant-shaped arrays; the whole
+grid is built only by DualOrthant.full, for the TwoPointInput of diag and
+infrared.  The contraction order is fixed: every slab is contracted to one
+row of the (M/2 + 1)^2 array that the whole-array sum reaches, and the last
+two contractions run on it, so the sums keep the bits of the whole-array
+reduction.
 
 x-space oracle: beta_xspace folds D onto the torus (StepDistribution.fold),
 transforms it by FFT (real_dft) and convolves with the zero-mode-removed
@@ -26,10 +31,12 @@ refinement_divergent; beta folds only its base grid.
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .steps import StepDistribution, _outer_reduce
+from .steps import StepDistribution, _outer_reduce, closed_form_grid
 from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
                     real_dft, real_idft, reflect)
 
@@ -46,32 +53,50 @@ class DualOrthant:
 
     Dhat is even in each coordinate, so this orthant is the whole dual
     grid: entry j stands for the 2^(number of 0 < j_a < M/2) grid points
-    (+-j_1, ..., +-j_d) mod M."""
+    (+-j_1, ..., +-j_d) mod M.  It is read a slab at a time: slab(rows, out)
+    gives Dhat on those rows of axis 0, computed into out (a buffer of
+    slab_shape) or a view of a stored orthant (DualOrthant.stored)."""
     M: int
-    values: np.ndarray
+    d: int
+    slab: Callable
+
+    @classmethod
+    def stored(cls, M: int, values: np.ndarray) -> "DualOrthant":
+        """An orthant held whole, read by views (out is not used)."""
+        return cls(M, values.ndim, lambda rows, out=None: values[rows])
+
+    @property
+    def shape(self) -> tuple:
+        return (self.M // 2 + 1,) * self.d
+
+    @property
+    def slab_shape(self) -> tuple:
+        """One row of axis 0; the whole orthant when d = 1."""
+        m = self.M // 2 + 1
+        return (1 if self.d > 1 else m,) + (m,) * (self.d - 1)
 
     def mean(self, term, keep=None) -> float:
         """M^-d sum over the whole dual grid of term(Dhat(k)).  With keep,
         only over the entries where keep(rows) is set: the mask of the slab
-        values[rows], or None for the whole slab.
+        on those rows of axis 0, or None for the whole slab.
 
-        Working set: the orthant plus the temporaries of one slab, one row
-        of axis 0 (the whole orthant when d = 1).  The contraction order is
-        fixed by the whole-array reduction, `total @ images` d times on the
-        masked term: each slab is contracted d - 2 times, which gives row i
-        of the (m, m) array that reduction reaches at that point, and the
-        last two contractions run on that array.  A slab contracted down to
-        a scalar sums in another order and moves the last digits."""
-        vals = self.values
-        d, m = vals.ndim, self.M // 2 + 1
+        Working set: one slab buffer and the temporaries of term on one
+        slab.  The contraction order is fixed by the whole-array reduction,
+        `total @ images` d times on the masked term: each slab is
+        contracted d - 2 times, which gives row i of the (m, m) array that
+        reduction reaches at that point, and the last two contractions run
+        on that array.  A slab contracted down to a scalar sums in another
+        order and moves the last digits."""
+        d, m = self.d, self.M // 2 + 1
         images = np.full(m, 2.0)
         images[[0, -1]] = 1.0
-        rows = 1 if d > 1 else m
+        buf = np.empty(self.slab_shape)
+        rows = len(buf)
         total = np.empty((m,) * min(d, 2))
         for i in range(0, m, rows):
             block = slice(i, i + rows)
             mask = None if keep is None else keep(block)
-            slab = vals[block]
+            slab = self.slab(block, buf)
             if mask is not None:
                 slab = np.where(mask, slab, 0.0)
             slab = term(slab)
@@ -89,13 +114,19 @@ class DualOrthant:
         orthant entry min(m, M - m))."""
         m = np.arange(self.M)
         fold = np.minimum(m, self.M - m)
-        return self.values[np.ix_(*[fold] * self.values.ndim)]
+        return self.slab(slice(None))[np.ix_(*[fold] * self.d)]
 
 
 def dual_orthant(dist: StepDistribution, grid: TorusGrid) -> DualOrthant:
-    """Dhat on the orthant of grid's dual grid, from the family (no fold)."""
+    """Dhat on the orthant of grid's dual grid, from the family (no fold).
+    nn and uniform keep their per-axis factors and build a slab only when
+    it is read; the power family's transform is one contraction of its
+    mass, so its orthant is taken once and stored."""
     t = 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
-    return DualOrthant(grid.M, dist.fourier_d_grid(t))
+    if dist.family == "power":
+        return DualOrthant.stored(grid.M, dist.fourier_d_grid(t))
+    return DualOrthant(grid.M, grid.d,
+                       partial(closed_form_grid, dist.closed_form(t), grid.d))
 
 
 def folded_dhat(dist: StepDistribution, grid: TorusGrid) -> np.ndarray:
@@ -132,7 +163,7 @@ def _kspace_mean(dhat, term, region=None) -> float:
         def slab_keep(block):
             if block.start > 0:
                 return None if region is None else region[block]
-            keep = nonzero_modes(dhat.values[block].shape)
+            keep = nonzero_modes(dhat.slab_shape)
             if region is not None:
                 keep &= region[block]
             return keep
@@ -336,7 +367,7 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
         # max_a k_a <= 1/L axis by axis: one bool orthant, no index grid
         k = 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
         inner = _outer_reduce(np.logical_and, k <= 1.0 / L, grid.d,
-                              out=np.ones(orth.values.shape, dtype=bool))
+                              out=np.ones(orth.shape, dtype=bool))
         record["inner_region"] = beta_kspace(orth, s, inner)
         record["outer_region"] = beta_kspace(orth, s, ~inner)
     return record

@@ -286,9 +286,9 @@ def test_a_hopeless_saw_nmax_is_refused_before_the_search(capsys):
 
 
 def test_a_grid_too_large_for_memory_exits_1(capsys):
-    # the M = 96 grid in d = 6 needs a 103 GiB dual orthant (49^6 floats);
-    # the address-space cap makes that allocation fail at once whatever the
-    # host's overcommit policy
+    # the M = 256 grid in d = 6 needs a 276 GiB slab (129^5 floats) of its
+    # dual orthant; the address-space cap makes that allocation fail at once
+    # whatever the host's overcommit policy
     resource = pytest.importorskip("resource")
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = 64 << 30
@@ -297,7 +297,7 @@ def test_a_grid_too_large_for_memory_exits_1(capsys):
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
     try:
         code = main(["rw-beta", "--family", "nn", "--d", "6", "--s", "2",
-                     "--M", "8,96"])
+                     "--M", "8,256"])
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
     captured = capsys.readouterr()
@@ -464,15 +464,26 @@ class TestPowerDistCheck:
             assert np.max(np.abs(out - want)) <= 1e-12
 
 
-def test_rw_beta_nn_d5_stays_small(capsys):
-    # folding every grid of the M sequence onto M^d sites peaked at 1.3 GB
+def _rw_beta_nn_peak(capsys, d):
+    """tracemalloc peak of `rw-beta --family nn --d d --M 8,16,32`."""
     tracemalloc.start()
     try:
-        code, doc = run_cli(capsys, ["rw-beta", "--family", "nn", "--d", "5",
-                                     "--s", "2", "--M", "8,16,32"])
+        code, doc = run_cli(capsys, ["rw-beta", "--family", "nn", "--d",
+                                     str(d), "--s", "2", "--M", "8,16,32"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
     assert doc["result"]["M_sequence"] == [8, 16, 32]
-    assert peak < 200e6
+    return peak
+
+
+def test_rw_beta_nn_d5_stays_small(capsys):
+    # folding every grid of the M sequence onto M^d sites peaked at 1.3 GB,
+    # and building the M = 32 orthant at 13.2 MiB
+    assert _rw_beta_nn_peak(capsys, 5) < 8 * 2 ** 20
+
+
+def test_rw_beta_nn_d6_stays_small(capsys):
+    # building the M = 32 orthant peaked at 218 MiB
+    assert _rw_beta_nn_peak(capsys, 6) < 64 * 2 ** 20

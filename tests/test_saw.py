@@ -394,6 +394,38 @@ class TestEnumeration:
         assert 0.0 < float(series.mass(2)) < 1.0
 
 
+def lace_walk_sum(d, m):
+    """P_m(x) = sum over the (2d)^m memoryless nn walks w of m steps that
+    end at x of J[0, m](w), from the expansion of K[0, m] by the last time
+    the walk's start is free of the rest:
+
+        J[0, m] = K[0, m] - K[1, m] - sum_{j=1}^{m-1} J[0, j] K[j, m]
+
+    with K[a, b] the indicator that w[a..b] is self-avoiding.  Vectorised
+    over the walks; exact ints."""
+    eye = np.eye(d, dtype=np.int64)
+    moves = np.concatenate([eye, -eye])
+    choice = np.indices((2 * d,) * m).reshape(m, -1).T
+    pos = np.concatenate([np.zeros((len(choice), 1, d), dtype=np.int64),
+                          np.cumsum(moves[choice], axis=1)], axis=1)
+    meet = np.all(pos[:, :, None, :] == pos[:, None, :, :], axis=-1)
+    meet &= np.triu(np.ones((m + 1, m + 1), dtype=bool), 1)
+
+    def avoid(a, b):
+        return (~np.any(meet[:, a:b + 1, a:b + 1], axis=(1, 2))).astype(
+            np.int64)
+
+    J = [None]
+    for j in range(1, m + 1):
+        J.append(avoid(0, j) - avoid(1, j)
+                 - sum((J[i] * avoid(i, j) for i in range(1, j)),
+                       np.zeros(len(pos), dtype=np.int64)))
+    ends = Counter()
+    for x, v in zip(map(tuple, pos[:, -1].tolist()), J[m].tolist()):
+        ends[x] += v
+    return ends
+
+
 class TestLace:
     def test_pi2_is_minus_d_at_origin(self, square_series):
         lace = extract_lace(square_series)
@@ -415,6 +447,22 @@ class TestLace:
             truth = {x: v for x, v in square_series.c[n + 1].items()
                      if v != 0}
             assert rebuilt == truth
+
+    @pytest.mark.parametrize("d,m_max", [(2, 6), (3, 5)])
+    def test_pi_is_the_walk_sum_of_the_lace_indicator(self, d, m_max):
+        # an oracle apart from the recursion on c_n: P_m(x) summed over all
+        # memoryless nn walks of m steps from 0 to x, walk by walk
+        lace = extract_lace(enumerate_walks(StepDistribution("nn", d),
+                                            m_max))
+        masses = []
+        for m in range(2, m_max + 1):
+            P = lace_walk_sum(d, m)
+            want = {x: Fraction(p, (2 * d) ** m) for x, p in P.items()
+                    if p != 0}
+            assert lace.pi[m] == want, m
+            masses.append(sum(P.values()))
+        if d == 2:
+            assert masses == [-4, 4, -12, 28, -68]
 
     def test_pi_masses_alternate_in_sign(self, square_series):
         lace = extract_lace(square_series)

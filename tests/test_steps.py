@@ -211,6 +211,21 @@ class TestFourier:
             rev = np.roll(rev, 1, axis=(0, 1))
             assert np.max(np.abs(rev - dm.values)) < 1e-15
 
+    @pytest.mark.parametrize("d,radius", [(1, 10 ** 5), (2, None)])
+    def test_power_small_k_is_the_continuum_law(self, d, radius):
+        # 1 - Dhat(k) ~ C_{d,alpha} |k|^alpha / norm_const as k -> 0, with
+        # C_{d,alpha} the integral of (1 - cos(k.y)) |y|^{-d-alpha} over R^d
+        # at |k| = 1
+        a = 1.2
+        dist = StepDistribution("power", d, alpha=a, support_radius=radius)
+        c = (math.pi ** (d / 2) * math.gamma(1 - a / 2)
+             / (a * 2 ** (a - 1) * math.gamma((d + a) / 2)))
+        ks = np.zeros((3, d))
+        ks[:, 0] = [0.03, 0.05, 0.1]
+        ratio = ((1.0 - dist.fourier_d(ks)) * dist.norm_const
+                 / (c * ks[:, 0] ** a))
+        assert np.all((0.95 <= ratio) & (ratio <= 1.05)), ratio
+
     def test_fold_matches_transform_on_dual_grid(self):
         # Dhat_M(2 pi m / M) equals the infinite-lattice transform there
         grid = TorusGrid(1, 8)
@@ -299,6 +314,25 @@ class TestDualGridTransform:
         factors, combine, _ = dist.closed_form(t)
         want = key_to_dhat(steps._outer_reduce(combine, factors, 5))
         assert np.array_equal(got, want)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dist_of", [
+        lambda d: StepDistribution("nn", d),
+        lambda d: StepDistribution("uniform", d, L=2)], ids=["nn", "uniform"])
+    def test_closed_form_rows_are_rows_of_the_grid(self, dist_of, d):
+        # slabs computed one after another into one buffer equal the rows
+        # of the whole grid bit for bit
+        dist = dist_of(d)
+        t = 2.0 * np.pi * np.arange(9) / 16
+        form = dist.closed_form(t)
+        whole = steps.closed_form_grid(form, d)
+        assert np.array_equal(whole, dist.fourier_d_grid(t))
+        buf = np.full((2,) + (9,) * (d - 1), np.nan)
+        for i in range(0, 8, 2):
+            got = steps.closed_form_grid(form, d, slice(i, i + 2), buf)
+            assert got is buf
+            assert np.array_equal(got, whole[i:i + 2])
 
 
 class TestMoments:

@@ -135,10 +135,10 @@ class TestDualOrthant:
             assert orth.mean(lambda v: v ** n) == pytest.approx(
                 float(np.mean(dhat ** n)), rel=1e-12, abs=1e-15)
         # a region: the orthant mask of ||k||_inf <= 1, mirrored to the grid
-        j = np.indices(orth.values.shape)
+        j = np.indices(orth.shape)
         inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0
         full = np.max(np.abs(grid.dual_values()), axis=0) <= 1.0
-        assert np.array_equal(DualOrthant(M, inner).full(), full)
+        assert np.array_equal(DualOrthant.stored(M, inner).full(), full)
         assert beta_kspace(orth, 2, inner) == pytest.approx(
             beta_kspace(dhat, 2, full), rel=1e-12)
 
@@ -162,20 +162,21 @@ class TestDualOrthant:
             return_probability(dist, grid, 3), rel=1e-12)
 
 
-def full_array_mean(orth, term, keep=None) -> float:
+def full_array_mean(dist, M, term, keep=None) -> float:
     """The whole-array body of DualOrthant.mean from before it went slab by
-    slab, with keep an orthant mask: the oracle for the slab order."""
-    vals = orth.values
+    slab, on the whole orthant from the family's grid transform, with keep
+    an orthant mask: the oracle for the slab order."""
+    vals = dist.fourier_d_grid(2.0 * np.pi * np.arange(M // 2 + 1) / M)
     if keep is not None:
         vals = np.where(keep, vals, 0.0)
     total = term(vals)
     if keep is not None:
         total[~keep] = 0.0
-    images = np.full(orth.M // 2 + 1, 2.0)
+    images = np.full(M // 2 + 1, 2.0)
     images[[0, -1]] = 1.0
     for _ in range(vals.ndim):
         total = total @ images
-    return float(total) / orth.M ** vals.ndim
+    return float(total) / M ** vals.ndim
 
 
 class TestSlabOrder:
@@ -188,42 +189,58 @@ class TestSlabOrder:
                                                               d, M):
         dist = dist_of(d)
         orth = dual_orthant(dist, TorusGrid(d, M))
+        oracle = lambda term, keep=None: full_array_mean(dist, M, term, keep)
         for n in (1, 2, 4):
             term = lambda v: v ** n
-            assert orth.mean(term) == full_array_mean(orth, term)
+            assert orth.mean(term) == oracle(term)
         # bound_diagnostics' region, built from the index grid
-        j = np.indices(orth.values.shape)
+        j = np.indices(orth.shape)
         inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0 / 2
-        nonzero = nonzero_modes(orth.values.shape)
+        nonzero = nonzero_modes(orth.shape)
         for s in (2, 3):
             term = lambda v: v ** 2 / (1.0 - v) ** s
-            assert beta_kspace(orth, s) == full_array_mean(orth, term,
-                                                           nonzero)
+            assert beta_kspace(orth, s) == oracle(term, nonzero)
             for region in (inner, ~inner):
-                assert beta_kspace(orth, s, region) == full_array_mean(
-                    orth, term, nonzero & region)
+                assert beta_kspace(orth, s, region) == oracle(term,
+                                                              nonzero & region)
         rec = bound_diagnostics(dist, TorusGrid(d, M), 3)
         term = lambda v: v ** 2 / (1.0 - v) ** 3
-        assert rec["beta"] == full_array_mean(orth, term, nonzero)
-        assert rec["d4_return"] == full_array_mean(orth, lambda v: v ** 4)
-        assert rec["inverse_power_mean"] == full_array_mean(
-            orth, lambda v: 1.0 / (1.0 - v) ** 6, nonzero)
+        assert rec["beta"] == oracle(term, nonzero)
+        assert rec["d4_return"] == oracle(lambda v: v ** 4)
+        assert rec["inverse_power_mean"] == oracle(
+            lambda v: 1.0 / (1.0 - v) ** 6, nonzero)
         if dist.family == "uniform":
-            assert rec["inner_region"] == full_array_mean(
-                orth, term, nonzero & inner)
-            assert rec["outer_region"] == full_array_mean(
-                orth, term, nonzero & ~inner)
+            assert rec["inner_region"] == oracle(term, nonzero & inner)
+            assert rec["outer_region"] == oracle(term, nonzero & ~inner)
 
-    def test_working_set_is_one_orthant_and_one_slab(self):
-        # the whole-array reduction allocated 3.1 orthants beyond this one
-        orth = dual_orthant(StepDistribution("nn", 5), TorusGrid(5, 32))
-        tracemalloc.start()
-        try:
-            beta_kspace(orth, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * orth.values.nbytes
+    def test_working_set_is_a_few_slabs(self):
+        # building the orthant and reducing it slab by slab peaked at 20.1
+        # (nn) and 21.3 (uniform) slabs; now a slab is made when it is read
+        for dist, M in ((StepDistribution("nn", 5), 32),
+                        (StepDistribution("uniform", 4, L=2), 32)):
+            slab_bytes = 8 * (M // 2 + 1) ** (dist.d - 1)
+            tracemalloc.start()
+            try:
+                beta_kspace(dual_orthant(dist, TorusGrid(dist.d, M)), 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * slab_bytes, dist.family
+
+    def test_power_orthant_is_transformed_once(self, monkeypatch):
+        dist = StepDistribution("power", 3, alpha=1.5, support_radius=5)
+        calls = []
+        transform = StepDistribution._power_transform
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return transform(self, ts)
+
+        monkeypatch.setattr(StepDistribution, "_power_transform", counted)
+        orth = dual_orthant(dist, TorusGrid(3, 8))
+        beta_kspace(orth, 2)
+        orth.mean(lambda v: v ** 4)
+        assert calls == [3]
 
 
 class TestScalingTable:
