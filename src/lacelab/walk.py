@@ -3,10 +3,11 @@
 k-space: on the dual grid of side M the folded transform equals the
 lattice one, Dhat_M(k) = Dhat(k), and every family is even in each
 coordinate.  So the k-space paths take Dhat from the family itself
-(StepDistribution.fourier_d_grid) on one orthant, 0 <= j_a <= M/2, of the
-dual grid (DualOrthant), and sum over it with each entry weighted by its
-mirror images; nothing of size M^d is built.  beta_kspace is the Riemann
-sum over the dual grid with the k = 0 mode excluded.
+(steps.closed_form_grid; StepDistribution.fourier_d_grid for the power
+family) on one orthant, 0 <= j_a <= M/2, of the dual grid (DualOrthant),
+and sum over it with each entry weighted by its mirror images; nothing of
+size M^d is built.  beta_kspace is the Riemann sum over the dual grid with
+the k = 0 mode excluded.
 
 Working set: one slab (one row of the orthant's first axis) and the
 temporaries of term on it.  For nn and uniform the orthant is never built:
