@@ -396,12 +396,12 @@ class TestEnumeration:
 
 def lace_walk_sum(d, m):
     """P_m(x) = sum over the (2d)^m memoryless nn walks w of m steps that
-    end at x of J[0, m](w), from the expansion of K[0, m] by the last time
-    the walk's start is free of the rest:
+    end at x of J[0, m](w), where J is defined walk by walk by
+    K[0, b] = K[1, b] + sum_{j=1}^{b} J[0, j] K[j, b] with K[b, b] = 1:
 
         J[0, m] = K[0, m] - K[1, m] - sum_{j=1}^{m-1} J[0, j] K[j, m]
 
-    with K[a, b] the indicator that w[a..b] is self-avoiding.  Vectorised
+    and K[a, b] the indicator that w[a..b] is self-avoiding.  Vectorised
     over the walks; exact ints."""
     eye = np.eye(d, dtype=np.int64)
     moves = np.concatenate([eye, -eye])

@@ -315,7 +315,6 @@ class TestDualGridTransform:
         want = key_to_dhat(steps._outer_reduce(combine, factors, 5))
         assert np.array_equal(got, want)
 
-
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("dist_of", [
         lambda d: StepDistribution("nn", d),
