@@ -9,12 +9,16 @@ and sum over it with each entry weighted by its mirror images; nothing of
 size M^d is built.  beta_kspace is the Riemann sum over the dual grid with
 the k = 0 mode excluded.
 
-Working set: one slab (one row of the orthant's first axis) and the
-temporaries of term on it.  For nn and uniform the orthant is never built:
-DualOrthant keeps the per-axis factors of the closed form and computes
-each slab into one reused buffer (steps.closed_form_grid), entry by entry
-as the whole grid would.  The power family stores its orthant, one
-contraction of its mass.  The masks (k != 0 per slab, the ||k||_inf <= 1/L
+Working set: one slab (one row of the orthant's first axis) and one
+scratch slab, both reused; the terms (_beta_term, _power_term,
+_inverse_power_term) run in place in them, so a slab makes no temporaries.
+A sum whose working set is out of reach of memory (memory_limit) is
+refused with MemoryError before it starts.  For nn and uniform the orthant
+is never built: DualOrthant keeps the per-axis factors of the closed form
+and computes each slab into the slab buffer (steps.closed_form_grid),
+entry by entry as the whole grid would.  The power family stores its
+orthant, one contraction of its mass, and copies a slab of it into the
+buffer.  The masks (k != 0 per slab, the ||k||_inf <= 1/L
 region as one bool orthant) are the only orthant-shaped arrays; the whole
 grid is built only by DualOrthant.full, for the TwoPointInput of diag and
 infrared.  The contraction order is fixed: every slab is contracted to one
@@ -31,11 +35,17 @@ refinement_divergent; beta folds only its base grid.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from .steps import StepDistribution, _outer_reduce, closed_form_grid
 from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
@@ -47,6 +57,31 @@ from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
 # (increments must strictly decrease).
 CAUCHY_RATIO = 1.0
 
+# A k-space sum is refused before it starts when its working set exceeds
+# this share of the memory the process may have (physical memory, or the
+# address-space limit if that is lower); the rest is left to the
+# interpreter, the run's other arrays and the host.
+MEMORY_SHARE = 0.5
+# Bytes per slab entry that DualOrthant.mean holds at once: the slab
+# buffer and the term's scratch (float64 each), and the keep mask and its
+# complement (bool each).
+SLAB_ENTRY_BYTES = 18
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def memory_limit() -> int:
+    """Bytes the process may hold: physical memory, or the address-space
+    limit if that is lower."""
+    limit = _physical_memory()
+    if resource is not None:
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if soft != resource.RLIM_INFINITY:
+            limit = min(limit, soft)
+    return limit
+
 
 @dataclass(frozen=True)
 class DualOrthant:
@@ -55,16 +90,22 @@ class DualOrthant:
     Dhat is even in each coordinate, so this orthant is the whole dual
     grid: entry j stands for the 2^(number of 0 < j_a < M/2) grid points
     (+-j_1, ..., +-j_d) mod M.  It is read a slab at a time: slab(rows, out)
-    gives Dhat on those rows of axis 0, computed into out (a buffer of
-    slab_shape) or a view of a stored orthant (DualOrthant.stored)."""
+    gives Dhat on those rows of axis 0, computed or copied into out (a
+    buffer of slab_shape); without out, a new array or a view of a stored
+    orthant (DualOrthant.stored)."""
     M: int
     d: int
     slab: Callable
 
     @classmethod
     def stored(cls, M: int, values: np.ndarray) -> "DualOrthant":
-        """An orthant held whole, read by views (out is not used)."""
-        return cls(M, values.ndim, lambda rows, out=None: values[rows])
+        """An orthant held whole; a slab is copied into out if given."""
+        def slab(rows, out=None):
+            if out is None:
+                return values[rows]
+            out[...] = values[rows]
+            return out
+        return cls(M, values.ndim, slab)
 
     @property
     def shape(self) -> tuple:
@@ -79,19 +120,31 @@ class DualOrthant:
     def mean(self, term, keep=None) -> float:
         """M^-d sum over the whole dual grid of term(Dhat(k)).  With keep,
         only over the entries where keep(rows) is set: the mask of the slab
-        on those rows of axis 0, or None for the whole slab.
+        on those rows of axis 0, or None for the whole slab.  term(v, out)
+        gives the term on the slab v, in v or in out (a scratch of v's
+        shape) or in a new array; it may overwrite v.
 
-        Working set: one slab buffer and the temporaries of term on one
-        slab.  The contraction order is fixed by the whole-array reduction,
+        Working set: the slab buffer, the scratch and the masks of one slab
+        (SLAB_ENTRY_BYTES per entry); a sum whose working set exceeds
+        MEMORY_SHARE of memory_limit() raises MemoryError before it starts.
+        The contraction order is fixed by the whole-array reduction,
         `total @ images` d times on the masked term: each slab is
         contracted d - 2 times, which gives row i of the (m, m) array that
         reduction reaches at that point, and the last two contractions run
         on that array.  A slab contracted down to a scalar sums in another
         order and moves the last digits."""
         d, m = self.d, self.M // 2 + 1
+        need = SLAB_ENTRY_BYTES * math.prod(self.slab_shape)
+        have = MEMORY_SHARE * memory_limit()
+        if need > have:
+            raise MemoryError(
+                "Unable to allocate %.3g GiB for the k-space working set of "
+                "M = %d in d = %d (%.3g GiB may be spent on it); use a "
+                "smaller M" % (need / 2 ** 30, self.M, d, have / 2 ** 30))
         images = np.full(m, 2.0)
         images[[0, -1]] = 1.0
         buf = np.empty(self.slab_shape)
+        scratch = np.empty_like(buf)
         rows = len(buf)
         total = np.empty((m,) * min(d, 2))
         for i in range(0, m, rows):
@@ -99,10 +152,11 @@ class DualOrthant:
             mask = None if keep is None else keep(block)
             slab = self.slab(block, buf)
             if mask is not None:
-                slab = np.where(mask, slab, 0.0)
-            slab = term(slab)
+                drop = ~mask
+                slab[drop] = 0.0
+            slab = term(slab, scratch)
             if mask is not None:
-                slab[~mask] = 0.0
+                slab[drop] = 0.0
             for _ in range(d - 2):
                 slab = slab @ images
             total[block] = slab
@@ -172,13 +226,46 @@ def _kspace_mean(dhat, term, region=None) -> float:
     keep = nonzero_modes(dhat.shape)
     if region is not None:
         keep &= region
-    return float(np.sum(term(dhat[keep])) / dhat.size)
+    vals = dhat[keep]
+    return float(np.sum(term(vals, np.empty_like(vals))) / dhat.size)
+
+
+# Terms of DualOrthant.mean, term(v, out): each takes the operations of the
+# expression in its docstring in the same order, in place, so every entry
+# keeps its bits and a slab makes no temporaries.
+
+def _power_term(n: int):
+    """v ** n."""
+    def term(v, out):
+        v **= n
+        return v
+    return term
+
+
+def _beta_term(s: int):
+    """v ** 2 / (1.0 - v) ** s."""
+    def term(v, out):
+        np.subtract(1.0, v, out=out)
+        out **= s
+        v **= 2
+        v /= out
+        return v
+    return term
+
+
+def _inverse_power_term(p: int):
+    """1.0 / (1.0 - v) ** p."""
+    def term(v, out):
+        np.subtract(1.0, v, out=v)
+        v **= p
+        return np.divide(1.0, v, out=v)
+    return term
 
 
 def beta_kspace(dhat, s: int, region=None) -> float:
     """k-space beta = M^-d sum_{k != 0} Dhat(k)^2 / (1 - Dhat(k))^s, over
     the whole dual grid dhat or a DualOrthant."""
-    return _kspace_mean(dhat, lambda v: v ** 2 / (1.0 - v) ** s, region)
+    return _kspace_mean(dhat, _beta_term(s), region)
 
 
 def _critical(dhat: np.ndarray) -> np.ndarray:
@@ -209,7 +296,7 @@ def return_probability(dist: StepDistribution, grid: TorusGrid, n: int) -> float
 def return_probability_kspace(dist: StepDistribution, grid: TorusGrid,
                               n: int) -> float:
     """D^{*n}(0) = M^-d sum_k Dhat(k)^n, over the orthant."""
-    return dual_orthant(dist, grid).mean(lambda v: v ** n)
+    return dual_orthant(dist, grid).mean(_power_term(n))
 
 
 @dataclass
@@ -355,8 +442,8 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
     """
     orth = dual_orthant(dist, grid)
     lhs = beta_kspace(orth, s)
-    d4 = orth.mean(lambda v: v ** 4)
-    inv = _kspace_mean(orth, lambda v: 1.0 / (1.0 - v) ** (2 * s))
+    d4 = orth.mean(_power_term(4))
+    inv = _kspace_mean(orth, _inverse_power_term(2 * s))
     rhs = math.sqrt(d4) * math.sqrt(inv)
 
     record = {"s": s, "M": grid.M, "beta": lhs,

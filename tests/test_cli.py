@@ -10,6 +10,7 @@ import pytest
 
 from lacelab import saw as sw
 from lacelab import steps
+from lacelab import walk as wk
 from lacelab.cli import _jsonify, main
 from lacelab.steps import StepDistribution
 
@@ -285,10 +286,10 @@ def test_a_hopeless_saw_nmax_is_refused_before_the_search(capsys):
                      "enumeration budget of 50000000 walks", captured.err)
 
 
-def test_a_grid_too_large_for_memory_exits_1(capsys):
-    # the M = 256 grid in d = 6 needs a 276 GiB slab (129^5 floats) of its
-    # dual orthant; the address-space cap makes that allocation fail at once
-    # whatever the host's overcommit policy
+def _rw_beta_d6_under_an_address_cap(M):
+    """rw-beta nn d=6 s=2 at --M M with the address space capped at 64 GiB,
+    so any allocation past the cap fails at once whatever the host's
+    overcommit policy; the exit code and the captured streams."""
     resource = pytest.importorskip("resource")
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = 64 << 30
@@ -297,13 +298,34 @@ def test_a_grid_too_large_for_memory_exits_1(capsys):
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
     try:
         code = main(["rw-beta", "--family", "nn", "--d", "6", "--s", "2",
-                     "--M", "8,256"])
+                     "--M", M])
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    return code
+
+
+def test_a_grid_too_large_for_memory_exits_1(capsys, monkeypatch):
+    # the M = 96 grid in d = 6 needs 4.7 GiB of k-space working set (49^5
+    # entries a slab), more than half of a host with 8 GiB; the host's
+    # memory is pinned there so the refusal does not depend on it
+    monkeypatch.setattr(wk, "_physical_memory", lambda: 8 << 30)
+    code = _rw_beta_d6_under_an_address_cap("8,96")
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "invalid configuration: Unable to allocate" in captured.err
+    assert "working set of M = 96 in d = 6" in captured.err
+
+
+def test_a_grid_far_too_large_for_memory_exits_1(capsys):
+    # the M = 256 grid needs 599 GiB (129^5 entries a slab): more than half
+    # of the address-space cap, on any host
+    code = _rw_beta_d6_under_an_address_cap("8,256")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "invalid configuration: Unable to allocate" in captured.err
+    assert "working set of M = 256 in d = 6" in captured.err
 
 
 def _readme_cli_examples():

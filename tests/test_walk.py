@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lacelab.steps import StepDistribution
+from lacelab import walk
 from lacelab.torus import TorusGrid, real_dft
 from lacelab.walk import (DualOrthant, beta, beta_kspace, beta_scaling_table,
                           beta_separable, bound_diagnostics, dual_orthant,
@@ -132,7 +133,7 @@ class TestDualOrthant:
             assert beta_kspace(orth, s) == pytest.approx(
                 beta_kspace(dhat, s), rel=1e-12)
         for n in (0, 1, 2, 5):
-            assert orth.mean(lambda v: v ** n) == pytest.approx(
+            assert return_probability_kspace(dist, grid, n) == pytest.approx(
                 float(np.mean(dhat ** n)), rel=1e-12, abs=1e-15)
         # a region: the orthant mask of ||k||_inf <= 1, mirrored to the grid
         j = np.indices(orth.shape)
@@ -190,9 +191,9 @@ class TestSlabOrder:
         dist = dist_of(d)
         orth = dual_orthant(dist, TorusGrid(d, M))
         oracle = lambda term, keep=None: full_array_mean(dist, M, term, keep)
-        for n in (1, 2, 4):
-            term = lambda v: v ** n
-            assert orth.mean(term) == oracle(term)
+        for n in (0, 1, 2, 4):
+            assert return_probability_kspace(dist, TorusGrid(d, M), n) == \
+                oracle(lambda v: v ** n)
         # bound_diagnostics' region, built from the index grid
         j = np.indices(orth.shape)
         inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0 / 2
@@ -215,7 +216,8 @@ class TestSlabOrder:
 
     def test_working_set_is_a_few_slabs(self):
         # building the orthant and reducing it slab by slab peaked at 20.1
-        # (nn) and 21.3 (uniform) slabs; now a slab is made when it is read
+        # (nn) and 21.3 (uniform) slabs; now a slab is made when it is read,
+        # into one buffer, and the term runs in place with one scratch slab
         for dist, M in ((StepDistribution("nn", 5), 32),
                         (StepDistribution("uniform", 4, L=2), 32)):
             slab_bytes = 8 * (M // 2 + 1) ** (dist.d - 1)
@@ -225,7 +227,44 @@ class TestSlabOrder:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 6 * slab_bytes, dist.family
+            assert peak <= 4 * slab_bytes, dist.family
+
+    @pytest.mark.parametrize("dist,M", [
+        (StepDistribution("power", 1, alpha=0.7, L=3, support_radius=9), 8),
+        (StepDistribution("power", 2, alpha=1.2, support_radius=7), 6),
+        (StepDistribution("power", 3, alpha=1.5, support_radius=5), 8)])
+    def test_stored_orthant_sums_equal_the_whole_array_sums(self, dist, M):
+        orth = dual_orthant(dist, TorusGrid(dist.d, M))
+        oracle = lambda term, keep=None: full_array_mean(dist, M, term, keep)
+        nonzero = nonzero_modes(orth.shape)
+        # twice: the terms overwrite the slab buffer, never the stored orthant
+        for _ in range(2):
+            assert beta_kspace(orth, 2) == oracle(
+                lambda v: v ** 2 / (1.0 - v) ** 2, nonzero)
+            rec = bound_diagnostics(dist, TorusGrid(dist.d, M), 2)
+            assert rec["d4_return"] == oracle(lambda v: v ** 4)
+            assert rec["inverse_power_mean"] == oracle(
+                lambda v: 1.0 / (1.0 - v) ** 4, nonzero)
+
+    def test_a_working_set_out_of_reach_is_refused_before_the_sum(
+            self, monkeypatch):
+        # nn d = 5, M = 32: a slab of 17^4 entries, 1.5 MB of working set
+        orth = dual_orthant(StepDistribution("nn", 5), TorusGrid(5, 32))
+        read = []
+
+        def slab(rows, out=None):
+            read.append(rows)
+            return orth.slab(rows, out)
+
+        counted = DualOrthant(orth.M, orth.d, slab)
+        want = beta_kspace(orth, 2)
+        monkeypatch.setattr(walk, "_physical_memory", lambda: 2 << 20)
+        with pytest.raises(MemoryError, match="Unable to allocate .* "
+                           "working set of M = 32 in d = 5"):
+            beta_kspace(counted, 2)
+        assert read == []
+        monkeypatch.setattr(walk, "_physical_memory", lambda: 4 << 20)
+        assert beta_kspace(counted, 2) == want
 
     def test_power_orthant_is_transformed_once(self, monkeypatch):
         dist = StepDistribution("power", 3, alpha=1.5, support_radius=5)
@@ -239,7 +278,7 @@ class TestSlabOrder:
         monkeypatch.setattr(StepDistribution, "_power_transform", counted)
         orth = dual_orthant(dist, TorusGrid(3, 8))
         beta_kspace(orth, 2)
-        orth.mean(lambda v: v ** 4)
+        orth.mean(lambda v, out: v ** 4)
         assert calls == [3]
 
 
