@@ -12,7 +12,7 @@ the k = 0 mode excluded.
 Working set: one slab (one row of the orthant's first axis) and one
 scratch slab, both reused; the terms (_beta_term, _power_term,
 _inverse_power_term) run in place in them, so a slab makes no temporaries.
-A sum whose working set is out of reach of memory (memory_limit) is
+A sum whose working set is out of reach of memory (_memory_limit) is
 refused with MemoryError before it starts.  For nn and uniform the orthant
 is never built: DualOrthant keeps the per-axis factors of the closed form
 and computes each slab into the slab buffer (steps.closed_form_grid),
@@ -68,11 +68,15 @@ MEMORY_SHARE = 0.5
 SLAB_ENTRY_BYTES = 18
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _physical_memory() -> float:
+    """Bytes of physical memory; inf where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no name
+        return math.inf
 
 
-def memory_limit() -> int:
+def _memory_limit() -> float:
     """Bytes the process may hold: physical memory, or the address-space
     limit if that is lower."""
     limit = _physical_memory()
@@ -126,7 +130,7 @@ class DualOrthant:
 
         Working set: the slab buffer, the scratch and the masks of one slab
         (SLAB_ENTRY_BYTES per entry); a sum whose working set exceeds
-        MEMORY_SHARE of memory_limit() raises MemoryError before it starts.
+        MEMORY_SHARE of _memory_limit() raises MemoryError before it starts.
         The contraction order is fixed by the whole-array reduction,
         `total @ images` d times on the masked term: each slab is
         contracted d - 2 times, which gives row i of the (m, m) array that
@@ -135,7 +139,7 @@ class DualOrthant:
         order and moves the last digits."""
         d, m = self.d, self.M // 2 + 1
         need = SLAB_ENTRY_BYTES * math.prod(self.slab_shape)
-        have = MEMORY_SHARE * memory_limit()
+        have = MEMORY_SHARE * _memory_limit()
         if need > have:
             raise MemoryError(
                 "Unable to allocate %.3g GiB for the k-space working set of "
