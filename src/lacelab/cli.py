@@ -110,10 +110,8 @@ def cmd_dist_check(args):
 def cmd_rw_beta(args):
     dist = _dist_from_args(args)
     ms = [int(m) for m in args.M.split(",")]
-    rep = wk.beta(dist, TorusGrid(args.d, ms[0]), args.s, refinements=1)
-    betas = [rep.beta_kspace] + [
-        wk.beta_kspace(wk.dual_orthant(dist, TorusGrid(args.d, m)), args.s)
-        for m in ms[1:]]
+    rep = wk.beta_on_grids(dist, [TorusGrid(args.d, m) for m in ms], args.s)
+    betas = [b for _, b in rep.refinement]
     result = {
         "s": args.s, "M_sequence": ms,
         "beta_sequence": betas,

@@ -16,10 +16,11 @@ order cannot change the sample.
 Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
 exact_small runs the shared enumerator (exact.bit_chunks) once over all
 2^bonds configurations, labels every cluster by min-label propagation,
-and yields chi, the cluster-size law, the pair-connectivity matrix, dchi/dz
-and the pivotal sum together.  exact_pair_matrix, exact_triangle and
-russo_check read their numbers from it, and the size law drives the
-magnetization checks.
+and yields chi, the cluster-size law, the connectivities from site 0 and
+dchi/dz together; with pivotal (the default) also the whole
+pair-connectivity matrix and the pivotal sum.  exact_pair_matrix,
+exact_triangle and russo_check read their numbers from it, and the size
+law drives the magnetization checks.
 """
 
 import math
@@ -245,12 +246,14 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     One pass of exact.bit_chunks over all 2^B bond configurations.  In each
     chunk the weights w and their z-derivatives dw are built bond by bond, in
     bond order, with the product rule (no division by p, which may be
-    subnormal), and _cluster_labels labels every cluster.  pair_matrix[i, j]
-    = P(i <-> j) sums w over the configurations where i and j share a label;
+    subnormal), and _cluster_labels labels every cluster.  pair_conn[j] =
+    P(0 <-> j) sums w over the configurations where 0 and j share a label;
     |C(0)| is the number of sites sharing site 0's label, so
     chi = sum w |C(0)| and dchi/dz = sum dw |C(0)|.
 
-    pivotal_sum recounts dchi/dz through bond pivotality,
+    With pivotal, the full report: pair_matrix[i, j] = P(i <-> j), every
+    row summed as row 0 is (n times its cost), and pivotal_sum, which
+    recounts dchi/dz through bond pivotality,
     sum_b (dp_b/dz) sum_omega w(omega) (|C(0)| in omega with b open
     - |C(0)| in omega with b closed), read from the stored 2^B cluster
     sizes; the two must agree to 1e-12.
@@ -264,7 +267,7 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     dprobs = np.where((z * q > 0.0) & (z * q < 1.0), q, 0.0)
     w = np.empty(1 << B)
     sizes = np.empty(1 << B, dtype=np.min_scalar_type(-n))
-    G = np.zeros((n, n))
+    G = np.zeros((n if pivotal else 1, n))  # row 0 only, without pivotal
     dchi = 0.0
     for start, bits in chunks:
         rows = bits.shape[1]
@@ -275,7 +278,7 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
             wc *= factor
         labels = _cluster_labels(n, ends, bits)
         size = np.count_nonzero(labels == labels[0], axis=0)
-        G += [(labels == labels[i]) @ wc for i in range(n)]
+        G += [(labels == labels[i]) @ wc for i in range(len(G))]
         dchi += float(np.sum(dwc * size))
         w[start:start + rows] = wc
         sizes[start:start + rows] = size
@@ -289,16 +292,18 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
                 (w3[:, 0] + w3[:, 1]) * (s3[:, 1] - s3[:, 0])))
     size_law = np.bincount(sizes, weights=w, minlength=n + 1)
     theta_cut = math.sqrt(n)
-    return {
+    rec = {
         "z": z,
         "chi": float(np.dot(w, sizes)),
         "dchi_dz": dchi,
         "pivotal_sum": pivotal_sum,
         "size_law": size_law,
         "pair_conn": G[0].copy(),
-        "pair_matrix": G,
         "theta": float(np.sum(size_law[int(theta_cut) + 1:])),
     }
+    if pivotal:
+        rec["pair_matrix"] = G
+    return rec
 
 
 def russo_check(graph: ExactGraph, z: float) -> dict:
@@ -349,7 +354,7 @@ def _triangle(graph: ExactGraph, G: np.ndarray) -> float:
 
 def exact_pair_matrix(graph: ExactGraph, z: float) -> np.ndarray:
     """G[i, j] = P(i connected to j), by exhaustive enumeration."""
-    return exact_small(graph, z, pivotal=False)["pair_matrix"]
+    return exact_small(graph, z, pivotal=True)["pair_matrix"]
 
 
 def restricted_triangle(config: PercConfig, g_field: TorusField) -> float:

@@ -99,21 +99,27 @@ def _branching_guard(n_steps: int):
 
 
 def _power_steps(dist: StepDistribution, support_radius) -> np.ndarray:
-    """The power family's kept steps, decided on the orthant sub-cube
-    {0..floor(r)}^d by within_range's rule ||y||_2 <= r; only the kept
-    points are expanded to their sign images, in lexicographic order."""
-    d, r = dist.d, dist.support_radius
-    if support_radius is None:
-        keep = np.ones((r + 1,) * d, dtype=bool)
-    else:
+    """The power family's kept steps, decided slab by slab on the orthant
+    sub-cube {0..floor(r)}^d by within_range's rule ||y||_2 <= r; the count
+    is guarded as the slabs pass, and only the kept points are expanded to
+    their sign images, in lexicographic order."""
+    d, r, limit = dist.d, dist.support_radius, np.inf
+    if support_radius is not None:
         within_range(np.zeros(d), support_radius)  # rejects R < 0 and NaN
-        r = int(min(r, support_radius))
-        keep = dist.orthant_norms(r) <= support_radius
-    keep[(0,) * d] = False
-    _branching_guard(int(np.count_nonzero(keep)))  # one image or more each
+        r, limit = int(min(r, support_radius)), support_radius
+    kept, count = [], 0
+    for x0, norms in dist.orthant_norm_slabs(r):
+        keep = norms <= limit
+        if x0[0] == 0:
+            keep[(0,) * d] = False
+        points = np.argwhere(keep)
+        points[:, 0] += x0[0]
+        count += len(points)
+        _branching_guard(count)  # one image or more each
+        kept.append(points)
     images = sorted(itertools.chain.from_iterable(
         itertools.product(*[(-v, v) if v else (0,) for v in y])
-        for y in np.argwhere(keep).tolist()))
+        for y in np.concatenate(kept).tolist()))
     return np.array(images, dtype=np.int64).reshape(-1, d)
 
 

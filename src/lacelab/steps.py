@@ -9,21 +9,28 @@ Families:
 
 All families put no mass at the origin and are invariant under coordinate
 permutations and sign flips.  nn and uniform list their support as one
-table.  The power family's one weight table is its orthant mass, the weight
-of each x >= 0 with its sign images, made once in the constructor; its
-norm, transform, moments, fold, support and SAW steps all read it.
+table.  The power family stores no weight table.  One stream (_h_stream)
+yields its unnormalised orthant weights h(x) times the sign images of x,
+for x >= 0, slab by slab over axis 0 into one reused buffer of about _SLAB
+entries; the transform, the fold and the moments read it, each result
+being the sum over h divided by the norm at the end.  The constructor
+streams nothing: norm_const and tail_bound are computed on first read, and
+the first stream run to its end records sum h, so a transform read first
+leaves the norm free.  probs_at (the support, the SAW steps) evaluates h
+at the points it is asked for.
 
 The transform is built from the family, never from a fold: nn and uniform
 by their closed forms axis by axis, the power family by contracting its
-orthant mass with a per-axis cosine table one axis at a time.
+weight stream with a per-axis cosine table one axis at a time.
 fourier_d_grid gives Dhat on a whole product grid; closed_form_grid, the
 one home of the nn/uniform grid, also gives it a slab of rows at a time,
 which is how walk.py's k-space paths read those two families.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .torus import TorusField, TorusGrid
 POWER_POINT_BUDGET = int(2e7)  # support-point cap for the power family
 POWER_TAIL_TARGET = 1e-9
 _CHUNK = 1 << 20
+_SLAB = 1 << 16  # entries of one slab of the power family's weight stream
 # largest array fourier_d builds to take the power transform on the product
 # of its k rows' per-axis values; beyond it the rows go one by one
 PRODUCT_GRID_LIMIT = 1 << 22
@@ -59,6 +67,14 @@ def dirichlet_kernel(t, L: int) -> np.ndarray:
         return np.where(small, float(n), np.sin(n * t / 2) / np.sin(t / 2))
 
 
+def _reduce_axes(op, axes, out: np.ndarray) -> np.ndarray:
+    """out op= axes[0][j_0] op axes[1][j_1] op ..., in place and in axis
+    order, where out's axis a is indexed by j_a."""
+    for a, vals in enumerate(axes):
+        op(out, vals.reshape((-1,) + (1,) * (len(axes) - 1 - a)), out=out)
+    return out
+
+
 def _outer_reduce(op, vals: np.ndarray, d: int, out=None,
                   rows=slice(None)) -> np.ndarray:
     """out[j] = op over the d axes of vals[j_a], shape (len(vals),)^d, into
@@ -69,10 +85,7 @@ def _outer_reduce(op, vals: np.ndarray, d: int, out=None,
     if out is None:
         out = np.full((len(vals[rows]),) + (len(vals),) * (d - 1),
                       float(op.identity))
-    for a in range(d):
-        axis = vals[rows] if a == 0 else vals
-        op(out, axis.reshape((-1,) + (1,) * (d - 1 - a)), out=out)
-    return out
+    return _reduce_axes(op, [vals[rows]] + [vals] * (d - 1), out)
 
 
 def closed_form_grid(form, d: int, rows=slice(None), out=None) -> np.ndarray:
@@ -93,19 +106,135 @@ def _axis_cosines(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cos(np.multiply.outer(t, x.astype(float)))
 
 
-def _fold_orthant(mass: np.ndarray, M: int) -> np.ndarray:
-    """The orthant mass folded onto (Z / M Z)^d, one axis at a time: y != 0
-    sends half its mass to y mod M and half to -y mod M, so the folded axis
-    is (A[j] + A[-j mod M]) / 2 with A[j] the sum of mass[y], y = j mod M."""
-    out = mass
-    flip = -np.arange(M) % M
-    for _ in range(mass.ndim):
-        n = len(out)
-        whole = n - n % M
-        periodic = out[:whole].reshape((-1, M) + out.shape[1:]).sum(axis=0)
-        periodic[:n - whole] += out[whole:]
-        out = np.moveaxis(0.5 * (periodic + periodic[flip]), 0, -1)
-    return out
+def _slab_step(R: int, d: int) -> int:
+    """Rows of axis 0 in one slab of the orthant {0..R}^d: as many as fit
+    in _SLAB entries, at least one."""
+    return max(1, _SLAB // (R + 1) ** (d - 1))
+
+
+def _slabs(R: int, d: int):
+    """Yield the axis-0 coordinates of each slab of the orthant {0..R}^d."""
+    step = _slab_step(R, d)
+    for i in range(0, R + 1, step):
+        yield np.arange(i, min(i + step, R + 1))
+
+
+def _other_axes(R: int, d: int) -> np.ndarray:
+    """0..R, the coordinates of axes 1 .. d-1 of the orthant {0..R}^d; none
+    at d = 1, whose one axis only ever goes by slabs."""
+    return np.arange(R + 1 if d > 1 else 0)
+
+
+def _slab_norms(x0: np.ndarray, r: int, d: int) -> np.ndarray:
+    """||y||_2 on the rows x0 of the orthant {0..r}^d."""
+    x2 = _other_axes(r, d).astype(float) ** 2
+    out = np.zeros((len(x0),) + (r + 1,) * (d - 1))
+    _reduce_axes(np.add, [x0.astype(float) ** 2] + [x2] * (d - 1), out)
+    return np.sqrt(out, out=out)
+
+
+def _add_rows_mod(acc: np.ndarray, rows: np.ndarray, start: int) -> None:
+    """acc[j] += rows[k] for every k with start + k = j mod M, M = len(acc):
+    the rows up to the next multiple of M, then whole periods, then the
+    rest."""
+    M = len(acc)
+    s = start % M
+    head = min(-s % M, len(rows))
+    acc[s:s + head] += rows[:head]
+    body = rows[head:]
+    whole = len(body) - len(body) % M
+    acc += body[:whole].reshape((-1, M) + body.shape[1:]).sum(axis=0)
+    acc[:len(body) - whole] += body[whole:]
+
+
+class _FoldSum:
+    """The orthant weights folded onto (Z / M Z)^d, fed by a weight stream,
+    one axis at a time: y != 0 sends half its weight to y mod M and half to
+    -y mod M, so a folded axis is (A[j] + A[-j mod M]) / 2 with A[j] the sum
+    of the weights at y = j mod M.  Axis 0 is summed as the slabs pass, the
+    other axes by result() on the (M, ...) array that leaves."""
+
+    def __init__(self, M: int, d: int):
+        self.M, self.d, self.sum = M, d, None
+
+    def add(self, x0: np.ndarray, h: np.ndarray):
+        if self.sum is None:
+            self.sum = np.zeros((self.M,) + h.shape[1:])
+        _add_rows_mod(self.sum, h, x0[0])
+
+    def result(self) -> np.ndarray:
+        flip = -np.arange(self.M) % self.M
+        out = self.sum
+        for a in range(self.d):
+            if a:
+                periodic = np.zeros((self.M,) + out.shape[1:])
+                _add_rows_mod(periodic, out, 0)
+                out = periodic
+            out = np.moveaxis(0.5 * (out + out[flip]), 0, -1)
+        return out
+
+
+class _GridSum:
+    """sum over the orthant of h(x) prod_a cos(ts[a] x_a) on the product
+    grid of the per-axis values ts, shape (len(ts[0]), ..., len(ts[-1])),
+    fed by a weight stream.  Each slab is contracted with the cosine tables
+    of axes 1 .. d-1, one tensordot each, then with axis 0's in blocks of
+    rows whose table stays within _CHUNK entries.  result() reads the sum
+    at index, all of it by default."""
+
+    def __init__(self, ts, R: int, index=Ellipsis):
+        x = _other_axes(R, len(ts))
+        self.t0, self.tables = ts[0], [_axis_cosines(t, x) for t in ts[1:]]
+        self.step = max(1, _CHUNK // len(ts[0]))
+        self.sum = np.zeros(tuple(len(t) for t in ts))
+        self.index = index
+
+    def add(self, x0: np.ndarray, h: np.ndarray):
+        for table in self.tables:
+            h = np.tensordot(h, table, axes=(1, 1))
+        for i in range(0, len(x0), self.step):
+            self.sum += np.tensordot(_axis_cosines(self.t0, x0[i:i + self.step]),
+                                     h[i:i + self.step], axes=(1, 0))
+
+    def result(self) -> np.ndarray:
+        return self.sum[self.index]
+
+
+class _RowSums:
+    """sum over the orthant of h(x) prod_a cos(k_a x_a) at each row k of an
+    (n, d) array, fed by a weight stream: each slab is contracted with each
+    row's cosines, axis by axis."""
+
+    def __init__(self, ks: np.ndarray, R: int):
+        self.ks, self.x = ks, _other_axes(R, ks.shape[1])
+        self.sum = np.zeros(len(ks))
+
+    def add(self, x0: np.ndarray, h: np.ndarray):
+        for n, k in enumerate(self.ks):
+            v = h
+            for a, ka in enumerate(k):
+                xa = x0 if a == 0 else self.x
+                v = np.cos(ka * xa) @ v.reshape(len(xa), -1)
+            self.sum[n] += v.item()
+
+    def result(self) -> np.ndarray:
+        return self.sum
+
+
+class _MomentSums:
+    """sum over the orthant of |x|^kappa h(x) at each kappa, fed by a weight
+    stream."""
+
+    def __init__(self, kappas, R: int, d: int):
+        self.kappas, self.R, self.d = kappas, R, d
+        self.sum = [0.0] * len(kappas)
+
+    def add(self, x0: np.ndarray, h: np.ndarray):
+        r = _slab_norms(x0, self.R, self.d)
+        if x0[0] == 0:
+            r[(0,) * self.d] = 1.0  # no mass there; keeps 0^kappa finite
+        for j, kappa in enumerate(self.kappas):
+            self.sum[j] += float(np.sum(r ** kappa * h))
 
 
 def _grid_points(axis: np.ndarray, d: int) -> np.ndarray:
@@ -129,11 +258,6 @@ class StepDistribution:
     L: int = 1
     alpha: float | None = None
     support_radius: int | None = None
-    # power family only, computed in __post_init__
-    norm_const: float = field(default=0.0, init=False, compare=False)
-    tail_bound: float = field(default=0.0, init=False, compare=False)
-    orthant_mass: np.ndarray | None = field(default=None, init=False,
-                                            compare=False, repr=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -153,13 +277,6 @@ class StepDistribution:
             elif not isinstance(radius, (int, np.integer)) or radius < 1:
                 raise ValueError("truncation must be an integer >= 1")
             object.__setattr__(self, "support_radius", radius)
-            h = self._power_orthant_h(radius)
-            tail = _power_tail_bound(self.d, self.L, self.alpha, radius)
-            norm = float(np.sum(h)) + tail
-            h /= norm
-            object.__setattr__(self, "norm_const", norm)
-            object.__setattr__(self, "tail_bound", tail / norm)
-            object.__setattr__(self, "orthant_mass", h)
 
     # -- power-law truncation policy ------------------------------------
     def _default_power_radius(self) -> int:
@@ -172,20 +289,65 @@ class StepDistribution:
         budget_r = int((POWER_POINT_BUDGET ** (1.0 / d) - 1) / 2)
         return int(min(r, max(budget_r, 2 * L)))
 
-    def _power_orthant_h(self, R: int) -> np.ndarray:
-        """h(x) = (|x/L| v 1)^{-d-alpha} times the number of sign images of
-        x, 2^(number of x_a != 0), on the orthant {0..R}^d; 0 at the origin.
-        Built in place: one array of (R+1)^d floats."""
-        d = self.d
-        h = _outer_reduce(np.add, (np.arange(R + 1) / self.L) ** 2, d)
-        np.sqrt(h, out=h)
-        np.maximum(h, 1.0, out=h)
-        np.power(h, -(d + self.alpha), out=h)
-        images = np.full(R + 1, 2.0)
-        images[0] = 1.0
-        _outer_reduce(np.multiply, images, d, out=h)
-        h[(0,) * d] = 0.0
-        return h
+    def _h_stream(self):
+        """Yield (x0, h) for the slabs of the orthant {0..R}^d over axis 0,
+        x0 the slab's axis-0 coordinates: h(x) = (|x/L| v 1)^{-d-alpha}
+        times the number of sign images of x, 2^(number of x_a != 0), 0 at
+        the origin.  Each slab is built in place in one reused buffer,
+        overwritten by the next, and each entry by the same operations in
+        the same order as in the whole orthant.  The first stream run to its
+        end records sum h, added up slab by slab, so every stream gives the
+        norm the same bits."""
+        d, R, L = self.d, self.support_radius, self.L
+        x2 = (_other_axes(R, d) / L) ** 2
+        images = np.where(_other_axes(R, d) > 0, 2.0, 1.0)
+        buf = np.empty((min(_slab_step(R, d), R + 1),) + (R + 1,) * (d - 1))
+        record = "_h_sum" not in vars(self)
+        total = 0.0
+        for x0 in _slabs(R, d):
+            h = buf[:len(x0)]
+            h.fill(0.0)
+            _reduce_axes(np.add, [(x0 / L) ** 2] + [x2] * (d - 1), h)
+            np.sqrt(h, out=h)
+            np.maximum(h, 1.0, out=h)
+            np.power(h, -(d + self.alpha), out=h)
+            _reduce_axes(np.multiply,
+                         [np.where(x0 > 0, 2.0, 1.0)] + [images] * (d - 1), h)
+            if x0[0] == 0:
+                h[(0,) * d] = 0.0
+            if record:
+                total += float(np.sum(h))
+            yield x0, h
+        if record:
+            object.__setattr__(self, "_h_sum", total)
+
+    def _feed(self, sinks) -> float:
+        """Run one weight stream into every sink's add; the norm."""
+        for x0, h in self._h_stream():
+            for sink in sinks:
+                sink.add(x0, h)
+        return self.norm_const
+
+    @cached_property
+    def norm_const(self) -> float:
+        """Power family: sum h over the truncated support plus the integral
+        tail bound, so that sum_x D(x) = 1 by construction; sum h comes from
+        the first stream that ran to its end, or from one run now.  0 for
+        nn and uniform."""
+        if self.family != "power":
+            return 0.0
+        if "_h_sum" not in vars(self):
+            self._feed([])
+        return self._h_sum + _power_tail_bound(self.d, self.L, self.alpha,
+                                               self.support_radius)
+
+    @property
+    def tail_bound(self) -> float:
+        """The D-mass beyond the truncation bound (power family), else 0."""
+        if self.family != "power":
+            return 0.0
+        return (_power_tail_bound(self.d, self.L, self.alpha,
+                                  self.support_radius) / self.norm_const)
 
     # -- the support -------------------------------------------------------
     @property
@@ -213,15 +375,21 @@ class StepDistribution:
 
     def probs_at(self, offs) -> np.ndarray:
         """Power-family D at the rows of an (n, d) array of offsets in the
-        support: mass[|x|] / 2^(number of x_a != 0)."""
+        support: h at |x| without its images, by the stream's operations
+        in its order, over the norm.  The image count is a power of 2, so
+        this has the bits of the stream entry over its images."""
         y = np.abs(offs)
-        return (self.orthant_mass[tuple(y.T)]
-                / 2.0 ** np.count_nonzero(y, axis=1))
+        r2 = np.zeros(len(y))
+        for a in range(self.d):
+            r2 += (y[:, a] / self.L) ** 2
+        h = np.power(np.maximum(np.sqrt(r2), 1.0), -(self.d + self.alpha))
+        return h / self.norm_const
 
-    def orthant_norms(self, r: int) -> np.ndarray:
-        """||y||_2 on the orthant sub-cube {0..r}^d, shape (r + 1,)^d."""
-        x2 = np.arange(r + 1, dtype=float) ** 2
-        return np.sqrt(_outer_reduce(np.add, x2, self.d))
+    def orthant_norm_slabs(self, r: int):
+        """Yield (x0, ||y||_2 on those rows) for the slabs of the orthant
+        sub-cube {0..r}^d over axis 0, x0 their axis-0 coordinates."""
+        for x0 in _slabs(r, self.d):
+            yield x0, _slab_norms(x0, r, self.d)
 
     # -- evaluation ------------------------------------------------------
     def eval_d(self, x) -> float:
@@ -270,11 +438,8 @@ class StepDistribution:
         raise ValueError("separable path needs a product-form transform")
 
     def fourier_d(self, k) -> np.ndarray | float:
-        """Dhat(k) = sum_x D(x) cos(k.x); k is (d,) or (n, d).
-
-        The power family takes the product grid of the rows' distinct
-        per-axis values when that grid is small (a scan grid, or k sampled
-        from one), and the rows one by one otherwise."""
+        """Dhat(k) = sum_x D(x) cos(k.x); k is (d,) or (n, d).  The power
+        family reads one weight stream (see _dhat_sink)."""
         k = np.asarray(k, dtype=float)
         single = k.ndim == 1
         ks = k[None, :] if single else k
@@ -284,18 +449,7 @@ class StepDistribution:
             factors, combine, dhat = self.closed_form(ks)
             out = dhat(combine.reduce(factors, axis=-1))
         else:
-            axes = [np.unique(ks[:, a], return_inverse=True)
-                    for a in range(self.d)]
-            sizes = [len(u) for u, _ in axes]
-            width = self.support_radius + 1
-            largest = max(math.prod(sizes[:a + 1]) * width ** (self.d - a - 1)
-                          for a in range(self.d))
-            if largest <= PRODUCT_GRID_LIMIT:
-                grid = self._power_transform([u for u, _ in axes])
-                out = grid[tuple(inv for _, inv in axes)]
-            else:
-                out = np.array([self._power_transform(row[:, None]).item()
-                                for row in ks])
+            out = self.scan([ks], [])[0][0]
         return float(out[0]) if single else out
 
     def fourier_d_grid(self, t) -> np.ndarray:
@@ -308,20 +462,28 @@ class StepDistribution:
         return closed_form_grid(self.closed_form(t), self.d)
 
     def _power_transform(self, ts) -> np.ndarray:
-        """sum over the orthant of mass(x) prod_a cos(ts[a] x_a), shape
-        (len(ts[0]), ..., len(ts[d-1])): one tensordot per axis.  The first
-        axis goes in blocks of x_0, so its cosine table stays small even
-        when the orthant is one long axis."""
-        mass = self.orthant_mass
-        x = np.arange(self.support_radius + 1)
-        step = max(1, _CHUNK // len(ts[0]))
-        out = sum(np.tensordot(mass[i:i + step],
-                               _axis_cosines(ts[0], x[i:i + step]),
-                               axes=(0, 1))
-                  for i in range(0, len(x), step))
-        for t in ts[1:]:
-            out = np.tensordot(out, _axis_cosines(t, x), axes=(0, 1))
-        return out
+        """Dhat on the product grid of the per-axis values ts, shape
+        (len(ts[0]), ..., len(ts[d-1])): one weight stream, over the norm."""
+        sink = _GridSum(ts, self.support_radius)
+        return sink.result() / self._feed([sink])
+
+    def _dhat_sink(self, ks: np.ndarray):
+        """The sink of sum h(x) cos(k.x) at the rows of an (n, d) array ks:
+        the product grid of the rows' distinct per-axis values when it and
+        a slab's partial contractions stay within PRODUCT_GRID_LIMIT entries
+        (a scan grid, or k sampled from one), the rows one by one
+        otherwise."""
+        d, R = self.d, self.support_radius
+        axes = [np.unique(ks[:, a], return_inverse=True) for a in range(d)]
+        sizes = [len(u) for u, _ in axes]
+        rows = min(_slab_step(R, d), R + 1)
+        largest = max([math.prod(sizes)]
+                      + [rows * math.prod(sizes[1:a + 1]) * (R + 1) ** (d - 1 - a)
+                         for a in range(1, d)])
+        if largest > PRODUCT_GRID_LIMIT:
+            return _RowSums(ks, R)
+        return _GridSum([u for u, _ in axes], R,
+                        tuple(inv for _, inv in axes))
 
     def fourier_d_support_sum(self, ks) -> np.ndarray:
         """Dhat at the rows of an (n, d) array ks as a sum over the support
@@ -338,30 +500,58 @@ class StepDistribution:
     # -- torus folding ------------------------------------------------------
     def fold(self, grid: TorusGrid) -> TorusField:
         """D_M(x) = sum over images y = x mod M of D(y)."""
+        return self.fold_and_grids(grid, [])[0]
+
+    def fold_and_grids(self, grid: TorusGrid, ts) -> tuple:
+        """(fold(grid), [fourier_d_grid(t) for t in ts]); the power family
+        reads one weight stream for all of them, nn and uniform add up
+        their support."""
         if grid.d != self.d:
             raise ValueError("grid dimension mismatch")
-        if self.family == "power":
-            vals = _fold_orthant(self.orthant_mass, grid.M)
-        else:
+        if self.family != "power":
             offs, probs = self.support()
             vals = np.zeros(grid.n_sites)
             np.add.at(vals, grid.flat_index(offs), probs)
-        return TorusField(grid, vals.reshape(grid.shape), "x")
+            return (TorusField(grid, vals.reshape(grid.shape), "x"),
+                    [self.fourier_d_grid(t) for t in ts])
+        fold = _FoldSum(grid.M, self.d)
+        grids = [_GridSum([np.asarray(t, dtype=float)] * self.d,
+                          self.support_radius) for t in ts]
+        norm = self._feed([fold] + grids)
+        return (TorusField(grid, fold.result() / norm, "x"),
+                [sink.result() / norm for sink in grids])
 
     # -- moments and condition scan -------------------------------------
     def moment(self, kappa: float):
         """Sum |x|^kappa D(x), or "divergent" for the power family at kappa
-        >= alpha, decided analytically.  The power family sums its orthant
-        mass."""
+        >= alpha, decided analytically."""
+        return self.moments([kappa])[0]
+
+    def moments(self, kappas) -> list:
+        """moment at each kappa; the power family sums every convergent one
+        over one weight stream."""
         if self.family == "power":
-            if kappa >= self.alpha:
-                return "divergent"
-            r = self.orthant_norms(self.support_radius)
-            r[(0,) * self.d] = 1.0  # no mass there; keeps 0^kappa finite
-            return float(np.sum(r ** kappa * self.orthant_mass))
+            return self.scan([], kappas)[1]
         offs, p = self.support()
         r = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
-        return float(np.sum(r ** kappa * p))
+        return [float(np.sum(r ** kappa * p)) for kappa in kappas]
+
+    def scan(self, samples, kappas):
+        """(Dhat at the rows of each (n, d) array in samples, the moment at
+        each kappa).  The power family reads one weight stream for all of
+        them and divides by the norm at the end."""
+        if self.family != "power":
+            return [self.fourier_d(k) for k in samples], self.moments(kappas)
+        sinks = [self._dhat_sink(np.asarray(k, dtype=float)) for k in samples]
+        finite = [kappa for kappa in kappas if kappa < self.alpha]
+        moments = _MomentSums(finite, self.support_radius, self.d)
+        if finite:
+            sinks.append(moments)
+        norm = self._feed(sinks) if sinks else None
+        sums = iter(moments.sum)
+        return ([sink.result() / norm for sink in sinks[:len(samples)]],
+                [next(sums) / norm if kappa < self.alpha else "divergent"
+                 for kappa in kappas])
 
     def to_spec(self) -> dict:
         out = {"family": self.family, "d": self.d}
@@ -408,10 +598,15 @@ def verify_conditions(dist: StepDistribution, grid_res: int = 16,
     axis = 2.0 * np.pi * (np.arange(grid_res) - grid_res // 2) / grid_res
     # always include a fine sample of the inner box ||k||_inf <= 1/L
     inner_axis = np.linspace(-1.0 / L, 1.0 / L, grid_res)
-    # each sample is one call, so its per-axis values stay a small grid
+    # each sample is its own product grid, so its per-axis values stay few;
+    # the power family reads one weight stream for both and the moments
     samples = [_k_sample(axis, d, 12345), _k_sample(inner_axis, d, 54321)]
+    kappas = [2.0, 2.0 + eps]
+    if dist.family == "power":
+        kappas += [dist.alpha - eps, dist.alpha]
+    dhats, moments = dist.scan(samples, kappas)
     ks = np.concatenate(samples)
-    dhat = np.concatenate([dist.fourier_d(sample) for sample in samples])
+    dhat = np.concatenate(dhats)
     keep = np.any(ks != 0.0, axis=1)
     ks = ks[keep]
 
@@ -437,12 +632,7 @@ def verify_conditions(dist: StepDistribution, grid_res: int = 16,
     if c2_hat <= 0:
         violations.append({"condition": "large-k bounds", "k": None})
 
-    table = []
-    kappas = [2.0, 2.0 + eps]
-    if dist.family == "power":
-        kappas += [dist.alpha - eps, dist.alpha]
-    for kappa in kappas:
-        table.append((kappa, dist.moment(kappa)))
+    table = list(zip(kappas, moments))
 
     return ConditionReport(c1_hat=c1_hat, c2_hat=c2_hat, sup_d=dist.sup_d,
                            moment_table=table, ok=not violations,

@@ -176,12 +176,17 @@ class DualOrthant:
         return self.slab(slice(None))[np.ix_(*[fold] * self.d)]
 
 
+def _dual_axis(grid: TorusGrid) -> np.ndarray:
+    """k = 2 pi j / M for j = 0 .. M/2, one axis of the dual orthant."""
+    return 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
+
+
 def dual_orthant(dist: StepDistribution, grid: TorusGrid) -> DualOrthant:
     """Dhat on the orthant of grid's dual grid, from the family (no fold).
     nn and uniform keep their per-axis factors and build a slab only when
     it is read; the power family's transform is one contraction of its
-    mass, so its orthant is taken once and stored."""
-    t = 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
+    weight stream, so its orthant is taken once and stored."""
+    t = _dual_axis(grid)
     if dist.family == "power":
         return DualOrthant.stored(grid.M, dist.fourier_d_grid(t))
     return DualOrthant(grid.M, grid.d,
@@ -339,21 +344,23 @@ def refinement_divergent(values) -> bool:
     return d2 > CAUCHY_RATIO * d1
 
 
-def beta(dist: StepDistribution, grid: TorusGrid, s: int,
-         refinements: int = 3) -> BetaReport:
-    """beta in k- and x-space on grid and in k-space on M, 2M, ...; the
-    k-space values come from the orthant transform, and only the base grid
-    is folded, for the x-space side."""
+def beta_on_grids(dist: StepDistribution, grids, s: int) -> BetaReport:
+    """beta in k-space on each grid of a sequence and in x-space on the
+    first; the k-space values come from the orthant transform, and only the
+    first grid is folded, for the x-space side.  The power family takes
+    every transform and the fold from one weight stream."""
     if s not in (2, 3):
         raise ValueError("s must be 2 or 3")
-    bk = beta_kspace(dual_orthant(dist, grid), s)
-    seq = [(grid.M, bk)][:refinements]
-    for i in range(1, refinements):
-        g = TorusGrid(grid.d, grid.M * 2 ** i)
-        seq.append((g.M, beta_kspace(dual_orthant(dist, g), s)))
+    if dist.family == "power":
+        dm, dhats = dist.fold_and_grids(grids[0],
+                                        [_dual_axis(g) for g in grids])
+        orths = [DualOrthant.stored(g.M, v) for g, v in zip(grids, dhats)]
+    else:
+        dm, orths = dist.fold(grids[0]), [dual_orthant(dist, g) for g in grids]
+    seq = [(g.M, beta_kspace(orth, s)) for g, orth in zip(grids, orths)]
     return BetaReport(
-        s=s, M=grid.M, beta_kspace=bk,
-        beta_xspace=_beta_xspace(dist.fold(grid), s),
+        s=s, M=grids[0].M, beta_kspace=seq[0][1],
+        beta_xspace=_beta_xspace(dm, s),
         sup_d=dist.sup_d,
         zero_mode_policy="k=0 dual point excluded; x-space C_1 built from "
                          "the transform with its zero mode removed",
@@ -361,6 +368,16 @@ def beta(dist: StepDistribution, grid: TorusGrid, s: int,
         analytic_threshold=dist.alpha_wedge_2 * s,
         analytic_finite=dist.d > dist.alpha_wedge_2 * s,
         tail_bound=dist.tail_bound)
+
+
+def beta(dist: StepDistribution, grid: TorusGrid, s: int,
+         refinements: int = 3) -> BetaReport:
+    """beta_on_grids on grid and its refinements M, 2M, ... (refinements
+    grids in all; the base grid is used even at 0)."""
+    rep = beta_on_grids(dist, [TorusGrid(grid.d, grid.M * 2 ** i)
+                               for i in range(max(refinements, 1))], s)
+    rep.refinement = rep.refinement[:refinements]
+    return rep
 
 
 # -- separable fast path for product-form transforms ---------------------
@@ -457,7 +474,7 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
     L = dist.L if dist.family != "nn" else 1
     if L > 1:
         # max_a k_a <= 1/L axis by axis: one bool orthant, no index grid
-        k = 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
+        k = _dual_axis(grid)
         inner = _outer_reduce(np.logical_and, k <= 1.0 / L, grid.d,
                               out=np.ones(orth.shape, dtype=bool))
         record["inner_region"] = beta_kspace(orth, s, inner)

@@ -1,19 +1,51 @@
+import tracemalloc
+
 import pytest
 
 from lacelab.steps import StepDistribution
 
 
+class traced_peak:
+    """Traces the allocations of a with block:
+        with traced_peak() as traced:
+            ...
+        traced.peak  # the block's tracemalloc peak, in bytes"""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+
+
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """Records the grid side M of every StepDistribution.fold call."""
+    """Records the grid side M of every fold: StepDistribution.fold, and
+    fold_and_grids, which the power family's beta reads, both fold there."""
     calls = []
-    fold = StepDistribution.fold
+    fold = StepDistribution.fold_and_grids
 
-    def counting_fold(self, grid):
+    def counting_fold(self, grid, ts):
         calls.append(grid.M)
-        return fold(self, grid)
+        return fold(self, grid, ts)
 
-    monkeypatch.setattr(StepDistribution, "fold", counting_fold)
+    monkeypatch.setattr(StepDistribution, "fold_and_grids", counting_fold)
+    return calls
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """Records the dimension of every power-family weight stream started."""
+    calls = []
+    stream = StepDistribution._h_stream
+
+    def counting_stream(self):
+        calls.append(self.d)
+        return stream(self)
+
+    monkeypatch.setattr(StepDistribution, "_h_stream", counting_stream)
     return calls
 
 
@@ -34,8 +66,8 @@ def dist_inits(monkeypatch):
 @pytest.fixture
 def expansions(monkeypatch):
     """Counts the StepDistribution.support calls and the power-family
-    offsets whose weight is read from the orthant mass (probs_at), the
-    points expanded from the orthant to signed steps."""
+    offsets whose weight is evaluated one by one (probs_at), the points
+    expanded from the orthant to signed steps."""
     counts = {"support_calls": 0, "points": 0}
     support, probs_at = StepDistribution.support, StepDistribution.probs_at
 

@@ -2,7 +2,6 @@ import json
 import pathlib
 import re
 import shlex
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +12,8 @@ from lacelab import steps
 from lacelab import walk as wk
 from lacelab.cli import _jsonify, main
 from lacelab.steps import StepDistribution
+
+from conftest import traced_peak
 
 
 def run_cli(capsys, argv):
@@ -467,15 +468,17 @@ class TestPowerDistCheck:
         assert expansions == {"support_calls": 0, "points": 0}
 
     def test_d3_transform_matches_the_support_sum(self, capsys, monkeypatch):
+        # the scan samples and the moments share one weight stream (scan)
         seen = []
-        fourier_d = StepDistribution.fourier_d
+        scan = StepDistribution.scan
 
-        def recording(self, k):
-            out = fourier_d(self, k)
-            seen.append((self, np.asarray(k, dtype=float), out))
-            return out
+        def recording(self, samples, kappas):
+            dhats, moments = scan(self, samples, kappas)
+            seen.extend((self, np.asarray(k, dtype=float), out)
+                        for k, out in zip(samples, dhats))
+            return dhats, moments
 
-        monkeypatch.setattr(StepDistribution, "fourier_d", recording)
+        monkeypatch.setattr(StepDistribution, "scan", recording)
         code, doc = run_cli(capsys, ["dist-check", "--family", "power",
                                      "--alpha", "1.2", "--d", "3",
                                      "--truncation", "8"])
@@ -486,18 +489,30 @@ class TestPowerDistCheck:
             assert np.max(np.abs(out - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["diag", "--family", "power", "--alpha", "1.2", "--d", "2", "--M", "16"],
+    ["dist-check", "--family", "power", "--alpha", "1.2", "--d", "3"],
+    ["rw-beta", "--family", "power", "--alpha", "1.2", "--d", "2", "--s", "2",
+     "--M", "8,16"]])
+def test_power_jobs_stream_the_orthant_once(capsys, streams, argv):
+    # every transform, fold and moment of one job, and the norm, read one
+    # weight stream; no orthant-size array is built
+    with traced_peak() as traced:
+        code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(streams) == 1
+    if argv[0] == "diag":
+        assert traced.peak < 4 * 2 ** 20  # 38.7 MiB with a stored orthant
+
+
 def _rw_beta_nn_peak(capsys, d):
     """tracemalloc peak of `rw-beta --family nn --d d --M 8,16,32`."""
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         code, doc = run_cli(capsys, ["rw-beta", "--family", "nn", "--d",
                                      str(d), "--s", "2", "--M", "8,16,32"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert code == 0
     assert doc["result"]["M_sequence"] == [8, 16, 32]
-    return peak
+    return traced.peak
 
 
 def test_rw_beta_nn_d5_stays_small(capsys):

@@ -1,4 +1,3 @@
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +11,8 @@ from lacelab.saw import (DEFAULT_NODE_BUDGET, MAX_BRANCHING, BudgetExceeded,
                          extract_lace, reconstruct_c, two_point_series,
                          zc_estimate)
 from lacelab.steps import StepDistribution
+
+from conftest import traced_peak
 
 SQUARE_COUNTS = [4, 12, 36, 100, 284, 780, 2172, 5916]
 
@@ -166,14 +167,10 @@ def test_block_splits_keep_the_search_order(family, d, kw, n_max, radius,
 def test_the_search_working_set_is_bounded():
     # 942,710 walks made, in blocks; the walks of one level are never
     # held at once
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         series = enumerate_walks(StepDistribution("nn", 2), 14)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert series.visited == 942710
-    assert peak <= 8 * 2 ** 20
+    assert traced.peak <= 8 * 2 ** 20
 
 
 def test_a_long_walk_needs_no_recursion():
@@ -335,28 +332,20 @@ class TestEnumeration:
     def test_rejecting_a_large_support_stays_small(self, default_power):
         # 19,989,840 power-law steps; the old filter materialised them all
         # and peaked near 950 MB before it rejected them
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(ValueError, match="branching factor"):
                 enumerate_walks(default_power, 2, mode="double")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        assert traced.peak < 8e6
 
     def test_a_large_support_radius_is_refused_on_the_orthant(
             self, default_power):
         # the signed cube ||x||_inf <= 1000 holds 4,004,000 offsets, 64 MB
         # of them alone; its orthant holds a quarter as many points
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             with pytest.raises(ValueError, match="branching factor"):
                 enumerate_walks(default_power, 2, mode="double",
                                 support_radius=1000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        assert traced.peak < 32e6
 
     def test_a_support_radius_evaluates_only_its_cube(self, default_power,
                                                       expansions):

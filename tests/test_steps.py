@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +12,8 @@ from lacelab.saw import MAX_BRANCHING, enumerate_walks
 from lacelab.steps import StepDistribution, ising_tau, verify_conditions
 from lacelab.torus import TorusGrid, real_dft, within_range
 from lacelab.walk import folded_dhat
+
+from conftest import traced_peak
 
 
 class TestEval:
@@ -149,12 +150,15 @@ class TestSupportWalk:
         assert series.weights == probs[keep].tolist()
 
 
-# (d, kwargs): d = 1..4, at truncations from 40 down to 1
+# (d, kwargs): d = 1..4, at truncations from 40 down to 1, then two
+# weight streams of several slabs (301 rows of 217, 10^5 + 1 rows of 2^16)
 FOLD_CASES = [(1, {"alpha": 1.5, "support_radius": 40}),
               (2, {"alpha": 0.7, "L": 2, "support_radius": 12}),
               (2, {"alpha": 1.2, "support_radius": 1}),
               (3, {"alpha": 1.5, "support_radius": 5}),
-              (4, {"alpha": 1.2, "support_radius": 2})]
+              (4, {"alpha": 1.2, "support_radius": 2}),
+              (2, {"alpha": 1.2, "support_radius": 300}),
+              (1, {"alpha": 1.2, "support_radius": 10 ** 5})]
 
 
 @pytest.mark.parametrize("d,kw", FOLD_CASES)
@@ -165,9 +169,56 @@ def test_power_fold_is_the_support_added_up(d, kw, M):
     offs, probs = dist.support()
     want = np.zeros(M ** d)
     np.add.at(want, np.mod(offs, M) @ (M ** np.arange(d - 1, -1, -1)), probs)
-    got = steps._fold_orthant(dist.orthant_mass, M)
+    sink = steps._FoldSum(M, d)  # any M: a TorusGrid needs an even M >= 4
+    norm = dist._feed([sink])
+    got = sink.result() / norm
     assert got.shape == (M,) * d
     np.testing.assert_allclose(got.ravel(), want, rtol=1e-13, atol=0)
+    if M >= 4 and M % 2 == 0:  # a torus grid
+        assert np.array_equal(dist.fold(TorusGrid(d, M)).values, got)
+
+
+# (d, kwargs) whose weight stream runs in two slabs or more: 10^5 + 1 rows
+# of 2^16, 301 rows of 217, 41 rows of 38
+MULTI_SLAB = [(1, {"alpha": 1.2, "support_radius": 10 ** 5}),
+              (2, {"alpha": 1.2, "support_radius": 300}),
+              (3, {"alpha": 0.7, "L": 2, "support_radius": 40})]
+
+
+class TestWeightStream:
+    @pytest.mark.parametrize("d,kw", MULTI_SLAB)
+    def test_multi_slab_transform_matches_the_support_sum(self, d, kw,
+                                                          monkeypatch):
+        dist = StepDistribution("power", d, **kw)
+        assert len([x0 for x0, _ in dist._h_stream()]) >= 2
+        ks = np.random.default_rng(d).uniform(-np.pi, np.pi, size=(20, d))
+        want = dist.fourier_d_support_sum(ks)
+        assert np.max(np.abs(dist.fourier_d(ks) - want)) <= 1e-12
+        t = 2.0 * np.pi * np.arange(3) / 4
+        want_grid = dist.fourier_d_support_sum(steps._grid_points(t, d))
+        assert np.max(np.abs(dist.fourier_d_grid(t).ravel()
+                             - want_grid)) <= 1e-12
+        # a product grid of zero size sends every row down the row path
+        monkeypatch.setattr(steps, "PRODUCT_GRID_LIMIT", 0)
+        assert np.max(np.abs(dist.fourier_d(ks) - want)) <= 1e-12
+
+    def test_the_constructor_streams_nothing(self, streams):
+        dist = StepDistribution("power", 2, alpha=1.2)
+        assert streams == []
+        # the transform's stream records sum h, so the norm is free
+        dist.fourier_d_grid(2.0 * np.pi * np.arange(5) / 8)
+        assert dist.sup_d > 0 and dist.tail_bound > 0
+        assert streams == [2]
+
+    def test_the_bits_do_not_depend_on_the_read_order(self):
+        t = 2.0 * np.pi * np.arange(9) / 16
+        norm_first = StepDistribution("power", 2, alpha=1.2)
+        sup_d = norm_first.sup_d
+        grid = norm_first.fourier_d_grid(t)
+        transform_first = StepDistribution("power", 2, alpha=1.2)
+        assert np.array_equal(transform_first.fourier_d_grid(t), grid)
+        assert transform_first.sup_d == sup_d
+        assert transform_first.norm_const == norm_first.norm_const
 
 
 class TestFourier:
@@ -304,13 +355,9 @@ class TestDualGridTransform:
         # the key grid becomes Dhat in place, by the same operations in the
         # same order as mapping it to a second grid
         t = 2.0 * np.pi * np.arange(17) / 32
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             got = dist.fourier_d_grid(t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * got.nbytes
+        assert traced.peak <= 1.1 * got.nbytes
         factors, combine, _ = dist.closed_form(t)
         want = key_to_dhat(steps._outer_reduce(combine, factors, 5))
         assert np.array_equal(got, want)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from lacelab.walk import (DualOrthant, beta, beta_kspace, beta_scaling_table,
                           folded_dhat, greens_c, greens_c_critical,
                           nonzero_modes, refinement_divergent,
                           return_probability, return_probability_kspace)
+
+from conftest import traced_peak
 
 
 class TestReturnProbability:
@@ -221,13 +222,9 @@ class TestSlabOrder:
         for dist, M in ((StepDistribution("nn", 5), 32),
                         (StepDistribution("uniform", 4, L=2), 32)):
             slab_bytes = 8 * (M // 2 + 1) ** (dist.d - 1)
-            tracemalloc.start()
-            try:
+            with traced_peak() as traced:
                 beta_kspace(dual_orthant(dist, TorusGrid(dist.d, M)), 2)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * slab_bytes, dist.family
+            assert traced.peak <= 4 * slab_bytes, dist.family
 
     @pytest.mark.parametrize("dist,M", [
         (StepDistribution("power", 1, alpha=0.7, L=3, support_radius=9), 8),
