@@ -193,8 +193,9 @@ class _GridSum:
         for table in self.tables:
             h = np.tensordot(h, table, axes=(1, 1))
         for i in range(0, len(x0), self.step):
-            self.sum += np.tensordot(_axis_cosines(self.t0, x0[i:i + self.step]),
-                                     h[i:i + self.step], axes=(1, 0))
+            rows = slice(i, i + self.step)
+            self.sum += np.tensordot(_axis_cosines(self.t0, x0[rows]),
+                                     h[rows], axes=(1, 0))
 
     def result(self) -> np.ndarray:
         return self.sum[self.index]
@@ -299,8 +300,8 @@ class StepDistribution:
         end records sum h, added up slab by slab, so every stream gives the
         norm the same bits."""
         d, R, L = self.d, self.support_radius, self.L
-        x2 = (_other_axes(R, d) / L) ** 2
-        images = np.where(_other_axes(R, d) > 0, 2.0, 1.0)
+        x = _other_axes(R, d)
+        x2, images = (x / L) ** 2, np.where(x > 0, 2.0, 1.0)
         buf = np.empty((min(_slab_step(R, d), R + 1),) + (R + 1,) * (d - 1))
         record = "_h_sum" not in vars(self)
         total = 0.0
@@ -465,7 +466,8 @@ class StepDistribution:
         """Dhat on the product grid of the per-axis values ts, shape
         (len(ts[0]), ..., len(ts[d-1])): one weight stream, over the norm."""
         sink = _GridSum(ts, self.support_radius)
-        return sink.result() / self._feed([sink])
+        norm = self._feed([sink])
+        return sink.result() / norm
 
     def _dhat_sink(self, ks: np.ndarray):
         """The sink of sum h(x) cos(k.x) at the rows of an (n, d) array ks:
@@ -477,9 +479,9 @@ class StepDistribution:
         axes = [np.unique(ks[:, a], return_inverse=True) for a in range(d)]
         sizes = [len(u) for u, _ in axes]
         rows = min(_slab_step(R, d), R + 1)
-        largest = max([math.prod(sizes)]
-                      + [rows * math.prod(sizes[1:a + 1]) * (R + 1) ** (d - 1 - a)
-                         for a in range(1, d)])
+        largest = max([math.prod(sizes)] + [
+            rows * math.prod(sizes[1:a + 1]) * (R + 1) ** (d - 1 - a)
+            for a in range(1, d)])
         if largest > PRODUCT_GRID_LIMIT:
             return _RowSums(ks, R)
         return _GridSum([u for u, _ in axes], R,

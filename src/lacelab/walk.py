@@ -17,8 +17,9 @@ refused with MemoryError before it starts.  For nn and uniform the orthant
 is never built: DualOrthant keeps the per-axis factors of the closed form
 and computes each slab into the slab buffer (steps.closed_form_grid),
 entry by entry as the whole grid would.  The power family stores its
-orthant, one contraction of its mass, and copies a slab of it into the
-buffer.  The masks (k != 0 per slab, the ||k||_inf <= 1/L
+orthant, one contraction of its weight stream, and copies a slab of it into
+the buffer; beta_on_grids takes every grid's orthant and the fold from one
+stream (StepDistribution.fold_and_grids).  The masks (k != 0 per slab, the ||k||_inf <= 1/L
 region as one bool orthant) are the only orthant-shaped arrays; the whole
 grid is built only by DualOrthant.full, for the TwoPointInput of diag and
 infrared.  The contraction order is fixed: every slab is contracted to one
@@ -31,7 +32,7 @@ transforms it by FFT (real_dft) and convolves with the zero-mode-removed
 Green's function.  The two sides are independent constructions that must
 agree to rounding (Parseval).  Convergence to the infinite-lattice integral
 is probed by refining the grid M -> 2M -> 4M in k-space and judged by
-refinement_divergent; beta folds only its base grid.
+refinement_divergent; beta_on_grids folds only its first grid.
 """
 
 import math

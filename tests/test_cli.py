@@ -493,7 +493,9 @@ class TestPowerDistCheck:
     ["diag", "--family", "power", "--alpha", "1.2", "--d", "2", "--M", "16"],
     ["dist-check", "--family", "power", "--alpha", "1.2", "--d", "3"],
     ["rw-beta", "--family", "power", "--alpha", "1.2", "--d", "2", "--s", "2",
-     "--M", "8,16"]])
+     "--M", "8,16"],
+    ["saw", "--family", "power", "--alpha", "1.2", "--d", "2",
+     "--support-radius", "2.5", "--nmax", "4", "--mode", "double"]])
 def test_power_jobs_stream_the_orthant_once(capsys, streams, argv):
     # every transform, fold and moment of one job, and the norm, read one
     # weight stream; no orthant-size array is built
