@@ -22,8 +22,8 @@ class traced_peak:
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """Records the grid side M of every fold: StepDistribution.fold, and
-    fold_and_grids, which the power family's beta reads, both fold there."""
+    """Records the grid side M of every fold: StepDistribution.fold and
+    the power family's beta both fold through fold_and_grids."""
     calls = []
     fold = StepDistribution.fold_and_grids
 

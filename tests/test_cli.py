@@ -497,7 +497,8 @@ class TestPowerDistCheck:
     ["saw", "--family", "power", "--alpha", "1.2", "--d", "2",
      "--support-radius", "2.5", "--nmax", "4", "--mode", "double"],
     ["perc", "--family", "power", "--alpha", "1.2", "--d", "2", "--M", "6",
-     "--z", "0.3", "--R", "1.5", "--replicas", "50", "--seed", "1"]])
+     "--z", "0.3", "--R", "1.5", "--replicas", "50", "--seed", "1"]],
+    ids=lambda argv: argv[0])
 def test_power_jobs_stream_the_orthant_once(capsys, streams, argv):
     # every transform, fold and moment of one job, and the norm, read one
     # weight stream; no orthant-size array is built
