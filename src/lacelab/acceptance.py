@@ -62,15 +62,19 @@ def criterion_3_beta_consistency() -> dict:
         radius = 16 if family == "power" else None
         dist = StepDistribution(family, d, L=L, alpha=alpha,
                                 support_radius=radius)
-        rep = wk.beta(dist, TorusGrid(d, M), s, refinements=refinements)
+        grid = TorusGrid(d, M)
+        rep = wk.beta(dist, grid, s, refinements=refinements)
         err = abs(rep.beta_kspace - rep.beta_xspace)
-        row_ok = err <= 1e-9
+        # beta <= sqrt(D^{*4}(0)) sqrt(mean (1 - Dhat)^{-2s}) on the base grid
+        split = wk.bound_diagnostics(dist, grid, s)["holds"]
+        row_ok = err <= 1e-9 and split
         if expect is not None:
             row_ok = row_ok and rep.divergent == expect
         ok = ok and row_ok
         rows.append({"family": family, "d": d, "s": s, "M": M,
                      "consistency_error": err, "divergent": rep.divergent,
-                     "analytic_finite": rep.analytic_finite, "ok": row_ok})
+                     "analytic_finite": rep.analytic_finite,
+                     "cauchy_schwarz_holds": split, "ok": row_ok})
     return {"passed": ok, "rows": rows}
 
 
@@ -132,7 +136,16 @@ def criterion_5_saw_counts() -> dict:
     closed = (2.0 + 1.0) / (2.0 - 1.0)
     remainder = abs(chi["chi"] - closed)
     ok = ok and remainder < 1e-6
-    return {"passed": ok, "counts": counts, "chi_remainder": remainder}
+    # zc/(zc - z) <= chi(z) <= B (zc/(zc - z) + 1) on the d=2 series
+    zc = sw.zc_estimate(series)["zc_est"]
+    diff = []
+    for z in (0.3, 0.5):
+        rec = sw.check_diff_inequality(series, z, zc, sw.bubble_saw(series, z))
+        diff.append({"z": z, "holds": rec["holds"],
+                     "truncation_dominated": rec["truncation_dominated"]})
+        ok = ok and rec["holds"] and not rec["truncation_dominated"]
+    return {"passed": ok, "counts": counts, "chi_remainder": remainder,
+            "diff_inequality": diff}
 
 
 def criterion_6_lace_reconstruction() -> dict:
@@ -241,7 +254,8 @@ def criterion_10_inequalities(n_random: int = 100) -> dict:
     rng = np.random.default_rng(10)
     violations = dict.fromkeys(
         ("trig_lemma", "delta_vs_cos", "cos_split", "c_lambda_identity",
-         "open_vs_closed_bubble", "bubble_chain", "cos_g_bound"), 0)
+         "open_vs_closed_bubble", "bubble_chain", "cos_g_bound",
+         "b_tilde_beta"), 0)
 
     def count(name, holds):
         violations[name] += int(np.count_nonzero(np.logical_not(holds)))
@@ -299,6 +313,8 @@ def criterion_10_inequalities(n_random: int = 100) -> dict:
         k = rng.integers(0, inp.grid.M, size=(3, inp.grid.d))
         count("cos_g_bound",
               dg.cos_g_bound_check(inp, k, max(f1, f2, f3))["holds"])
+        # draws nothing from rng, so no other check's inputs move
+        count("b_tilde_beta", dg.b_tilde_beta_bound_check(inp)["holds"])
 
     total = sum(violations.values())
     return {"passed": total == 0, "violations": violations}

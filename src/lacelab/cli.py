@@ -3,7 +3,7 @@
 Every run writes a JSON result document containing {spec, version, seed,
 result}; the document itself carries no timestamp, so identical spec + seed
 gives byte-identical output.  Wall-clock metadata goes to a sidecar
-<out>.meta.json.  Sweep subcommands can additionally emit a CSV table.
+<out>.meta.json.  beta-table can additionally write its rows as a CSV table.
 Exit codes: 0 success, 1 validation error, 2 an asserted check failed.
 """
 
@@ -50,11 +50,9 @@ def _add_out_args(p):
     p.add_argument("--out", default=None,
                    help="output JSON path (default: stdout, or "
                         "$LACELAB_OUT_DIR/<subcommand>.json if set)")
-    p.add_argument("--csv", default=None, help="optional CSV table path")
 
 
-def _emit(args, subcommand: str, spec: dict, seed, result: dict,
-          csv_rows=None, csv_fields=None):
+def _emit(args, subcommand: str, spec: dict, seed, result: dict):
     doc = {"subcommand": subcommand, "spec": spec, "seed": seed,
            "version": __version__, "result": result}
     # allow_nan=False: NaN or an infinity raises ValueError (exit 1) rather
@@ -73,11 +71,6 @@ def _emit(args, subcommand: str, spec: dict, seed, result: dict,
                       fh)
     else:
         print(text)
-    if csv_rows is not None and args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=csv_fields)
-            writer.writeheader()
-            writer.writerows(csv_rows)
 
 
 def _jsonify(obj):
@@ -117,7 +110,7 @@ def cmd_rw_beta(args):
         "beta_sequence": betas,
         "beta_kspace": rep.beta_kspace, "beta_xspace": rep.beta_xspace,
         "consistency_error": abs(rep.beta_kspace - rep.beta_xspace),
-        "divergent": wk.refinement_divergent(betas),
+        "divergent": rep.divergent,
         "analytic_threshold": rep.analytic_threshold,
         "analytic_finite": rep.analytic_finite,
         "zero_mode_policy": rep.zero_mode_policy,
@@ -139,10 +132,13 @@ def cmd_beta_table(args):
     rows = wk.beta_scaling_table(args.family, args.s, sweep)
     result = {"rows": rows,
               "uncertainty": "exact on the stated grid; fixed M across sweep"}
-    fields = list(rows[0].keys()) if rows else []
     _emit(args, "beta-table", {"family": args.family, "s": args.s,
-                               "sweep": sweep}, None, result,
-          csv_rows=rows, csv_fields=fields)
+                               "sweep": sweep}, None, result)
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def cmd_saw(args):
@@ -296,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--M", type=int, default=16)
     _add_out_args(p)
+    p.add_argument("--csv", default=None, help="optional CSV table path")
     p.set_defaults(fn=cmd_beta_table)
 
     p = sub.add_parser("saw", help="exact SAW enumeration and lace extraction")

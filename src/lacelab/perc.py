@@ -18,9 +18,9 @@ exact_small runs the shared enumerator (exact.bit_chunks) once over all
 2^bonds configurations, labels every cluster by min-label propagation,
 and yields chi, the cluster-size law, the connectivities from site 0 and
 dchi/dz together; with pivotal (the default) also the whole
-pair-connectivity matrix and the pivotal sum.  exact_pair_matrix,
-exact_triangle and russo_check read their numbers from it, and the size
-law drives the magnetization checks.
+pair-connectivity matrix and the pivotal sum.  exact_pair_matrix and
+russo_check read their numbers from it, and the size law drives the
+magnetization checks.
 """
 
 import math
@@ -33,8 +33,7 @@ import numpy as np
 from .exact import EXACT_LIMIT, bit_chunks
 from .kernels import percolation_clusters
 from .steps import StepDistribution
-from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
-                    within_range)
+from .torus import TorusGrid, within_range
 
 EXACT_BOND_LIMIT = EXACT_LIMIT
 
@@ -59,8 +58,8 @@ class PercConfig:
 
     @cached_property
     def folded(self) -> np.ndarray:
-        """D_M on the grid, folded once per config and read by bond_offsets,
-        range_tail and restricted_triangle."""
+        """D_M on the grid, folded once per config and read by bond_offsets
+        and range_tail."""
         return self.dist.fold(self.grid).values
 
     @cached_property
@@ -336,17 +335,12 @@ def russo_check(graph: ExactGraph, z: float) -> dict:
     }
 
 
-def exact_triangle(graph: ExactGraph, z: float) -> float:
+def _triangle(graph: ExactGraph, G: np.ndarray) -> float:
     """Triangle with one step-weighted displacement, from exact connectivities.
 
     nabla = sum over bonds (u,v), ordered both ways, of q * average over
-    translations of G(v,s) G(s,t) G(t,u), computed from the full exact
-    pair-connectivity matrix.
+    translations of G(v,s) G(s,t) G(t,u), from the pair-connectivity matrix.
     """
-    return _triangle(graph, exact_pair_matrix(graph, z))
-
-
-def _triangle(graph: ExactGraph, G: np.ndarray) -> float:
     total = 0.0
     for u, v, q in graph.bonds:
         for a, b in ((u, v), (v, u)):
@@ -357,19 +351,6 @@ def _triangle(graph: ExactGraph, G: np.ndarray) -> float:
 def exact_pair_matrix(graph: ExactGraph, z: float) -> np.ndarray:
     """G[i, j] = P(i connected to j), by exhaustive enumeration."""
     return exact_small(graph, z, pivotal=True)["pair_matrix"]
-
-
-def restricted_triangle(config: PercConfig, g_field: TorusField) -> float:
-    """nabla = (D_R * G * G * G)(0) by torus convolutions.
-
-    g_field is a translation-averaged pair connectivity on the torus; the
-    step kernel is the folded D cut off at range R.
-    """
-    dm = config.folded.copy()
-    dm[~_in_range(config)] = 0.0
-    dr = TorusField(config.grid, config.z * dm, "x")
-    out = convolve(dr, convolve(g_field, convolve(g_field, g_field)))
-    return field_at_zero(out)
 
 
 def magnetization(size_law: np.ndarray, h: float) -> float:

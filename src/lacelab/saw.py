@@ -418,11 +418,6 @@ class LaceCoefficients:
     def mass(self, m: int):
         return sum(self.pi[m].values())
 
-    def abs_mass_at(self, z):
-        """sum_m z^m sum_x |pi_m(x)|, the coefficient-magnitude margin."""
-        return sum(z ** m * sum(abs(v) for v in p.values())
-                   for m, p in self.pi.items())
-
 
 def _recursion_terms(series: WalkSeries, upto: int):
     """(a_0..a_upto, step kernel, out): what the recursion runs on, on flat

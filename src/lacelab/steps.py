@@ -267,6 +267,11 @@ class StepDistribution:
             raise ValueError("unknown family %r" % (self.family,))
         if self.family != "nn" and self.L < 1:
             raise ValueError("L must be a positive integer")
+        if self.family == "nn" and self.L != 1:
+            raise ValueError("a range L applies to the uniform and power "
+                             "families only")
+        if self.family != "power" and self.alpha is not None:
+            raise ValueError("alpha applies to the power family only")
         if self.family != "power" and self.support_radius is not None:
             raise ValueError("a truncation applies to the power family only")
         if self.family == "power":
@@ -524,14 +529,10 @@ class StepDistribution:
                 [sink.result() / norm for sink in grids])
 
     # -- moments and condition scan -------------------------------------
-    def moment(self, kappa: float):
-        """Sum |x|^kappa D(x), or "divergent" for the power family at kappa
-        >= alpha, decided analytically."""
-        return self.moments([kappa])[0]
-
     def moments(self, kappas) -> list:
-        """moment at each kappa; the power family sums every convergent one
-        over one weight stream."""
+        """Sum |x|^kappa D(x) at each kappa, or "divergent" for the power
+        family at kappa >= alpha, decided analytically; the power family
+        sums every convergent one over one weight stream."""
         if self.family == "power":
             return self.scan([], kappas)[1]
         offs, p = self.support()
@@ -594,7 +595,7 @@ def verify_conditions(dist: StepDistribution, grid_res: int = 16,
     """
     if grid_res < 4:
         raise ValueError("grid_res must be >= 4")
-    d, L = dist.d, dist.L if dist.family != "nn" else 1
+    d, L = dist.d, dist.L
     aw2 = dist.alpha_wedge_2
 
     axis = 2.0 * np.pi * (np.arange(grid_res) - grid_res // 2) / grid_res

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIRECT_CONV_MAX_SITES = 4096
 REAL_DFT_TOL = 1e-10  # real_dft: largest |imag| / max(1, |real|)
 
 
@@ -39,10 +38,6 @@ class TorusGrid:
         """Per-axis centered representatives, shape (d, M, ..., M)."""
         c = np.indices(self.shape)
         return np.where(c >= self.M // 2, c - self.M, c)
-
-    def dual_values(self):
-        """Per-axis dual variable 2*pi*m/M wrapped to [-pi, pi)."""
-        return 2.0 * np.pi * self.centered_coords() / self.M
 
     def one_minus_cos(self, k_index) -> np.ndarray:
         """1 - cos(k.x) per site, k = 2 pi k_index / M, x centered; (..., d)
@@ -98,12 +93,6 @@ class TorusField:
             raise ValueError("space tag must be 'x' or 'k'")
 
 
-def delta_field(grid: TorusGrid) -> TorusField:
-    v = np.zeros(grid.shape)
-    v[(0,) * grid.d] = 1.0
-    return TorusField(grid, v, "x")
-
-
 def dft(f: TorusField) -> TorusField:
     if f.space != "x":
         raise ValueError("dft expects an x-space field")
@@ -145,24 +134,6 @@ def convolve(f: TorusField, g: TorusField) -> TorusField:
     if np.isrealobj(f.values) and np.isrealobj(g.values):
         out = out.real
     return TorusField(f.grid, out, "x")
-
-
-def convolve_direct(f: TorusField, g: TorusField) -> TorusField:
-    """O(M^{2d}) summation oracle; guarded to small grids."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
-    if f.grid.n_sites > DIRECT_CONV_MAX_SITES:
-        raise ValueError("direct convolution limited to M^d <= %d"
-                         % DIRECT_CONV_MAX_SITES)
-    grid = f.grid
-    sites = grid.sites()
-    gv = g.values.ravel()
-    out = np.zeros(grid.n_sites, dtype=np.result_type(f.values, g.values))
-    for y, fy in zip(sites, f.values.ravel()):
-        if fy == 0:
-            continue
-        out += fy * gv[grid.flat_index(sites - y)]
-    return TorusField(grid, out.reshape(grid.shape), "x")
 
 
 def delta_k(ghat: TorusField, k_index, l_index):

@@ -207,11 +207,6 @@ def resolvent(dhat: np.ndarray, z: float) -> np.ndarray:
     return 1.0 / (1.0 - z * dhat)
 
 
-def greens_c(dist: StepDistribution, grid: TorusGrid, z: float) -> TorusField:
-    """C_z-hat(k) = 1/(1 - z Dhat_M(k)); requires 0 <= z < 1."""
-    return TorusField(grid, resolvent(folded_dhat(dist, grid), z), "k")
-
-
 def nonzero_modes(shape) -> np.ndarray:
     """Mask of the dual grid with the k = 0 mode left out."""
     mask = np.ones(shape, dtype=bool)
@@ -283,11 +278,6 @@ def _critical(dhat: np.ndarray) -> np.ndarray:
     mask = nonzero_modes(dhat.shape)
     vals[mask] = 1.0 / (1.0 - dhat[mask])
     return vals
-
-
-def greens_c_critical(dist: StepDistribution, grid: TorusGrid) -> TorusField:
-    """z = 1 Green's function with the k = 0 mode removed."""
-    return TorusField(grid, _critical(folded_dhat(dist, grid)), "k")
 
 
 def return_probability(dist: StepDistribution, grid: TorusGrid, n: int) -> float:
@@ -472,11 +462,10 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
               "d4_return": d4, "inverse_power_mean": inv,
               "cauchy_schwarz_rhs": rhs, "holds": lhs <= rhs * (1 + 1e-12)}
 
-    L = dist.L if dist.family != "nn" else 1
-    if L > 1:
+    if dist.L > 1:
         # max_a k_a <= 1/L axis by axis: one bool orthant, no index grid
         k = _dual_axis(grid)
-        inner = _outer_reduce(np.logical_and, k <= 1.0 / L, grid.d,
+        inner = _outer_reduce(np.logical_and, k <= 1.0 / dist.L, grid.d,
                               out=np.ones(orth.shape, dtype=bool))
         record["inner_region"] = beta_kspace(orth, s, inner)
         record["outer_region"] = beta_kspace(orth, s, ~inner)

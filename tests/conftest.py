@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lacelab.steps import StepDistribution
@@ -18,6 +19,12 @@ class traced_peak:
     def __exit__(self, *exc):
         self.peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+
+
+def dual_values(grid):
+    """Per-axis dual variable 2*pi*m/M of a TorusGrid, wrapped to
+    [-pi, pi), shape (d, M, ..., M)."""
+    return 2.0 * np.pi * grid.centered_coords() / grid.M
 
 
 @pytest.fixture

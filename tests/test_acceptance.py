@@ -6,16 +6,20 @@ pytest -s) and asserts that criterion's "passed" flag.  Tolerances are
 fixed inside lacelab.acceptance:
   1  closed-form nn transform vs support sum, 1e-14 absolute
   2  four-step return probability vs 3/8, 1e-12 absolute
-  3  beta k-space vs x-space, 1e-9 absolute, plus divergence flags
+  3  beta k-space vs x-space, 1e-9 absolute, plus divergence flags and
+     the Cauchy-Schwarz split of beta on each base grid
   4  d*beta non-increasing over d in 9..13; L^5*beta max/min <= 3
-  5  SAW masses equal exact rational counts; d=1 chi limit within 1e-6
+  5  SAW masses equal exact rational counts; d=1 chi limit within 1e-6;
+     the SAW differential inequality at z = 0.3, 0.5, not
+     truncation-dominated
   6  lace coefficients reconstruct the series exactly (rational arithmetic)
   7  MC chi within 4 standard errors of exact for >= 48 of 50 seeds;
      derivative identity to 1e-12; tree-graph bound
   8  two-site identity to 1e-12; MC chi within 4 se for >= 48 of 50 seeds;
      single-step bound pointwise on exact instances
   9  bootstrap base point exact; free-model infrared deviation <= 1e-12
- 10  zero violations across all randomized inequality suites
+ 10  zero violations across all randomized inequality suites, among
+     them B-tilde <= 4 K^4 beta on the free inputs
  11  cluster-tail sandwich holds on exact size laws, 1e-12 slack
 """
 

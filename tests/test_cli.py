@@ -256,6 +256,11 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
      "z must be finite"),
     (["saw", "--family", "nn", "--d", "2", "--nmax", "3", "--z", "inf"],
      "z must be finite"),
+    # these ran, and the spec recorded neither flag
+    (["rw-beta", "--family", "nn", "--d", "2", "--s", "2", "--M", "8",
+      "--alpha", "1.2", "--L", "3"], "range L"),
+    (["rw-beta", "--family", "uniform", "--d", "2", "--s", "2", "--M", "8",
+      "--alpha", "1.2"], "alpha applies to the power family only"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)
@@ -263,6 +268,28 @@ def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     assert code == 1
     assert captured.out == ""
     assert re.search("invalid configuration: .*" + message, captured.err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist-check", "--family", "nn", "--d", "2"],
+    ["rw-beta", "--family", "nn", "--d", "2", "--s", "2", "--M", "8"],
+    ["saw", "--family", "nn", "--d", "2", "--nmax", "3"],
+    ["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
+     "--R", "1", "--seed", "1"],
+    ["ising", "--d", "1", "--M", "4", "--z", "0.4", "--seed", "1"],
+    ["diag", "--family", "nn", "--d", "2"],
+    ["infrared", "--family", "nn", "--d", "2", "--z", "0.5"],
+    ["acceptance"],
+], ids=lambda argv: argv[0])
+def test_csv_belongs_to_beta_table_alone(tmp_path, capsys, argv):
+    # each of these exited 0 and wrote no table
+    table = tmp_path / "table.csv"
+    code = main(argv + ["--csv", str(table)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "unrecognized arguments: --csv" in captured.err
+    assert not table.exists()
 
 
 def test_an_exhausted_saw_budget_exits_1(capsys, monkeypatch):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from lacelab.perc import (ClusterStats, ExactGraph, PercConfig,
                           batch_means_se, bond_offsets,
                           exact_graph_from_config, exact_pair_matrix,
-                          exact_small, exact_triangle, magnetization,
-                          magnetization_tail, range_tail, restricted_triangle,
-                          russo_check, sample_cluster)
+                          exact_small, magnetization, magnetization_tail,
+                          range_tail, russo_check, sample_cluster)
 from lacelab.steps import StepDistribution
-from lacelab.torus import TorusField, TorusGrid
+from lacelab.torus import (TorusField, TorusGrid, convolve, field_at_zero,
+                           within_range)
 
 
 def bond_offsets_reference(config):
@@ -302,16 +302,30 @@ class TestSampler:
         assert abs(stats.chi_hat - exact["chi"]) <= 4 * stats.chi_se
 
 
+def restricted_triangle(config, g_field):
+    """nabla = (D_R * G * G * G)(0) by torus convolutions.
+
+    g_field is a translation-averaged pair connectivity on the torus; the
+    step kernel is the folded D cut off at range R.
+    """
+    xc = np.moveaxis(config.grid.centered_coords(), 0, -1)
+    dm = config.folded.copy()
+    dm[~within_range(xc, config.R)] = 0.0
+    dr = TorusField(config.grid, config.z * dm, "x")
+    out = convolve(dr, convolve(g_field, convolve(g_field, g_field)))
+    return field_at_zero(out)
+
+
 class TestTriangles:
     def test_exact_vs_restricted_convention(self):
-        # exact_triangle weights each directed bond by q = dp/dz, the
-        # convolution form by p = z q; they differ by exactly z
+        # russo_check's triangle weights each directed bond by q = dp/dz,
+        # the convolution form by p = z q; they differ by exactly z
         cfg = _ring_config(z=0.5, replicas=1)
         graph = exact_graph_from_config(cfg)
         G = exact_pair_matrix(graph, 0.5)
         gv = np.array([G[0, x % 6] for x in range(6)])
         gf = TorusField(cfg.grid, gv, "x")
-        a = exact_triangle(graph, 0.5)
+        a = russo_check(graph, 0.5)["nabla"]
         b = restricted_triangle(cfg, gf)
         assert b == pytest.approx(0.5 * a)
 

@@ -461,10 +461,6 @@ class TestLace:
         assert lace.mass(3) > 0
         assert lace.mass(4) < 0
 
-    def test_abs_mass_decreases_with_z(self, square_series):
-        lace = extract_lace(square_series)
-        assert lace.abs_mass_at(0.2) < lace.abs_mass_at(0.4)
-
 
 class TestSeriesFunctions:
     def test_chi_series_d1_closed_form(self):

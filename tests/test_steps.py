@@ -69,6 +69,13 @@ class TestEval:
         for family in ("nn", "uniform"):
             with pytest.raises(ValueError, match="truncation"):
                 StepDistribution(family, 2, support_radius=5)
+        # only the power family has an alpha, and nn has no range L
+        for family in ("nn", "uniform"):
+            with pytest.raises(ValueError, match="alpha"):
+                StepDistribution(family, 2, alpha=1.2)
+        for L in (0, 3):
+            with pytest.raises(ValueError, match="range L"):
+                StepDistribution("nn", 2, L=L)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("L", [1, 2, 3])
@@ -344,8 +351,8 @@ class TestDualGridTransform:
         r = np.sqrt(np.sum(offs.astype(float) ** 2, axis=1))
         moment = float(np.sum(r ** (0.5 * dist.alpha) * p))
         assert total + dist.tail_bound == pytest.approx(1.0, rel=1e-13)
-        assert dist.moment(0.5 * dist.alpha) == pytest.approx(moment,
-                                                              rel=1e-12)
+        assert dist.moments([0.5 * dist.alpha])[0] == pytest.approx(
+            moment, rel=1e-12)
 
     @pytest.mark.parametrize("dist,key_to_dhat", [
         (StepDistribution("nn", 5), lambda key: key / 5),
@@ -383,18 +390,18 @@ class TestDualGridTransform:
 
 class TestMoments:
     def test_nn_second_moment(self):
-        assert abs(StepDistribution("nn", 5).moment(2.0) - 1.0) < 1e-12
+        assert abs(StepDistribution("nn", 5).moments([2.0])[0] - 1.0) < 1e-12
 
     def test_power_moment_divergence(self):
         dist = StepDistribution("power", 1, L=1, alpha=1.5,
                                 support_radius=10000)
-        assert dist.moment(1.5) == "divergent"
-        assert dist.moment(2.0) == "divergent"
-        assert isinstance(dist.moment(1.0), float)
+        assert dist.moments([1.5])[0] == "divergent"
+        assert dist.moments([2.0])[0] == "divergent"
+        assert isinstance(dist.moments([1.0])[0], float)
 
     def test_uniform_moment_monotone_in_L(self):
-        m1 = StepDistribution("uniform", 2, L=1).moment(2.0)
-        m2 = StepDistribution("uniform", 2, L=3).moment(2.0)
+        m1 = StepDistribution("uniform", 2, L=1).moments([2.0])[0]
+        m2 = StepDistribution("uniform", 2, L=3).moments([2.0])[0]
         assert m2 > m1
 
 

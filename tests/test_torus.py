@@ -10,12 +10,35 @@ from lacelab.ising import coupling_matrix_from_torus
 from lacelab.perc import PercConfig, bond_offsets, range_tail
 from lacelab.saw import enumerate_walks
 from lacelab.steps import StepDistribution
-from lacelab.torus import (TorusField, TorusGrid, convolve, convolve_direct,
-                           delta_field, delta_k, dft, field_at_zero, idft,
-                           is_symmetric, one_minus_cos_sum, real_dft, reflect,
-                           within_range)
+from lacelab.torus import (TorusField, TorusGrid, convolve, delta_k, dft,
+                           field_at_zero, idft, is_symmetric,
+                           one_minus_cos_sum, real_dft, reflect, within_range)
+
+from conftest import dual_values
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def delta_field(grid: TorusGrid) -> TorusField:
+    v = np.zeros(grid.shape)
+    v[(0,) * grid.d] = 1.0
+    return TorusField(grid, v, "x")
+
+
+def convolve_direct(f: TorusField, g: TorusField) -> TorusField:
+    """(f*g)(x) = sum_y f(y) g(x-y) by direct O(M^{2d}) summation: the
+    oracle for convolve."""
+    if f.grid != g.grid:
+        raise ValueError("grid mismatch")
+    grid = f.grid
+    sites = grid.sites()
+    gv = g.values.ravel()
+    out = np.zeros(grid.n_sites, dtype=np.result_type(f.values, g.values))
+    for y, fy in zip(sites, f.values.ravel()):
+        if fy == 0:
+            continue
+        out += fy * gv[grid.flat_index(sites - y)]
+    return TorusField(grid, out.reshape(grid.shape), "x")
 
 
 def test_grid_validation():
@@ -67,7 +90,7 @@ def test_centered_coords_range():
     g = TorusGrid(2, 6)
     c = g.centered_coords()
     assert c.min() == -3 and c.max() == 2
-    k = g.dual_values()
+    k = dual_values(g)
     assert k.min() >= -np.pi - 1e-12 and k.max() < np.pi
 
 
@@ -145,13 +168,6 @@ def test_convolution_with_delta_is_identity():
     f = TorusField(g, rng.normal(size=g.shape), "x")
     out = convolve(f, delta_field(g))
     assert np.max(np.abs(out.values - f.values)) < 1e-12
-
-
-def test_direct_convolution_size_guard():
-    g = TorusGrid(2, 128)
-    f = TorusField(g, np.zeros(g.shape), "x")
-    with pytest.raises(ValueError):
-        convolve_direct(f, f)
 
 
 def test_reflect_and_symmetry():

@@ -6,13 +6,13 @@ import pytest
 from lacelab.steps import StepDistribution
 from lacelab import walk
 from lacelab.torus import TorusGrid, real_dft
-from lacelab.walk import (DualOrthant, beta, beta_kspace, beta_scaling_table,
-                          beta_separable, bound_diagnostics, dual_orthant,
-                          folded_dhat, greens_c, greens_c_critical,
-                          nonzero_modes, refinement_divergent,
+from lacelab.walk import (DualOrthant, _critical, beta, beta_kspace,
+                          beta_scaling_table, beta_separable,
+                          bound_diagnostics, dual_orthant, folded_dhat,
+                          nonzero_modes, refinement_divergent, resolvent,
                           return_probability, return_probability_kspace)
 
-from conftest import traced_peak
+from conftest import dual_values, traced_peak
 
 
 class TestReturnProbability:
@@ -46,20 +46,21 @@ class TestGreens:
         dist = StepDistribution("nn", 2)
         grid = TorusGrid(2, 8)
         z = 0.6
-        chat = greens_c(dist, grid, z).values
         dhat = folded_dhat(dist, grid)
+        chat = resolvent(dhat, z)
         assert np.max(np.abs(chat * (1.0 - z * dhat) - 1.0)) < 1e-12
 
     def test_critical_zero_mode_removed(self):
         dist = StepDistribution("nn", 2)
         grid = TorusGrid(2, 8)
-        c1 = greens_c_critical(dist, grid).values
+        c1 = _critical(folded_dhat(dist, grid))
         assert c1[0, 0] == 0.0
         assert np.all(c1.ravel()[1:] != 0.0)
 
     def test_z_range(self):
         with pytest.raises(ValueError):
-            greens_c(StepDistribution("nn", 1), TorusGrid(1, 4), 1.0)
+            resolvent(folded_dhat(StepDistribution("nn", 1), TorusGrid(1, 4)),
+                      1.0)
 
 
 class TestBeta:
@@ -139,7 +140,7 @@ class TestDualOrthant:
         # a region: the orthant mask of ||k||_inf <= 1, mirrored to the grid
         j = np.indices(orth.shape)
         inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0
-        full = np.max(np.abs(grid.dual_values()), axis=0) <= 1.0
+        full = np.max(np.abs(dual_values(grid)), axis=0) <= 1.0
         assert np.array_equal(DualOrthant.stored(M, inner).full(), full)
         assert beta_kspace(orth, 2, inner) == pytest.approx(
             beta_kspace(dhat, 2, full), rel=1e-12)
@@ -149,7 +150,7 @@ class TestDualOrthant:
         grid = TorusGrid(2, 12)
         rec = bound_diagnostics(dist, grid, 2)
         dhat = real_dft(dist.fold(grid))
-        inner = np.max(np.abs(grid.dual_values()), axis=0) <= 0.5
+        inner = np.max(np.abs(dual_values(grid)), axis=0) <= 0.5
         assert rec["inner_region"] == pytest.approx(
             beta_kspace(dhat, 2, inner), rel=1e-12)
         assert rec["outer_region"] == pytest.approx(
