@@ -121,12 +121,22 @@ def cmd_rw_beta(args):
 
 
 def cmd_beta_table(args):
+    foreign = {"nn": ["d", "L_values", "alpha"],
+               "uniform": ["d_values", "alpha"],
+               "power": ["d_values"]}[args.family]
+    for name in foreign:
+        if getattr(args, name) is not None:
+            raise ValueError("--%s does not apply to the %s family"
+                             % (name.replace("_", "-"), args.family))
     if args.family == "nn":
-        sweep = {"d_values": [int(v) for v in args.d_values.split(",")],
+        d_values = ("9,10,11,12,13" if args.d_values is None
+                    else args.d_values)
+        sweep = {"d_values": [int(v) for v in d_values.split(",")],
                  "M": args.M}
     else:
-        sweep = {"d": args.d, "L_values":
-                 [int(v) for v in args.L_values.split(",")], "M": args.M}
+        L_values = "1,2,4,8" if args.L_values is None else args.L_values
+        sweep = {"d": 5 if args.d is None else args.d, "L_values":
+                 [int(v) for v in L_values.split(",")], "M": args.M}
         if args.alpha is not None:
             sweep["alpha"] = args.alpha
     rows = wk.beta_scaling_table(args.family, args.s, sweep)
@@ -286,10 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["nn", "uniform", "power"],
                    required=True)
     p.add_argument("--s", type=int, choices=[2, 3], required=True)
-    p.add_argument("--d", type=int, default=5)
-    p.add_argument("--d-values", default="9,10,11,12,13")
-    p.add_argument("--L-values", default="1,2,4,8")
-    p.add_argument("--alpha", type=float, default=None)
+    # each family reads its own sweep flags and rejects the others
+    p.add_argument("--d", type=int, default=None,
+                   help="uniform, power (default 5)")
+    p.add_argument("--d-values", default=None,
+                   help="nn (default 9,10,11,12,13)")
+    p.add_argument("--L-values", default=None,
+                   help="uniform, power (default 1,2,4,8)")
+    p.add_argument("--alpha", type=float, default=None, help="power")
     p.add_argument("--M", type=int, default=16)
     _add_out_args(p)
     p.add_argument("--csv", default=None, help="optional CSV table path")

@@ -22,9 +22,10 @@ at the points it is asked for.
 The transform is built from the family, never from a fold: nn and uniform
 by their closed forms axis by axis, the power family by contracting its
 weight stream with a per-axis cosine table one axis at a time.
-fourier_d_grid gives Dhat on a whole product grid; closed_form_grid, the
-one home of the nn/uniform grid, also gives it a slab of rows at a time,
-which is how walk.py's k-space paths read those two families.
+fourier_d_grid gives Dhat on a whole product grid.  walk.py's k-space sums
+read nn and uniform through closed_form, combining its per-axis factors at
+each point of the dual grid's chamber, and the power family through
+fourier_d_grid on the dual orthant.
 """
 
 import math
@@ -73,32 +74,6 @@ def _reduce_axes(op, axes, out: np.ndarray) -> np.ndarray:
     for a, vals in enumerate(axes):
         op(out, vals.reshape((-1,) + (1,) * (len(axes) - 1 - a)), out=out)
     return out
-
-
-def _outer_reduce(op, vals: np.ndarray, d: int, out=None,
-                  rows=slice(None)) -> np.ndarray:
-    """out[j] = op over the d axes of vals[j_a], shape (len(vals),)^d, into
-    out if given (so out[j] op= ...); the whole array is allocated before any
-    work, so a grid too large for memory fails at once.  With rows, only
-    those rows of axis 0: shape (len(vals[rows]),) + (len(vals),)^(d-1),
-    each entry by the same operations in the same order as in the whole."""
-    if out is None:
-        out = np.full((len(vals[rows]),) + (len(vals),) * (d - 1),
-                      float(op.identity))
-    return _reduce_axes(op, [vals[rows]] + [vals] * (d - 1), out)
-
-
-def closed_form_grid(form, d: int, rows=slice(None), out=None) -> np.ndarray:
-    """Dhat from a closed form (StepDistribution.closed_form at t) on the
-    product grid t^d, or on its rows `rows` of axis 0, built in place, in
-    out if given (a buffer of the rows' shape; its contents are
-    overwritten).  Every entry starts from the combine identity, takes axis
-    0, then axes 1 .. d-1, then the key -> Dhat map, so a slab of rows
-    equals the same rows of the whole grid bit for bit."""
-    factors, combine, to_dhat = form
-    if out is not None:
-        out.fill(combine.identity)
-    return to_dhat(_outer_reduce(combine, factors, d, out=out, rows=rows))
 
 
 def _axis_cosines(t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -461,11 +436,15 @@ class StepDistribution:
     def fourier_d_grid(self, t) -> np.ndarray:
         """Dhat on the product grid t^d, shape (len(t),)^d, for one axis of
         k values t; built axis by axis, never point by point, and for nn
-        and uniform in place (closed_form_grid): one grid."""
+        and uniform in place: every entry starts from the combine identity,
+        takes axes 0 .. d-1 in turn, then the key -> Dhat map, in one grid."""
         t = np.asarray(t, dtype=float)
         if self.family == "power":
             return self._power_transform([t] * self.d)
-        return closed_form_grid(self.closed_form(t), self.d)
+        factors, combine, to_dhat = self.closed_form(t)
+        # allocated before any work, so a grid too large fails at once
+        key = np.full((len(t),) * self.d, float(combine.identity))
+        return to_dhat(_reduce_axes(combine, [factors] * self.d, key))
 
     def _power_transform(self, ts) -> np.ndarray:
         """Dhat on the product grid of the per-axis values ts, shape

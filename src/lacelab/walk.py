@@ -2,30 +2,26 @@
 
 k-space: on the dual grid of side M the folded transform equals the
 lattice one, Dhat_M(k) = Dhat(k), and every family is even in each
-coordinate.  So the k-space paths take Dhat from the family itself
-(steps.closed_form_grid; StepDistribution.fourier_d_grid for the power
-family) on one orthant, 0 <= j_a <= M/2, of the dual grid (DualOrthant),
-and sum over it with each entry weighted by its mirror images; nothing of
-size M^d is built.  beta_kspace is the Riemann sum over the dual grid with
-the k = 0 mode excluded.
+coordinate and symmetric under permutations of the axes.  So a mean over
+the M^d points k = 2 pi j / M of the dual grid is a sum over its chamber,
+the sorted index tuples 0 <= j_1 <= ... <= j_d <= M/2, each weighted by the
+exact number of grid points it stands for (DualOrthant): C(M/2 + d, d)
+points, and nothing of size M^d is built.  nn and uniform take Dhat at a
+chamber point from their closed form (StepDistribution.closed_form),
+combining the per-axis factors of its indices; the power family gathers it
+from its orthant 0 <= j_a <= M/2 (StepDistribution.fourier_d_grid), one
+contraction of its weight stream, and beta_on_grids takes every grid's
+orthant and the fold from one stream (StepDistribution.fold_and_grids).
+beta_kspace is the Riemann sum over the dual grid with the k = 0 mode
+excluded.
 
-Working set: one slab (one row of the orthant's first axis) and one
-scratch slab, both reused; the terms (_beta_term, _power_term,
-_inverse_power_term) run in place in them, so a slab makes no temporaries.
-A sum whose working set is out of reach of memory (_memory_limit) is
-refused with MemoryError before it starts.  For nn and uniform the orthant
-is never built: DualOrthant keeps the per-axis factors of the closed form
-and computes each slab into the slab buffer (steps.closed_form_grid),
-entry by entry as the whole grid would.  The power family stores its
-orthant, one contraction of its weight stream, and copies a slab of it into
-the buffer; beta_on_grids takes every grid's orthant and the fold from one
-stream (StepDistribution.fold_and_grids).  The masks (k != 0 per slab, the ||k||_inf <= 1/L
-region as one bool orthant) are the only orthant-shaped arrays; the whole
-grid is built only by DualOrthant.full, for the TwoPointInput of diag and
-infrared.  The contraction order is fixed: every slab is contracted to one
-row of the (M/2 + 1)^2 array that the whole-array sum reaches, and the last
-two contractions run on it, so the sums keep the bits of the whole-array
-reduction.
+Working set: the chamber is built block by block over j_1, one axis at a
+time, and a block holds no more points than the one of j_1 = 0 (or 2^11,
+if more); a sum whose working set is out of reach of memory
+(_memory_limit) is refused with MemoryError before it starts.  The
+regions a sum may keep (k != 0, ||k||_inf <= 1/L and its complement) are
+tests on the largest index j_d.  The whole dual grid is built only by
+folded_dhat, for the TwoPointInput of diag and infrared.
 
 x-space oracle: beta_xspace folds D onto the torus (StepDistribution.fold),
 transforms it by FFT (real_dft) and convolves with the zero-mode-removed
@@ -48,7 +44,7 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
-from .steps import StepDistribution, _outer_reduce, closed_form_grid
+from .steps import StepDistribution
 from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
                     real_dft, real_idft, reflect)
 
@@ -63,10 +59,6 @@ CAUCHY_RATIO = 1.0
 # address-space limit if that is lower); the rest is left to the
 # interpreter, the run's other arrays and the host.
 MEMORY_SHARE = 0.5
-# Bytes per slab entry that DualOrthant.mean holds at once: the slab
-# buffer and the term's scratch (float64 each), and the keep mask and its
-# complement (bool each).
-SLAB_ENTRY_BYTES = 18
 
 
 def _physical_memory() -> float:
@@ -90,91 +82,101 @@ def _memory_limit() -> float:
 
 @dataclass(frozen=True)
 class DualOrthant:
-    """Dhat at k = 2 pi j / M for 0 <= j_a <= M/2, shape (M/2 + 1,)^d.
+    """Dhat at k = 2 pi j / M for 0 <= j_a <= M/2, read on its chamber.
 
-    Dhat is even in each coordinate, so this orthant is the whole dual
-    grid: entry j stands for the 2^(number of 0 < j_a < M/2) grid points
-    (+-j_1, ..., +-j_d) mod M.  It is read a slab at a time: slab(rows, out)
-    gives Dhat on those rows of axis 0, computed or copied into out (a
-    buffer of slab_shape); without out, a new array or a view of a stored
-    orthant (DualOrthant.stored)."""
+    Dhat is even in each coordinate and symmetric under permutations of the
+    axes, so the chamber 0 <= j_1 <= ... <= j_d <= M/2 stands for the whole
+    dual grid: the tuple j for its d!/prod_v n_v! orderings (n_v the number
+    of axes with j_a = v) times its 2^(number of 0 < j_a < M/2) sign
+    images.  A point's Dhat comes from a key carried axis by axis: start is
+    the key of no axis, extend(key, j) appends the index j to the points of
+    an array of keys, and dhat(key) maps keys to Dhat (it may overwrite
+    them)."""
     M: int
     d: int
-    slab: Callable
-
-    @classmethod
-    def stored(cls, M: int, values: np.ndarray) -> "DualOrthant":
-        """An orthant held whole; a slab is copied into out if given."""
-        def slab(rows, out=None):
-            if out is None:
-                return values[rows]
-            out[...] = values[rows]
-            return out
-        return cls(M, values.ndim, slab)
+    start: int | float
+    extend: Callable
+    dhat: Callable
 
     @property
-    def shape(self) -> tuple:
-        return (self.M // 2 + 1,) * self.d
+    def _block_points(self) -> int:
+        """The most points a block holds: those with j_1 = 0,
+        C(M/2 + d - 1, d - 1), or 2^11 if more.  A block costs some 20 us
+        of calls besides its points, so small grids go in few blocks."""
+        h = self.M // 2
+        return max(math.comb(h + self.d - 1, self.d - 1), 1 << 11)
 
-    @property
-    def slab_shape(self) -> tuple:
-        """One row of axis 0; the whole orthant when d = 1."""
-        m = self.M // 2 + 1
-        return (1 if self.d > 1 else m,) + (m,) * (self.d - 1)
+    def _blocks(self) -> list:
+        """The ranges [lo, hi) of j_1 that the chamber is summed in, block by
+        block: consecutive j_1 share a block while it holds no more points
+        than _block_points."""
+        h, d = self.M // 2, self.d
+        sizes = [math.comb(h - j + d - 1, d - 1) for j in range(h + 1)]
+        cap, ranges, lo = self._block_points, [], 0
+        while lo <= h:
+            hi, n = lo + 1, sizes[lo]
+            while hi <= h and n + sizes[hi] <= cap:
+                hi, n = hi + 1, n + sizes[hi]
+            ranges.append((lo, hi))
+            lo = hi
+        return ranges
+
+    def _block(self, j1: np.ndarray, keep: np.ndarray) -> tuple:
+        """(key, weight) of the chamber points whose j_1 is in j1 and whose
+        largest index j_d keep sets: their keys and the number of grid
+        points each stands for."""
+        h = self.M // 2
+        images = np.full(h + 1, 2.0)  # sign images of an index
+        images[[0, h]] = 1.0
+        last, run, weight = j1, np.ones(len(j1)), images[j1]
+        key = self.extend(np.full(len(j1), self.start), j1)
+        for a in range(2, self.d + 1):
+            # each point takes j = last .. M/2 on axis a, in that order, so
+            # its first child is the one that repeats its largest index
+            count = h + 1 - last
+            first = np.cumsum(count) - count
+            j = np.arange(first[-1] + count[-1]) - np.repeat(first - last,
+                                                             count)
+            grown = np.ones(len(j))  # axes holding the largest index
+            grown[first] = run + 1
+            run = grown
+            # d!/prod n_v! grows by a / n_v when index v lands on axis a
+            weight = np.repeat(weight, count)
+            weight *= a
+            weight /= run
+            weight *= images[j]
+            key = self.extend(np.repeat(key, count), j)
+            last = j
+        inside = keep[last]
+        return key[inside], weight[inside]
 
     def mean(self, term, keep=None) -> float:
-        """M^-d sum over the whole dual grid of term(Dhat(k)).  With keep,
-        only over the entries where keep(rows) is set: the mask of the slab
-        on those rows of axis 0, or None for the whole slab.  term(v, out)
-        gives the term on the slab v, in v or in out (a scratch of v's
-        shape) or in a new array; it may overwrite v.
+        """M^-d sum over the whole dual grid of term(Dhat(k)), term a plain
+        function of an array of Dhat values.  With keep, a bool array over
+        j = 0 .. M/2, only over the k whose largest index j_d it sets.
 
-        Working set: the slab buffer, the scratch and the masks of one slab
-        (SLAB_ENTRY_BYTES per entry); a sum whose working set exceeds
-        MEMORY_SHARE of _memory_limit() raises MemoryError before it starts.
-        The contraction order is fixed by the whole-array reduction,
-        `total @ images` d times on the masked term: each slab is
-        contracted d - 2 times, which gives row i of the (m, m) array that
-        reduction reaches at that point, and the last two contractions run
-        on that array.  A slab contracted down to a scalar sums in another
-        order and moves the last digits."""
-        d, m = self.d, self.M // 2 + 1
-        need = SLAB_ENTRY_BYTES * math.prod(self.slab_shape)
+        Working set: one block of the chamber (_blocks), at about 64 bytes
+        a point (keys, indices, weights and the term's temporaries); a sum
+        whose largest block exceeds MEMORY_SHARE of _memory_limit() raises
+        MemoryError before it starts."""
+        need = 64 * self._block_points
         have = MEMORY_SHARE * _memory_limit()
         if need > have:
             raise MemoryError(
                 "Unable to allocate %.3g GiB for the k-space working set of "
                 "M = %d in d = %d (%.3g GiB may be spent on it); use a "
-                "smaller M" % (need / 2 ** 30, self.M, d, have / 2 ** 30))
-        images = np.full(m, 2.0)
-        images[[0, -1]] = 1.0
-        buf = np.empty(self.slab_shape)
-        scratch = np.empty_like(buf)
-        rows = len(buf)
-        total = np.empty((m,) * min(d, 2))
-        for i in range(0, m, rows):
-            block = slice(i, i + rows)
-            mask = None if keep is None else keep(block)
-            slab = self.slab(block, buf)
-            if mask is not None:
-                drop = ~mask
-                slab[drop] = 0.0
-            slab = term(slab, scratch)
-            if mask is not None:
-                slab[drop] = 0.0
-            for _ in range(d - 2):
-                slab = slab @ images
-            total[block] = slab
-        for _ in range(min(d, 2)):
-            total = total @ images
-        return float(total) / self.M ** d
-
-    def full(self) -> np.ndarray:
-        """The whole dual grid in numpy index order (index m of an axis is
-        orthant entry min(m, M - m))."""
-        m = np.arange(self.M)
-        fold = np.minimum(m, self.M - m)
-        return self.slab(slice(None))[np.ix_(*[fold] * self.d)]
+                "smaller M" % (need / 2 ** 30, self.M, self.d,
+                               have / 2 ** 30))
+        if keep is None:
+            keep = np.ones(self.M // 2 + 1, dtype=bool)
+        total = 0.0
+        for lo, hi in self._blocks():
+            if not keep[lo:].any():
+                break  # every later point has j_d >= lo too
+            key, weight = self._block(np.arange(lo, hi), keep)
+            total += float(np.sum(weight * term(self.dhat(key))))
+            del key, weight  # freed before the next block is built
+        return total / self.M ** self.d
 
 
 def _dual_axis(grid: TorusGrid) -> np.ndarray:
@@ -182,22 +184,37 @@ def _dual_axis(grid: TorusGrid) -> np.ndarray:
     return 2.0 * np.pi * np.arange(grid.M // 2 + 1) / grid.M
 
 
+def _stored_orthant(M: int, values: np.ndarray) -> DualOrthant:
+    """An orthant held whole (the power family's); a key is the flat index
+    of its point."""
+    m = M // 2 + 1
+    return DualOrthant(M, values.ndim, 0,
+                       lambda key, j: np.add(key * m, j, out=key),
+                       partial(np.take, values))
+
+
 def dual_orthant(dist: StepDistribution, grid: TorusGrid) -> DualOrthant:
     """Dhat on the orthant of grid's dual grid, from the family (no fold).
-    nn and uniform keep their per-axis factors and build a slab only when
-    it is read; the power family's transform is one contraction of its
-    weight stream, so its orthant is taken once and stored."""
+    nn and uniform combine their closed form's per-axis factors point by
+    point; the power family's transform is one contraction of its weight
+    stream, so its orthant is taken once and stored."""
     t = _dual_axis(grid)
     if dist.family == "power":
-        return DualOrthant.stored(grid.M, dist.fourier_d_grid(t))
-    return DualOrthant(grid.M, grid.d,
-                       partial(closed_form_grid, dist.closed_form(t), grid.d))
+        return _stored_orthant(grid.M, dist.fourier_d_grid(t))
+    factors, combine, to_dhat = dist.closed_form(t)
+    return DualOrthant(grid.M, grid.d, float(combine.identity),
+                       lambda key, j: combine(key, factors[j], out=key),
+                       to_dhat)
 
 
 def folded_dhat(dist: StepDistribution, grid: TorusGrid) -> np.ndarray:
-    """Dhat_M on the whole dual grid (real array), mirrored from the orthant.
-    It equals the transform of the torus-folded D, which is not built."""
-    return dual_orthant(dist, grid).full()
+    """Dhat_M on the whole dual grid (real array), mirrored from the
+    family's transform on the orthant: index m of an axis is orthant entry
+    min(m, M - m).  It equals the transform of the torus-folded D, which is
+    not built."""
+    m = np.arange(grid.M)
+    fold = np.minimum(m, grid.M - m)
+    return dist.fourier_d_grid(_dual_axis(grid))[np.ix_(*[fold] * grid.d)]
 
 
 def resolvent(dhat: np.ndarray, z: float) -> np.ndarray:
@@ -214,63 +231,29 @@ def nonzero_modes(shape) -> np.ndarray:
     return mask
 
 
-def _kspace_mean(dhat, term, region=None) -> float:
-    """M^-d sum of term(Dhat(k)) over k != 0 (and inside region, if given).
-    dhat is the whole dual grid or a DualOrthant, region a mask of its
-    shape.  On the orthant the mask is built slab by slab (DualOrthant.mean):
-    k = 0 lies in slab 0."""
-    if isinstance(dhat, DualOrthant):
-        def slab_keep(block):
-            if block.start > 0:
-                return None if region is None else region[block]
-            keep = nonzero_modes(dhat.slab_shape)
-            if region is not None:
-                keep &= region[block]
-            return keep
-        return dhat.mean(term, slab_keep)
-    keep = nonzero_modes(dhat.shape)
-    if region is not None:
-        keep &= region
-    vals = dhat[keep]
-    return float(np.sum(term(vals, np.empty_like(vals))) / dhat.size)
-
-
-# Terms of DualOrthant.mean, term(v, out): each takes the operations of the
-# expression in its docstring in the same order, in place, so every entry
-# keeps its bits and a slab makes no temporaries.
+# Terms of DualOrthant.mean: plain functions of an array of Dhat values.
 
 def _power_term(n: int):
-    """v ** n."""
-    def term(v, out):
-        v **= n
-        return v
-    return term
+    return lambda v: v ** n
 
 
 def _beta_term(s: int):
-    """v ** 2 / (1.0 - v) ** s."""
-    def term(v, out):
-        np.subtract(1.0, v, out=out)
-        out **= s
-        v **= 2
-        v /= out
-        return v
-    return term
+    return lambda v: v ** 2 / (1.0 - v) ** s
 
 
 def _inverse_power_term(p: int):
-    """1.0 / (1.0 - v) ** p."""
-    def term(v, out):
-        np.subtract(1.0, v, out=v)
-        v **= p
-        return np.divide(1.0, v, out=v)
-    return term
+    return lambda v: 1.0 / (1.0 - v) ** p
 
 
-def beta_kspace(dhat, s: int, region=None) -> float:
+def beta_kspace(dhat, s: int) -> float:
     """k-space beta = M^-d sum_{k != 0} Dhat(k)^2 / (1 - Dhat(k))^s, over
-    the whole dual grid dhat or a DualOrthant."""
-    return _kspace_mean(dhat, _beta_term(s), region)
+    the whole dual grid dhat or a DualOrthant's chamber, where k = 0 is the
+    one point with j_d = 0."""
+    term = _beta_term(s)
+    if isinstance(dhat, DualOrthant):
+        return dhat.mean(term, np.arange(dhat.M // 2 + 1) > 0)
+    vals = dhat[nonzero_modes(dhat.shape)]
+    return float(np.sum(term(vals)) / dhat.size)
 
 
 def _critical(dhat: np.ndarray) -> np.ndarray:
@@ -345,7 +328,7 @@ def beta_on_grids(dist: StepDistribution, grids, s: int) -> BetaReport:
     if dist.family == "power":
         dm, dhats = dist.fold_and_grids(grids[0],
                                         [_dual_axis(g) for g in grids])
-        orths = [DualOrthant.stored(g.M, v) for g, v in zip(grids, dhats)]
+        orths = [_stored_orthant(g.M, v) for g, v in zip(grids, dhats)]
     else:
         dm, orths = dist.fold(grids[0]), [dual_orthant(dist, g) for g in grids]
     seq = [(g.M, beta_kspace(orth, s)) for g, orth in zip(grids, orths)]
@@ -371,7 +354,7 @@ def beta(dist: StepDistribution, grid: TorusGrid, s: int,
     return rep
 
 
-# -- separable fast path for product-form transforms ---------------------
+# -- the value-DP oracle for product-form transforms ----------------------
 
 def _group(x: np.ndarray, decimals: int):
     """Group x by its values rounded to decimals places; returns an unrounded
@@ -400,7 +383,10 @@ def _combine_dp(vals: np.ndarray, d: int, op, decimals: int = 10):
 
 
 def beta_separable(dist: StepDistribution, M: int, s: int) -> float:
-    """k-space beta for nn/uniform without materializing the M^d grid."""
+    """k-space beta for nn/uniform by a DP over the values of the combined
+    closed form, grouped by rounding: the value-DP oracle of the chamber
+    sum.  No program path calls it; the tests and perfbench's check_rw_beta
+    read it."""
     grid = TorusGrid(dist.d, M)
     t = 2.0 * np.pi * np.arange(grid.M) / grid.M
     factors, combine, to_dhat = dist.closed_form(t)
@@ -414,20 +400,23 @@ def beta_separable(dist: StepDistribution, M: int, s: int) -> float:
 def beta_scaling_table(family: str, s: int, sweep: dict) -> list:
     """Sweep beta over d (nn) or L (uniform, power) on the dual grid of
     side sweep["M"], held fixed so the swept parameter is the only variable.
-    The power rows run beta with 3 refinements.  Rows: (parameter, beta,
-    scaled beta).
+    The nn and uniform rows are beta_kspace on the grid's chamber, the
+    power rows run beta with 3 refinements.  Rows: (parameter, beta, scaled
+    beta).
     """
     rows = []
     if family == "nn":
         M = sweep["M"]
         for d in sweep["d_values"]:
-            b = beta_separable(StepDistribution("nn", d), M, s)
+            b = beta_kspace(dual_orthant(StepDistribution("nn", d),
+                                         TorusGrid(d, M)), s)
             rows.append({"d": d, "M": M, "beta": b, "scaled": d * b,
                          "scale": "d*beta"})
     elif family == "uniform":
         d, M = sweep["d"], sweep["M"]
         for L in sweep["L_values"]:
-            b = beta_separable(StepDistribution("uniform", d, L=L), M, s)
+            b = beta_kspace(dual_orthant(StepDistribution("uniform", d, L=L),
+                                         TorusGrid(d, M)), s)
             rows.append({"L": L, "M": M, "beta": b, "scaled": L ** d * b,
                          "scale": "L^%d*beta" % d})
     elif family == "power":
@@ -450,12 +439,15 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
 
     beta <= sqrt(D^{*4}(0)) * sqrt(mean_k (1-Dhat)^{-2s}), both sides on the
     same grid with the zero mode excluded; for L > 1 families the k-sum is
-    also split at ||k||_inf = 1/L.
+    also split at ||k||_inf = 1/L, a test on the largest index of a chamber
+    point.
     """
     orth = dual_orthant(dist, grid)
+    k = _dual_axis(grid)
+    nonzero = k > 0
     lhs = beta_kspace(orth, s)
     d4 = orth.mean(_power_term(4))
-    inv = _kspace_mean(orth, _inverse_power_term(2 * s))
+    inv = orth.mean(_inverse_power_term(2 * s), nonzero)
     rhs = math.sqrt(d4) * math.sqrt(inv)
 
     record = {"s": s, "M": grid.M, "beta": lhs,
@@ -463,10 +455,7 @@ def bound_diagnostics(dist: StepDistribution, grid: TorusGrid, s: int) -> dict:
               "cauchy_schwarz_rhs": rhs, "holds": lhs <= rhs * (1 + 1e-12)}
 
     if dist.L > 1:
-        # max_a k_a <= 1/L axis by axis: one bool orthant, no index grid
-        k = _dual_axis(grid)
-        inner = _outer_reduce(np.logical_and, k <= 1.0 / dist.L, grid.d,
-                              out=np.ones(orth.shape, dtype=bool))
-        record["inner_region"] = beta_kspace(orth, s, inner)
-        record["outer_region"] = beta_kspace(orth, s, ~inner)
+        inner = k <= 1.0 / dist.L
+        record["inner_region"] = orth.mean(_beta_term(s), nonzero & inner)
+        record["outer_region"] = orth.mean(_beta_term(s), ~inner)
     return record

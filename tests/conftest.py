@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lacelab.steps import StepDistribution
+from lacelab.walk import _stored_orthant
 
 
 class traced_peak:
@@ -19,6 +20,25 @@ class traced_peak:
     def __exit__(self, *exc):
         self.peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+
+
+def chamber_points(orth, keep=None):
+    """(key, weight) of the chamber points of a walk.DualOrthant whose
+    largest index keep sets (all by default), block by block in the order
+    its sums take them."""
+    if keep is None:
+        keep = np.ones(orth.M // 2 + 1, dtype=bool)
+    blocks = [orth._block(np.arange(lo, hi), keep)
+              for lo, hi in orth._blocks()]
+    return (np.concatenate([key for key, _ in blocks]),
+            np.concatenate([weight for _, weight in blocks]))
+
+
+def index_orthant(M, d):
+    """A walk.DualOrthant whose Dhat at a point is the point's flat index
+    in the orthant (M/2 + 1,)^d: its chamber keys name its points."""
+    m = M // 2 + 1
+    return _stored_orthant(M, np.arange(m ** d).reshape((m,) * d))
 
 
 def dual_values(grid):

@@ -261,6 +261,21 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
       "--alpha", "1.2", "--L", "3"], "range L"),
     (["rw-beta", "--family", "uniform", "--d", "2", "--s", "2", "--M", "8",
       "--alpha", "1.2"], "alpha applies to the power family only"),
+    # these ran, and the sweep ignored the flag or recorded it unread
+    (["beta-table", "--family", "nn", "--s", "2", "--d", "3", "--M", "8"],
+     "--d does not apply to the nn family"),
+    (["beta-table", "--family", "nn", "--s", "2", "--L-values", "1",
+      "--M", "8"], "--L-values does not apply to the nn family"),
+    (["beta-table", "--family", "nn", "--s", "2", "--alpha", "1.2",
+      "--M", "8"], "--alpha does not apply to the nn family"),
+    (["beta-table", "--family", "uniform", "--s", "2", "--d", "2",
+      "--L-values", "1", "--M", "8", "--alpha", "1.2"],
+     "--alpha does not apply to the uniform family"),
+    (["beta-table", "--family", "uniform", "--s", "2", "--d-values", "3",
+      "--M", "8"], "--d-values does not apply to the uniform family"),
+    (["beta-table", "--family", "power", "--s", "2", "--alpha", "1.2",
+      "--d-values", "3", "--M", "8"],
+     "--d-values does not apply to the power family"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
     code = main(argv)
@@ -333,27 +348,63 @@ def _rw_beta_d6_under_an_address_cap(M):
 
 
 def test_a_grid_too_large_for_memory_exits_1(capsys, monkeypatch):
-    # the M = 96 grid in d = 6 needs 4.7 GiB of k-space working set (49^5
-    # entries a slab), more than half of a host with 8 GiB; the host's
-    # memory is pinned there so the refusal does not depend on it
+    # the M = 256 grid in d = 6 needs 19 GiB of k-space working set (a
+    # block of C(133, 5) chamber points at 64 bytes), more than half of a
+    # host with 8 GiB; the host's memory is pinned there so the refusal
+    # does not depend on it
     monkeypatch.setattr(wk, "_physical_memory", lambda: 8 << 30)
-    code = _rw_beta_d6_under_an_address_cap("8,96")
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "invalid configuration: Unable to allocate" in captured.err
-    assert "working set of M = 96 in d = 6" in captured.err
-
-
-def test_a_grid_far_too_large_for_memory_exits_1(capsys):
-    # the M = 256 grid needs 599 GiB (129^5 entries a slab): more than half
-    # of the address-space cap, on any host
     code = _rw_beta_d6_under_an_address_cap("8,256")
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert "invalid configuration: Unable to allocate" in captured.err
     assert "working set of M = 256 in d = 6" in captured.err
+
+
+def test_a_grid_far_too_large_for_memory_exits_1(capsys):
+    # the M = 512 grid needs 580 GiB (C(261, 5) chamber points): more than
+    # half of the address-space cap, on any host
+    code = _rw_beta_d6_under_an_address_cap("8,512")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "invalid configuration: Unable to allocate" in captured.err
+    assert "working set of M = 512 in d = 6" in captured.err
+
+
+def test_the_d6_M64_grid_is_summed_on_its_chamber(capsys):
+    # summed slab by slab, M = 64 in d = 6 took 17.7 s and 681 MiB; its
+    # chamber holds 2,760,681 points
+    code, doc = run_cli(capsys, ["rw-beta", "--family", "nn", "--d", "6",
+                                 "--s", "2", "--M", "8,64"])
+    assert code == 0
+    assert doc["result"]["beta_sequence"][1] == pytest.approx(
+        wk.beta_separable(StepDistribution("nn", 6), 64, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("table, rw_beta", [
+    (["--family", "nn", "--d-values", "3,4,5"],
+     [["--family", "nn", "--d", str(d)] for d in (3, 4, 5)]),
+    (["--family", "uniform", "--d", "3", "--L-values", "2"],
+     [["--family", "uniform", "--d", "3", "--L", "2"]])],
+    ids=["nn", "uniform"])
+def test_beta_table_rows_are_rw_beta_bit_for_bit(capsys, table, rw_beta):
+    # beta-table once summed a value DP of its own: nn d = 5 printed
+    # 0.45764551320216523 where rw-beta printed 0.4576455132021652
+    code, doc = run_cli(capsys, ["beta-table", "--s", "2", "--M", "8"]
+                        + table)
+    assert code == 0
+    rows = doc["result"]["rows"]
+    assert len(rows) == len(rw_beta)
+    for row, argv in zip(rows, rw_beta):
+        code, rw = run_cli(capsys, ["rw-beta", "--s", "2", "--M", "8"]
+                           + argv)
+        assert code == 0
+        assert row["beta"] == rw["result"]["beta_sequence"][0]
+        dist = StepDistribution(argv[1], int(argv[3]),
+                                L=row.get("L", 1))
+        assert row["beta"] == pytest.approx(
+            wk.beta_separable(dist, 8, 2), rel=1e-12)
 
 
 def _readme_cli_examples():

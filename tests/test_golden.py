@@ -35,7 +35,7 @@ SPECS = {
     "rw_beta_uniform_d3": (
         ["rw-beta", "--family", "uniform", "--L", "2", "--d", "3", "--s", "3",
          "--M", "8,16,32"], 0),
-    # d - 2 = 4 contractions per slab, for each combine ufunc
+    # the chamber at d = 6, for each combine ufunc
     "rw_beta_nn_d6": (
         ["rw-beta", "--family", "nn", "--d", "6", "--s", "2",
          "--M", "4,8,16"], 0),

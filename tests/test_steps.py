@@ -11,9 +11,9 @@ from lacelab import steps
 from lacelab.saw import MAX_BRANCHING, enumerate_walks
 from lacelab.steps import StepDistribution, ising_tau, verify_conditions
 from lacelab.torus import TorusGrid, real_dft, within_range
-from lacelab.walk import folded_dhat
+from lacelab.walk import dual_orthant, folded_dhat
 
-from conftest import traced_peak
+from conftest import chamber_points, index_orthant, traced_peak
 
 
 class TestEval:
@@ -366,7 +366,10 @@ class TestDualGridTransform:
             got = dist.fourier_d_grid(t)
         assert traced.peak <= 1.1 * got.nbytes
         factors, combine, _ = dist.closed_form(t)
-        want = key_to_dhat(steps._outer_reduce(combine, factors, 5))
+        key = np.full((17,) * 5, float(combine.identity))
+        for a in range(5):
+            key = combine(key, factors.reshape((-1,) + (1,) * (4 - a)))
+        want = key_to_dhat(key)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
@@ -374,18 +377,16 @@ class TestDualGridTransform:
         lambda d: StepDistribution("nn", d),
         lambda d: StepDistribution("uniform", d, L=2)], ids=["nn", "uniform"])
     def test_closed_form_rows_are_rows_of_the_grid(self, dist_of, d):
-        # slabs computed one after another into one buffer equal the rows
-        # of the whole grid bit for bit
+        # the chamber combines a point's factors in the order of its sorted
+        # indices, as the grid entry at that index tuple does, so its
+        # closed-form values are entries of the grid bit for bit
         dist = dist_of(d)
         t = 2.0 * np.pi * np.arange(9) / 16
-        form = dist.closed_form(t)
-        whole = steps.closed_form_grid(form, d)
-        assert np.array_equal(whole, dist.fourier_d_grid(t))
-        buf = np.full((2,) + (9,) * (d - 1), np.nan)
-        for i in range(0, 8, 2):
-            got = steps.closed_form_grid(form, d, slice(i, i + 2), buf)
-            assert got is buf
-            assert np.array_equal(got, whole[i:i + 2])
+        whole = dist.fourier_d_grid(t)
+        orth = dual_orthant(dist, TorusGrid(d, 16))
+        key, _ = chamber_points(orth)
+        index, _ = chamber_points(index_orthant(16, d))
+        assert np.array_equal(orth.dhat(key), whole.ravel()[index])
 
 
 class TestMoments:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +8,25 @@ import pytest
 from lacelab.steps import StepDistribution
 from lacelab import walk
 from lacelab.torus import TorusGrid, real_dft
-from lacelab.walk import (DualOrthant, _critical, beta, beta_kspace,
+from lacelab.walk import (_beta_term, _critical, beta, beta_kspace,
                           beta_scaling_table, beta_separable,
                           bound_diagnostics, dual_orthant, folded_dhat,
                           nonzero_modes, refinement_divergent, resolvent,
                           return_probability, return_probability_kspace)
 
-from conftest import dual_values, traced_peak
+from conftest import (chamber_points, dual_values, index_orthant,
+                      traced_peak)
+
+
+def grid_mean(dhat, term, keep) -> float:
+    """M^-d sum of term(Dhat(k)) over the k of the whole dual grid dhat
+    that the mask keep sets."""
+    return float(np.sum(term(dhat[keep])) / dhat.size)
+
+
+def dual_axis(M) -> np.ndarray:
+    """k = 2 pi j / M for j = 0 .. M/2."""
+    return 2.0 * np.pi * np.arange(M // 2 + 1) / M
 
 
 class TestReturnProbability:
@@ -137,13 +151,13 @@ class TestDualOrthant:
         for n in (0, 1, 2, 5):
             assert return_probability_kspace(dist, grid, n) == pytest.approx(
                 float(np.mean(dhat ** n)), rel=1e-12, abs=1e-15)
-        # a region: the orthant mask of ||k||_inf <= 1, mirrored to the grid
-        j = np.indices(orth.shape)
-        inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0
+        # a region, ||k||_inf <= 1: a test on a chamber point's largest index
+        k = dual_axis(M)
         full = np.max(np.abs(dual_values(grid)), axis=0) <= 1.0
-        assert np.array_equal(DualOrthant.stored(M, inner).full(), full)
-        assert beta_kspace(orth, 2, inner) == pytest.approx(
-            beta_kspace(dhat, 2, full), rel=1e-12)
+        assert orth.mean(_beta_term(2), (k > 0) & (k <= 1.0)) == \
+            pytest.approx(grid_mean(dhat, _beta_term(2),
+                                    full & nonzero_modes(grid.shape)),
+                          rel=1e-12)
 
     def test_bound_diagnostics_splits_like_the_whole_grid(self):
         dist = StepDistribution("uniform", 2, L=2)
@@ -151,10 +165,11 @@ class TestDualOrthant:
         rec = bound_diagnostics(dist, grid, 2)
         dhat = real_dft(dist.fold(grid))
         inner = np.max(np.abs(dual_values(grid)), axis=0) <= 0.5
+        nonzero = nonzero_modes(grid.shape)
         assert rec["inner_region"] == pytest.approx(
-            beta_kspace(dhat, 2, inner), rel=1e-12)
+            grid_mean(dhat, _beta_term(2), inner & nonzero), rel=1e-12)
         assert rec["outer_region"] == pytest.approx(
-            beta_kspace(dhat, 2, ~inner), rel=1e-12)
+            grid_mean(dhat, _beta_term(2), ~inner), rel=1e-12)
         assert rec["d4_return"] == pytest.approx(
             float(np.mean(dhat ** 4)), rel=1e-12)
 
@@ -166,10 +181,10 @@ class TestDualOrthant:
 
 
 def full_array_mean(dist, M, term, keep=None) -> float:
-    """The whole-array body of DualOrthant.mean from before it went slab by
-    slab, on the whole orthant from the family's grid transform, with keep
-    an orthant mask: the oracle for the slab order."""
-    vals = dist.fourier_d_grid(2.0 * np.pi * np.arange(M // 2 + 1) / M)
+    """M^-d sum of term(Dhat(k)) over the whole orthant from the family's
+    grid transform, each entry weighted by its sign images, with keep an
+    orthant mask: the oracle for the chamber sum."""
+    vals = dist.fourier_d_grid(dual_axis(M))
     if keep is not None:
         vals = np.where(keep, vals, 0.0)
     total = term(vals)
@@ -182,6 +197,53 @@ def full_array_mean(dist, M, term, keep=None) -> float:
     return float(total) / M ** vals.ndim
 
 
+def close(got, want) -> bool:
+    """got equals want to rounding: the chamber sums the orthant's terms
+    in another order than full_array_mean.  The absolute part is for sums
+    that cancel to 0, such as D^{*1}(0)."""
+    return got == pytest.approx(want, rel=1e-13, abs=1e-16)
+
+
+class TestChamber:
+    @pytest.mark.parametrize("M", [4, 6, 8, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_weights_count_the_grid_points_of_each_tuple(self, d, M):
+        m = M // 2 + 1
+        key, weight = chamber_points(index_orthant(M, d))
+        # every grid point, folded into the orthant and sorted
+        n = np.indices((M,) * d).reshape(d, -1)
+        tuples = np.sort(np.minimum(n, M - n), axis=0)
+        flat, counts = np.unique(np.ravel_multi_index(tuples, (m,) * d),
+                                 return_counts=True)
+        assert np.sum(weight) == M ** d
+        order = np.argsort(key)
+        assert np.array_equal(key[order], flat)
+        assert np.array_equal(weight[order], counts)
+        assert len(key) == math.comb(m - 1 + d, d)
+
+    @pytest.mark.parametrize("M", [4, 6, 8, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_masks_on_the_largest_index_are_the_orthant_masks(self, d, M):
+        # k != 0 and ||k||_inf <= 1/L as orthant masks: permutation
+        # invariant, and kept on the chamber exactly where a test on the
+        # largest index keeps them
+        m, k = M // 2 + 1, dual_axis(M)
+        orth = index_orthant(M, d)
+        j = np.indices((m,) * d)
+        nonzero = nonzero_modes((m,) * d)
+        masks = [(nonzero, k > 0)]
+        for L in (1, 2, 3):
+            inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0 / L
+            masks += [(nonzero & inner, (k > 0) & (k <= 1.0 / L)),
+                      (~inner, k > 1.0 / L)]
+        key, _ = chamber_points(orth)
+        for mask, keep in masks:
+            for perm in itertools.permutations(range(d)):
+                assert np.array_equal(mask.transpose(perm), mask)
+            kept, _ = chamber_points(orth, keep)
+            assert np.array_equal(kept, key[mask.ravel()[key]])
+
+
 class TestSlabOrder:
     @pytest.mark.parametrize("M", [4, 8, 16])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
@@ -190,36 +252,38 @@ class TestSlabOrder:
         lambda d: StepDistribution("uniform", d, L=2)], ids=["nn", "uniform"])
     def test_slab_sums_equal_the_whole_array_sums_bit_for_bit(self, dist_of,
                                                               d, M):
+        # once bit for bit, when the sum went slab by slab in the whole
+        # array's contraction order; the chamber sums the same terms in
+        # another order, so they agree to rounding
         dist = dist_of(d)
         orth = dual_orthant(dist, TorusGrid(d, M))
         oracle = lambda term, keep=None: full_array_mean(dist, M, term, keep)
         for n in (0, 1, 2, 4):
-            assert return_probability_kspace(dist, TorusGrid(d, M), n) == \
-                oracle(lambda v: v ** n)
+            assert close(return_probability_kspace(dist, TorusGrid(d, M), n),
+                         oracle(lambda v: v ** n))
         # bound_diagnostics' region, built from the index grid
-        j = np.indices(orth.shape)
-        inner = np.max(2.0 * np.pi * j / M, axis=0) <= 1.0 / 2
-        nonzero = nonzero_modes(orth.shape)
+        shape, k = (M // 2 + 1,) * d, dual_axis(M)
+        inner = np.max(2.0 * np.pi * np.indices(shape) / M, axis=0) <= 0.5
+        nonzero = nonzero_modes(shape)
         for s in (2, 3):
             term = lambda v: v ** 2 / (1.0 - v) ** s
-            assert beta_kspace(orth, s) == oracle(term, nonzero)
-            for region in (inner, ~inner):
-                assert beta_kspace(orth, s, region) == oracle(term,
-                                                              nonzero & region)
+            assert close(beta_kspace(orth, s), oracle(term, nonzero))
+            assert close(orth.mean(term, (k > 0) & (k <= 0.5)),
+                         oracle(term, nonzero & inner))
+            assert close(orth.mean(term, k > 0.5), oracle(term, ~inner))
         rec = bound_diagnostics(dist, TorusGrid(d, M), 3)
         term = lambda v: v ** 2 / (1.0 - v) ** 3
-        assert rec["beta"] == oracle(term, nonzero)
-        assert rec["d4_return"] == oracle(lambda v: v ** 4)
-        assert rec["inverse_power_mean"] == oracle(
-            lambda v: 1.0 / (1.0 - v) ** 6, nonzero)
+        assert close(rec["beta"], oracle(term, nonzero))
+        assert close(rec["d4_return"], oracle(lambda v: v ** 4))
+        assert close(rec["inverse_power_mean"],
+                     oracle(lambda v: 1.0 / (1.0 - v) ** 6, nonzero))
         if dist.family == "uniform":
-            assert rec["inner_region"] == oracle(term, nonzero & inner)
-            assert rec["outer_region"] == oracle(term, nonzero & ~inner)
+            assert close(rec["inner_region"], oracle(term, nonzero & inner))
+            assert close(rec["outer_region"], oracle(term, ~inner))
 
     def test_working_set_is_a_few_slabs(self):
-        # building the orthant and reducing it slab by slab peaked at 20.1
-        # (nn) and 21.3 (uniform) slabs; now a slab is made when it is read,
-        # into one buffer, and the term runs in place with one scratch slab
+        # a slab was one row of the orthant's first axis, (M/2 + 1)^(d-1)
+        # entries; a block of the chamber holds fewer points than that
         for dist, M in ((StepDistribution("nn", 5), 32),
                         (StepDistribution("uniform", 4, L=2), 32)):
             slab_bytes = 8 * (M // 2 + 1) ** (dist.d - 1)
@@ -234,35 +298,37 @@ class TestSlabOrder:
     def test_stored_orthant_sums_equal_the_whole_array_sums(self, dist, M):
         orth = dual_orthant(dist, TorusGrid(dist.d, M))
         oracle = lambda term, keep=None: full_array_mean(dist, M, term, keep)
-        nonzero = nonzero_modes(orth.shape)
-        # twice: the terms overwrite the slab buffer, never the stored orthant
+        nonzero = nonzero_modes((M // 2 + 1,) * dist.d)
+        # twice: the terms never write into the stored orthant
         for _ in range(2):
-            assert beta_kspace(orth, 2) == oracle(
-                lambda v: v ** 2 / (1.0 - v) ** 2, nonzero)
+            assert close(beta_kspace(orth, 2), oracle(
+                lambda v: v ** 2 / (1.0 - v) ** 2, nonzero))
             rec = bound_diagnostics(dist, TorusGrid(dist.d, M), 2)
-            assert rec["d4_return"] == oracle(lambda v: v ** 4)
-            assert rec["inverse_power_mean"] == oracle(
-                lambda v: 1.0 / (1.0 - v) ** 4, nonzero)
+            assert close(rec["d4_return"], oracle(lambda v: v ** 4))
+            assert close(rec["inverse_power_mean"], oracle(
+                lambda v: 1.0 / (1.0 - v) ** 4, nonzero))
 
     def test_a_working_set_out_of_reach_is_refused_before_the_sum(
             self, monkeypatch):
-        # nn d = 5, M = 32: a slab of 17^4 entries, 1.5 MB of working set
+        # nn d = 5, M = 32: blocks of at most C(20, 4) = 4845 chamber
+        # points, 310 kB of working set at 64 bytes a point
         orth = dual_orthant(StepDistribution("nn", 5), TorusGrid(5, 32))
         read = []
 
-        def slab(rows, out=None):
-            read.append(rows)
-            return orth.slab(rows, out)
+        def dhat(key):
+            read.append(len(key))
+            return orth.dhat(key)
 
-        counted = DualOrthant(orth.M, orth.d, slab)
+        counted = dataclasses.replace(orth, dhat=dhat)
         want = beta_kspace(orth, 2)
-        monkeypatch.setattr(walk, "_physical_memory", lambda: 2 << 20)
+        monkeypatch.setattr(walk, "_physical_memory", lambda: 512 << 10)
         with pytest.raises(MemoryError, match="Unable to allocate .* "
                            "working set of M = 32 in d = 5"):
             beta_kspace(counted, 2)
         assert read == []
-        monkeypatch.setattr(walk, "_physical_memory", lambda: 4 << 20)
+        monkeypatch.setattr(walk, "_physical_memory", lambda: 1 << 20)
         assert beta_kspace(counted, 2) == want
+        assert max(read) <= 4845
 
     def test_power_orthant_is_transformed_once(self, monkeypatch):
         dist = StepDistribution("power", 3, alpha=1.5, support_radius=5)
@@ -276,7 +342,7 @@ class TestSlabOrder:
         monkeypatch.setattr(StepDistribution, "_power_transform", counted)
         orth = dual_orthant(dist, TorusGrid(3, 8))
         beta_kspace(orth, 2)
-        orth.mean(lambda v, out: v ** 4)
+        orth.mean(lambda v: v ** 4)
         assert calls == [3]
 
 
