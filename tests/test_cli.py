@@ -382,27 +382,25 @@ def test_the_d6_M64_grid_is_summed_on_its_chamber(capsys):
         wk.beta_separable(StepDistribution("nn", 6), 64, 2), rel=1e-12)
 
 
-@pytest.mark.parametrize("table, rw_beta", [
+@pytest.mark.parametrize("table, dists", [
     (["--family", "nn", "--d-values", "3,4,5"],
-     [["--family", "nn", "--d", str(d)] for d in (3, 4, 5)]),
+     [StepDistribution("nn", d) for d in (3, 4, 5)]),
     (["--family", "uniform", "--d", "3", "--L-values", "2"],
-     [["--family", "uniform", "--d", "3", "--L", "2"]])],
-    ids=["nn", "uniform"])
-def test_beta_table_rows_are_rw_beta_bit_for_bit(capsys, table, rw_beta):
+     [StepDistribution("uniform", 3, L=2)])], ids=["nn", "uniform"])
+def test_beta_table_rows_are_rw_beta_bit_for_bit(capsys, table, dists):
     # beta-table once summed a value DP of its own: nn d = 5 printed
     # 0.45764551320216523 where rw-beta printed 0.4576455132021652
     code, doc = run_cli(capsys, ["beta-table", "--s", "2", "--M", "8"]
                         + table)
     assert code == 0
     rows = doc["result"]["rows"]
-    assert len(rows) == len(rw_beta)
-    for row, argv in zip(rows, rw_beta):
-        code, rw = run_cli(capsys, ["rw-beta", "--s", "2", "--M", "8"]
-                           + argv)
+    assert len(rows) == len(dists)
+    for row, dist in zip(rows, dists):
+        code, rw = run_cli(capsys, [
+            "rw-beta", "--family", dist.family, "--d", str(dist.d),
+            "--L", str(dist.L), "--s", "2", "--M", "8"])
         assert code == 0
         assert row["beta"] == rw["result"]["beta_sequence"][0]
-        dist = StepDistribution(argv[1], int(argv[3]),
-                                L=row.get("L", 1))
         assert row["beta"] == pytest.approx(
             wk.beta_separable(dist, 8, 2), rel=1e-12)
 
