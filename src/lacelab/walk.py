@@ -101,8 +101,8 @@ class DualOrthant:
     @property
     def _block_points(self) -> int:
         """The most points a block holds: those with j_1 = 0,
-        C(M/2 + d - 1, d - 1), or 2^11 if more.  A block costs some 20 us
-        of calls besides its points, so small grids go in few blocks."""
+        C(M/2 + d - 1, d - 1), or 2^11 if more.  A block costs a few dozen
+        numpy calls besides its points, so small grids go in few blocks."""
         h = self.M // 2
         return max(math.comb(h + self.d - 1, self.d - 1), 1 << 11)
 
