@@ -165,7 +165,7 @@ def cmd_saw(args):
         else None,
         "zc": chi["zc"], "warning": chi["warning"],
         "bubble": sw.bubble_saw(series, args.z),
-        "pi_masses": {str(m): float(lace.mass(m)) for m in lace.pi}
+        "pi_masses": {str(m): float(lace.mass(m)) for m in lace.kernels}
         if lace else None,
         "weight_loss": series.weight_loss,
         "uncertainty": "series truncation remainder reported",

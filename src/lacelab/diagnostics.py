@@ -100,12 +100,25 @@ def serialize_input(inp: TwoPointInput) -> dict:
 
 
 def deserialize_input(doc: dict) -> TwoPointInput:
-    grid = TorusGrid(int(doc["d"]), int(doc["M"]))
-    return TwoPointInput(
-        grid=grid,
-        ghat=np.asarray(doc["ghat"], dtype=float).reshape(grid.shape),
-        tau=float(doc["tau"]),
-        dhat=np.asarray(doc["dhat"], dtype=float).reshape(grid.shape))
+    """The TwoPointInput of a document serialize_input wrote; one that is
+    not a JSON object, lacks one of its keys or holds a value of the wrong
+    type is a ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("the two-point input is not a JSON object")
+    missing = [k for k in ("d", "M", "tau", "ghat", "dhat") if k not in doc]
+    if missing:
+        raise ValueError("the two-point input has no %s"
+                         % ", ".join(missing))
+    try:
+        grid = TorusGrid(int(doc["d"]), int(doc["M"]))
+        return TwoPointInput(
+            grid=grid,
+            ghat=np.asarray(doc["ghat"], dtype=float).reshape(grid.shape),
+            tau=float(doc["tau"]),
+            dhat=np.asarray(doc["dhat"], dtype=float).reshape(grid.shape))
+    except TypeError as exc:
+        raise ValueError("the two-point input holds a value of the wrong "
+                         "type: %s" % exc) from None
 
 
 def _mean(grid: TorusGrid, arr: np.ndarray) -> float:

@@ -2,9 +2,10 @@
 
 Walks are enumerated over the (possibly truncated) support of the step
 distribution; each length-n walk contributes the product of its step
-weights to c_n(x).  Sites are flat integers: x is sum_a x_a B^a with base
-B = 2 n_max r + 1, where r is the largest |component| of a kept step, so
-every step is one int delta.
+weights to c_n(x).  Sites are flat integers, axis 0 most significant: x is
+sum_a x_a B^(d-1-a) with base B = 2 n_max r + 1, where r is the largest
+|component| of a kept step, so every step is one int delta.  The digits
+are balanced, |x_a| < B/2, so flat keys sort as their x-tuples do.
 
 The search is level-synchronous on numpy arrays.  The walks of length n
 are the rows of a (W, n + 1) int array of their flat sites, in
@@ -18,32 +19,40 @@ keys in the order the search first reaches them and add the weights in
 search order.  Before searching, a budget that the walks along strictly
 increasing coordinate sums alone exceed is refused.
 
+A series is kept once, as the search makes it and the recursion reads it:
+levels[n] is the array of c_n's flat keys and the array of its values.
+The x-tuple dicts, WalkSeries.c and LaceCoefficients.pi, are views built
+the first time something reads them; the CLI reads neither.
+
 In rational mode (nn/uniform families) every kept step weighs the same
-w = 1/|Omega|, so c_n(x) = N_n(x) w^n with N_n(x) an exact int count.  The
-search then starts from one first step s0 per orbit of G, the signed axis
-permutations that map the kept steps onto themselves, and folds each
-orbit back on arrays, N_n(g_s x) += N_n^{(s0)}(x) with g_s(s0) = s for
-every s in the orbit: nn makes 1/(2d) of the walks.  c_n's keys come out
-sorted.  Double mode (which the power family needs) carries the float
-product of the step weights from every first step in one search with the
-trivial group, so its keys come in the order a depth-first search would
-first reach them and its sums are that search's sums, bit for bit.
+w = 1/|Omega|, so c_n(x) = N_n(x) w^n and the values are the exact int
+counts N_n(x).  The search then starts from one first step s0 per orbit
+of the 2^d d! signed axis permutations, which map every rational step set
+(nn, the uniform cube, either cut by a Euclidean radius) onto itself, and
+folds each orbit back on arrays, N_n(g_s x) += N_n^{(s0)}(x) with
+g_s(s0) = s for every s in the orbit: nn makes 1/(2d) of the walks.  The
+levels come out sorted by key.  Double mode (which the power family needs)
+carries the float product of the step weights from every first step in
+one search with the trivial group, so its keys come in the order a
+depth-first search would first reach them and its sums are that search's
+sums, bit for bit.
 
 Lace extraction convolves with the walks' own step set, the kept steps
 and weights stored on the WalkSeries, so a series enumerated under a
 support_radius is expanded with the same truncated D.  The recursion runs
-on the same flat int keys, where the key of x + y is the sum of the keys
-(no term leaves |x_a| <= n_max r < B/2), and turns them into x-tuples
-once at the end.  Exactness matters there: the recursion is a telescoping
-difference of nearly equal quantities.  In rational mode it runs on the
-int counts N_n and unit steps, and pi_m = P_m w^m comes out only at the
-end.
+on the levels' flat int keys, where the key of x + y is the sum of the
+keys (no term leaves |x_a| <= n_max r < B/2).  Exactness matters there:
+the recursion is a telescoping difference of nearly equal quantities.  In
+rational mode it runs on the int counts N_n and unit steps, and keeps
+P_m = pi_m |Omega|^m; pi_m itself is scaled only when read.
 """
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -65,28 +74,47 @@ class BudgetExceeded(RuntimeError):
 class WalkSeries:
     dist: StepDistribution
     n_max: int
-    c: list          # c[n] is a dict mapping x-tuples to weights
+    # levels[n] = (flat keys, values) of c_n: the int counts
+    # N_n(x) = c_n(x) |Omega|^n in rational mode, sorted by key; the float
+    # c_n(x) in double mode, keys in the order first reached
+    levels: list
     mode: str        # "rational" | "double"
     weight_loss: float = 0.0  # support truncation loss per step
     # the kept steps and their weights, as the enumeration used them
     steps: list = field(kw_only=True)
     weights: list = field(kw_only=True)
-    # rational mode: counts[n] maps x-tuples to the int N_n(x) = c_n(x)
-    # |Omega|^n, keyed like c[n]; None in double mode
-    counts: list | None = field(default=None, kw_only=True)
     # walks of length >= 1 the search represents (the walks a search over
     # every first step makes), and the walks it made, each a shorter walk
     # extended by one step
     walks: int = field(default=0, kw_only=True)
     visited: int = field(default=0, kw_only=True)
 
+    @cached_property
+    def c(self) -> list:
+        """c[n] maps x-tuples to c_n(x), Fractions in rational mode, in the
+        levels' key order; built the first time it is read."""
+        return [self._view(keys, vals.tolist(), n)
+                for n, (keys, vals) in enumerate(self.levels)]
+
+    def _view(self, keys, vals: list, n: int) -> dict:
+        """{x-tuple: value} for flat keys and values of order n, scaled in
+        rational mode by w^n, w = 1/|Omega|."""
+        if self.mode == "rational":
+            wn = Fraction(1, self.dist.support_size ** n)
+            vals = [v * wn for v in vals]
+        return _tuple_dict(keys, vals, _site_base(self.steps, self.n_max),
+                           self.dist.d)
+
+    def _scale(self, total, n: int):
+        """A sum of values of order n on the c scale: in rational mode one
+        exact division, total / |Omega|^n."""
+        if self.mode == "rational":
+            return Fraction(total, self.dist.support_size ** n)
+        return total
+
     def mass(self, n: int):
-        """sum_x c_n(x): in rational mode one exact division of the summed
-        int counts, sum_x N_n(x) / |Omega|^n."""
-        counts = self.counts[n] if self.counts else None
-        if counts:
-            return Fraction(sum(counts.values()), self.dist.support_size ** n)
-        return sum(self.c[n].values())
+        """sum_x c_n(x), the values added in stored order."""
+        return self._scale(sum(self.levels[n][1].tolist()), n)
 
     def masses(self):
         return [self.mass(n) for n in range(self.n_max + 1)]
@@ -139,7 +167,7 @@ def _support_for_enum(dist: StepDistribution, support_radius, mode):
     _branching_guard(len(offs))
     steps = [tuple(o) for o in offs.tolist()]
     if mode == "rational":
-        weights = [dist.eval_d_exact(o) for o in offs]
+        weights = [Fraction(1, dist.support_size)] * len(steps)
     else:
         weights = [float(p) for p in probs]
     return steps, weights, total - float(np.sum(probs))
@@ -152,33 +180,31 @@ def _site_base(steps: list, n_max: int) -> int:
 
 
 def _flatten(x: np.ndarray, base: int) -> np.ndarray:
-    """The flat sites sum_a x_a base^a of the rows x of a (K, d) int array,
-    in the smallest signed int type that holds +-base^d (Python ints,
-    object, beyond int64), so sums of two sites cannot wrap."""
+    """The flat sites sum_a x_a base^(d-1-a) of the rows x of a (K, d) int
+    array, in the smallest signed int type that holds +-base^d (Python ints,
+    object, beyond int64), so sums of two sites cannot wrap.  With
+    |x_a| < base/2 they sort as the rows do lexicographically."""
     d = x.shape[1]
     dtype = np.min_scalar_type(-base ** d)
-    return x.astype(dtype) @ np.array([base ** a for a in range(d)],
+    return x.astype(dtype) @ np.array([base ** (d - 1 - a) for a in range(d)],
                                       dtype=dtype)
 
 
-def _unflatten(f: np.ndarray, base: int, d: int) -> np.ndarray:
-    """The (K, d) int64 rows x of the flat sites f, |x_a| < base/2."""
+def _unflatten(f, base: int, d: int) -> np.ndarray:
+    """The (K, d) int64 rows x of the flat sites f, |x_a| < base/2; f is
+    read in _flatten's type, so no list of them turns unsigned."""
+    f = np.asarray(f, dtype=np.min_scalar_type(-base ** d))
     half = base // 2
     x = np.empty((len(f), d), dtype=np.int64)
-    for a in range(d):
+    for a in reversed(range(d)):
         x[:, a] = (f + half) % base - half
         f = (f - x[:, a]) // base
     return x
 
 
-def _tuple_dict(keys: np.ndarray, vals: list, base: int, d: int,
-                sort: bool = False) -> dict:
-    """{x-tuple: value} for flat keys and their values, in the keys' order
-    or, with sort, in x-tuple order."""
+def _tuple_dict(keys, vals: list, base: int, d: int) -> dict:
+    """{x-tuple: value} for flat keys and their values, in the keys' order."""
     x = _unflatten(keys, base, d)
-    if sort:
-        order = np.lexsort(x.T[::-1])
-        x, vals = x[order], [vals[i] for i in order.tolist()]
     return dict(zip(map(tuple, x.tolist()), vals))
 
 
@@ -222,54 +248,38 @@ class _LevelSums:
             np.add.at(self.vals, slot[inv], w)
 
 
-def _act(g: tuple, x: tuple) -> tuple:
-    """g(x) for the signed axis permutation g = (perm, signs):
-    g(x)_a = signs[a] x[perm[a]]."""
-    perm, signs = g
-    return tuple(sg * x[p] for p, sg in zip(perm, signs))
-
-
 def _first_step_orbits(steps: list) -> list:
-    """The kept steps' orbits under G, as [(i0, [g, ...]), ...]: each orbit's
-    representative steps[i0] and, for every step s of the orbit, one g in G
-    with g(steps[i0]) = s.
+    """The kept steps' orbits under G, the 2^d d! signed axis permutations,
+    as [(i0, [g, ...]), ...] in steps order: each orbit's representative
+    steps[i0], its first step, and for every step s of the orbit one
+    g = (perm, signs) in G with g(steps[i0]) = s, where
+    g(x)_a = signs[a] x[perm[a]].
 
-    G is generated by the axis reflections and axis swaps that map the kept
-    steps onto themselves.  Every rational step set (nn, the uniform cube,
-    either cut by a Euclidean radius) is invariant under all of them, so
-    there G is the whole group of 2^d d! signed axis permutations.
+    An orbit is the set of steps with the same sorted |components|.  A step
+    set that holds part of one is not invariant under G and is refused.
     """
-    if not steps:
-        return []
-    axes = tuple(range(len(steps[0])))
-    ones = (1,) * len(axes)
-    gens = [(axes, tuple(-1 if b == a else 1 for b in axes)) for a in axes]
-    for a, b in itertools.combinations(axes, 2):
-        perm = list(axes)
-        perm[a], perm[b] = b, a
-        gens.append((tuple(perm), ones))
-    kept = set(steps)
-    gens = [h for h in gens if all(_act(h, s) in kept for s in steps)]
-    orbits, seen = [], set()
-    for i0, s0 in enumerate(steps):
-        if s0 in seen:
-            continue
-        member = {s0: (axes, ones)}  # s -> g with g(s0) = s
-        queue = [s0]
-        for s in queue:
-            perm, signs = member[s]
-            for h in gens:
-                t = _act(h, s)
-                if t not in member:
-                    # h after g: x_a -> hsigns[a] signs[hperm[a]]
-                    # x[perm[hperm[a]]]
-                    hperm, hsigns = h
-                    member[t] = (tuple(perm[p] for p in hperm),
-                                 tuple(hs * signs[p]
-                                       for p, hs in zip(hperm, hsigns)))
-                    queue.append(t)
-        seen.update(member)
-        orbits.append((i0, list(member.values())))
+    classes = {}
+    for i, s in enumerate(steps):
+        classes.setdefault(tuple(sorted(map(abs, s))), []).append(i)
+    orbits = []
+    for mags, members in classes.items():
+        size = (math.factorial(len(mags)) * 2 ** sum(map(bool, mags))
+                // math.prod(map(math.factorial, Counter(mags).values())))
+        if len(members) != size:
+            raise ValueError("the kept steps are not invariant under the "
+                             "signed axis permutations")
+        s0 = steps[members[0]]
+        axes0 = sorted(range(len(s0)), key=lambda a: abs(s0[a]))
+        images = []
+        for s in (steps[i] for i in members):
+            # axes of equal rank in |component| are matched
+            perm = [0] * len(s)
+            for a0, a in zip(axes0, sorted(range(len(s)),
+                                           key=lambda a: abs(s[a]))):
+                perm[a] = a0
+            images.append((tuple(perm), tuple(-1 if v * s0[p] < 0 else 1
+                                              for v, p in zip(s, perm))))
+        orbits.append((members[0], images))
     return orbits
 
 
@@ -292,15 +302,14 @@ def _walks_lower_bound(steps: list, n_max: int, cap: int) -> int:
 
 def enumerate_walks(dist: StepDistribution, n_max: int,
                     support_radius: float | None = None,
-                    mode: str = "rational",
-                    node_budget: int | None = None) -> WalkSeries:
+                    mode: str = "rational") -> WalkSeries:
     """Exact c_n(x) for n <= n_max by a level-synchronous self-avoiding
     search.
 
-    node_budget (default DEFAULT_NODE_BUDGET) caps the walks of length >= 1
-    the search makes or, in rational mode, represents: a walk made under a
-    first step whose orbit holds k steps counts k times.  An n_max whose
-    walks provably exceed it is refused before the search.
+    DEFAULT_NODE_BUDGET caps the walks of length >= 1 the search makes or,
+    in rational mode, represents: a walk made under a first step whose
+    orbit holds k steps counts k times.  An n_max whose walks provably
+    exceed it is refused before the search.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -308,8 +317,7 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
         raise ValueError("mode must be 'rational' or 'double'")
     if mode == "rational" and dist.family == "power":
         raise ValueError("rational mode needs rational step weights")
-    if node_budget is None:
-        node_budget = DEFAULT_NODE_BUDGET
+    node_budget = DEFAULT_NODE_BUDGET
     steps, weights, loss = _support_for_enum(dist, support_radius, mode)
     if _walks_lower_bound(steps, n_max, node_budget) > node_budget:
         raise BudgetExceeded("n_max = %d needs more than the enumeration "
@@ -320,7 +328,7 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
     deltas = _flatten(np.array(steps, dtype=np.int64).reshape(-1, d), base)
     origin = np.zeros((1, 1), dtype=deltas.dtype)
     # rational mode counts walks (no weights) from one first step per
-    # orbit into fresh sums, folded into `counts` and scaled at the end;
+    # orbit into fresh sums, folded into `counts`;
     # double mode keeps the trivial group and searches from every first
     # step at once, carrying the step products
     rational = mode == "rational"
@@ -380,21 +388,13 @@ def enumerate_walks(dist: StepDistribution, n_max: int,
                 cn.add(np.concatenate([g[at:at + m] for g in gx]),
                        np.tile(s.vals, k))
                 at += m
-    if rational:
-        # every kept step weighs the same w = 1/|Omega|: c_n = N_n w^n
-        counts = [_tuple_dict(cn.keys, cn.vals.tolist(), base, d, sort=True)
-                  for cn in counts]
-        w = Fraction(1, dist.support_size)
-        c = []
-        for n, cn in enumerate(counts):
-            wn = w ** n
-            c.append({x: v * wn for x, v in cn.items()})
-    else:
-        counts = None
-        c = [_tuple_dict(s.keys, s.vals.tolist(), base, d) for s in sums]
-    return WalkSeries(dist=dist, n_max=n_max, c=c, mode=mode,
+    levels = []
+    for cn in counts:  # the search's own sums in double mode
+        order = np.argsort(cn.keys) if rational else slice(None)
+        levels.append((cn.keys[order], cn.vals[order]))
+    return WalkSeries(dist=dist, n_max=n_max, levels=levels, mode=mode,
                       weight_loss=loss, steps=steps, weights=weights,
-                      counts=counts, walks=walks, visited=visited)
+                      walks=walks, visited=visited)
 
 
 def _sparse_convolve(a: dict, b: dict):
@@ -410,41 +410,35 @@ def _sparse_convolve(a: dict, b: dict):
 
 @dataclass
 class LaceCoefficients:
-    pi: dict       # m -> dict of x-tuples
+    series: WalkSeries = field(repr=False)
     # m -> P_m, the recursion's own unknowns on flat keys: pi_m |Omega|^m
     # as ints in rational mode, pi_m itself in double mode
     kernels: dict = field(repr=False)
 
+    @cached_property
+    def pi(self) -> dict:
+        """m -> pi_m as a dict of x-tuples, in P_m's key order; built the
+        first time it is read."""
+        return {m: self.series._view(list(p), list(p.values()), m)
+                for m, p in self.kernels.items()}
+
     def mass(self, m: int):
-        return sum(self.pi[m].values())
+        """sum_x pi_m(x), P_m's values added in stored order."""
+        return self.series._scale(sum(self.kernels[m].values()), m)
 
 
 def _recursion_terms(series: WalkSeries, upto: int):
-    """(a_0..a_upto, step kernel, out): what the recursion runs on, on flat
-    keys, and out(P, m), which turns an unknown of order m back into x-tuple
-    keys and scales it, pi_m = P_m w^m.  Rational mode: the int counts N_n
-    with a unit kernel on the kept steps, and w = 1/|Omega|, the kept
-    steps' common weight.  Double mode: c_n with the kept weights, and
-    P_m = pi_m."""
-    d, base = series.dist.d, _site_base(series.steps, series.n_max)
-
-    def flat(p: dict) -> dict:
-        x = np.array(list(p), dtype=np.int64).reshape(-1, d)
-        return dict(zip(_flatten(x, base).tolist(), p.values()))
-
-    def out(p: dict, m: int) -> dict:
-        vals = list(p.values())
-        if w is not None:
-            wm = w ** m
-            vals = [v * wm for v in vals]
-        return _tuple_dict(np.array(list(p)), vals, base, d)
-
-    if series.mode == "rational":
-        a, step = series.counts, dict.fromkeys(series.steps, 1)
-        w = Fraction(1, series.dist.support_size)
-    else:
-        a, step, w = series.c, dict(zip(series.steps, series.weights)), None
-    return [flat(p) for p in a[:upto + 1]], flat(step), out
+    """(a_0..a_upto, step kernel): what the recursion runs on, dicts on the
+    levels' flat keys.  Rational mode: the int counts N_n with a unit
+    kernel on the kept steps.  Double mode: c_n with the kept weights."""
+    base = _site_base(series.steps, series.n_max)
+    deltas = _flatten(np.array(series.steps, dtype=np.int64).reshape(
+        -1, series.dist.d), base).tolist()
+    weights = ([1] * len(deltas) if series.mode == "rational"
+               else series.weights)
+    a = [dict(zip(keys.tolist(), vals.tolist()))
+         for keys, vals in series.levels[:upto + 1]]
+    return a, dict(zip(deltas, weights))
 
 
 def _add_recursion(a: list, step: dict, kernels: dict, n: int, acc: dict,
@@ -471,19 +465,19 @@ def extract_lace(series: WalkSeries) -> LaceCoefficients:
     """
     if series.n_max < 2:
         raise ValueError("need n_max >= 2")
-    a, step, out = _recursion_terms(series, series.n_max)
+    a, step = _recursion_terms(series, series.n_max)
     kernels = {}
     for n in range(1, series.n_max):
         kernels[n + 1] = _add_recursion(a, step, kernels, n, dict(a[n + 1]),
                                         -1)
-    return LaceCoefficients(pi={m: out(p, m) for m, p in kernels.items()},
-                            kernels=kernels)
+    return LaceCoefficients(series, kernels)
 
 
 def reconstruct_c(series: WalkSeries, lace: LaceCoefficients, n: int) -> dict:
     """c_{n+1} rebuilt from the recursion; must equal the enumerated value."""
-    a, step, out = _recursion_terms(series, n)
-    return out(_add_recursion(a, step, lace.kernels, n, {}, 1), n + 1)
+    a, step = _recursion_terms(series, n)
+    p = _add_recursion(a, step, lace.kernels, n, {}, 1)
+    return series._view(list(p), list(p.values()), n + 1)
 
 
 def zc_estimate(series: WalkSeries) -> dict:
@@ -543,12 +537,18 @@ def chi_series(series: WalkSeries, z: float) -> dict:
 
 
 def two_point_series(series: WalkSeries, z: float) -> dict:
-    """G_z(x) = sum_n c_n(x) z^n from the truncated series."""
+    """G_z(x) = sum_n c_n(x) z^n from the truncated series, on x-tuples in
+    the order the levels first hold them.  A rational c_n(x) is the one
+    int division N_n(x) / |Omega|^n, which rounds as float(c_n(x)) does."""
     out = {}
-    for cn, w in zip(series.c, _powers(z, series.n_max)):
-        for x, v in cn.items():
-            out[x] = out.get(x, 0.0) + float(v) * w
-    return out
+    rational = series.mode == "rational"
+    for n, ((keys, vals), w) in enumerate(zip(series.levels,
+                                             _powers(z, series.n_max))):
+        q = series.dist.support_size ** n if rational else 1
+        for k, v in zip(keys.tolist(), vals.tolist()):
+            out[k] = out.get(k, 0.0) + v / q * w
+    return _tuple_dict(list(out), out.values(),
+                       _site_base(series.steps, series.n_max), series.dist.d)
 
 
 def bubble_saw(series: WalkSeries, z: float) -> float:

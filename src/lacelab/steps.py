@@ -30,7 +30,6 @@ fourier_d_grid on the dual orthant.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -373,25 +372,6 @@ class StepDistribution:
             yield x0, _slab_norms(x0, r, self.d)
 
     # -- evaluation ------------------------------------------------------
-    def eval_d(self, x) -> float:
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.d,):
-            raise ValueError("x must be a %d-vector" % self.d)
-        if not np.any(x):
-            return 0.0
-        if self.family == "power":
-            r = float(np.sqrt(np.sum((x / self.L) ** 2)))
-            return max(r, 1.0) ** (-(self.d + self.alpha)) / self.norm_const
-        inside = (np.sum(np.abs(x)) == 1 if self.family == "nn"
-                  else np.max(np.abs(x)) <= self.L)
-        return 1.0 / self.support_size if inside else 0.0
-
-    def eval_d_exact(self, x) -> Fraction:
-        """Exact rational value; nn and uniform families only."""
-        if self.family == "power":
-            raise ValueError("exact rationals only for nn/uniform families")
-        return Fraction(1, self.support_size) if self.eval_d(x) else Fraction(0)
-
     @property
     def sup_d(self) -> float:
         if self.family == "power":

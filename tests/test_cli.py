@@ -276,8 +276,26 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     (["beta-table", "--family", "power", "--s", "2", "--alpha", "1.2",
       "--d-values", "3", "--M", "8"],
      "--d-values does not apply to the power family"),
+    # these raised KeyError and TypeError; the argument after --input is
+    # the text of the file passed
+    (["diag", "--input", "{}"], "has no d, M, tau, ghat, dhat"),
+    (["diag", "--input", "[1, 2]"], "not a JSON object"),
+    (["diag", "--input", '{"d": 1, "M": 8, "tau": 0.0, "ghat": [1]}'],
+     "has no dhat$"),
+    (["diag", "--input",
+      '{"d": null, "M": 8, "tau": 0.0, "ghat": [1], "dhat": [1]}'],
+     "wrong type"),
+    (["diag", "--input",
+      '{"d": 1, "M": 8, "tau": 0.0, "ghat": {"a": 1}, "dhat": [1]}'],
+     "wrong type"),
 ])
-def test_invalid_inputs_exit_1_with_a_message(capsys, argv, message):
+def test_invalid_inputs_exit_1_with_a_message(tmp_path, capsys, argv,
+                                              message):
+    if "--input" in argv:
+        at = argv.index("--input") + 1
+        path = tmp_path / "input.json"
+        path.write_text(argv[at])
+        argv = argv[:at] + [str(path)] + argv[at + 1:]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1

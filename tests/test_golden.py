@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from lacelab import saw
 from lacelab.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -115,6 +116,24 @@ def golden_path(name):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_output_is_byte_identical(name, monkeypatch):
+    monkeypatch.delenv("LACELAB_OUT_DIR", raising=False)
+    argv, want_code = SPECS[name]
+    code, text = run(argv)
+    assert code == want_code
+    with open(golden_path(name)) as fh:
+        assert text == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SPECS
+                                        if n.startswith("saw_")))
+def test_saw_builds_no_x_tuple_view(name, monkeypatch):
+    # lacelab saw reads the levels and P_m on flat keys; c_n and pi_m as
+    # dicts of x-tuples are built only for a caller that reads them
+    def unread(self):
+        raise AssertionError("an x-tuple view was built")
+
+    monkeypatch.setattr(saw.WalkSeries, "c", property(unread))
+    monkeypatch.setattr(saw.LaceCoefficients, "pi", property(unread))
     monkeypatch.delenv("LACELAB_OUT_DIR", raising=False)
     argv, want_code = SPECS[name]
     code, text = run(argv)

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from lacelab.saw import (DEFAULT_NODE_BUDGET, MAX_BRANCHING, BudgetExceeded,
                          extract_lace, reconstruct_c, two_point_series,
                          zc_estimate)
 from lacelab.steps import StepDistribution
+from lacelab.torus import within_range
 
 from conftest import traced_peak
 
@@ -30,7 +32,7 @@ def enumerate_reference(dist, n_max, support_radius=None, mode="rational"):
     assert len(offs) <= MAX_BRANCHING
     steps = [tuple(int(v) for v in o) for o in offs]
     if mode == "rational":
-        weights = [dist.eval_d_exact(o) for o in offs]
+        weights = [Fraction(1, dist.support_size)] * len(steps)
     else:
         weights = [float(p) for p in probs]
     zero = Fraction(0) if mode == "rational" else 0.0
@@ -191,10 +193,89 @@ def test_sites_beyond_int64_are_python_ints():
     undo = (steps[:, None, :] + steps[None, :, :] == 0).all(axis=2)
     i, j, k = np.nonzero(~undo[:, :, None] & ~undo[None, :, :])
     want = Counter(map(tuple, (steps[i] + steps[j] + steps[k]).tolist()))
-    assert typed_items(series.counts[3].items()) == typed_items(
-        sorted(want.items()))
+    keys, counts = series.levels[3]
+    assert keys.dtype == object
+    # flat keys sum_a x_a 7^(22 - a), in x-tuple order
+    assert [(k, type(k), n, type(n))
+            for k, n in zip(keys.tolist(), counts.tolist())] == [
+        (sum(v * 7 ** (22 - a) for a, v in enumerate(x)), int, n, int)
+        for x, n in sorted(want.items())]
     lace = extract_lace(series)
     assert reconstruct_c(series, lace, 1) == series.c[2]
+
+
+def signed_permutations(d):
+    return [(perm, signs) for perm in itertools.permutations(range(d))
+            for signs in itertools.product((-1, 1), repeat=d)]
+
+
+def act(g, x):
+    perm, signs = g
+    return tuple(sg * x[p] for p, sg in zip(perm, signs))
+
+
+# (family, d, distribution kwargs, support_radius)
+ORBIT_SPECS = ([("nn", d, {}, None) for d in (1, 2, 3, 4)]
+               + [("uniform", d, {"L": L}, radius)
+                  for d in (1, 2, 3) for L in (1, 2)
+                  for radius in (None, 1.0, 1.5, 2.0, 2.5)])
+
+
+@pytest.mark.parametrize("family,d,kw,radius", ORBIT_SPECS)
+def test_first_step_orbits_are_the_signed_permutation_orbits(family, d, kw,
+                                                             radius):
+    offs, _ = StepDistribution(family, d, **kw).support()
+    if radius is not None:
+        offs = offs[within_range(offs, radius)]
+    steps = list(map(tuple, offs.tolist()))
+    group = signed_permutations(d)
+    orbits = saw._first_step_orbits(steps)
+    covered = []
+    for i0, images in orbits:
+        s0 = steps[i0]
+        orbit = {act(g, s0) for g in group}
+        # the representative is the orbit's first step
+        assert i0 == min(i for i, s in enumerate(steps) if s in orbit)
+        # one signed permutation per step of the orbit, in steps order
+        assert all(g in group for g in images)
+        assert [act(g, s0) for g in images] == [s for s in steps
+                                                if s in orbit]
+        covered += [act(g, s0) for g in images]
+    assert [i0 for i0, _ in orbits] == sorted(i0 for i0, _ in orbits)
+    assert sorted(covered) == sorted(steps)
+
+
+@pytest.mark.parametrize("steps", [
+    [(1, 0), (0, 1)],
+    [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)],
+    [(2, 1, 0), (-2, 1, 0), (2, -1, 0), (-2, -1, 0)],
+])
+def test_a_step_set_with_part_of_an_orbit_is_refused(steps):
+    with pytest.raises(ValueError, match="not invariant"):
+        saw._first_step_orbits(steps)
+
+
+@pytest.mark.parametrize("d,base", [(1, 5), (1, 9), (2, 5), (2, 7), (3, 7),
+                                    (4, 5)])
+def test_flat_keys_sort_as_x_tuples_on_a_whole_box(d, base):
+    # the box |x_a| < base/2, made in lexicographic order
+    h = base // 2
+    x = np.array(list(itertools.product(range(-h, h + 1), repeat=d)))
+    keys = saw._flatten(x, base)
+    assert np.all(np.diff(keys) > 0)
+    np.testing.assert_array_equal(saw._unflatten(keys, base, d), x)
+
+
+def test_flat_keys_beyond_int64_sort_as_x_tuples():
+    # nn d=23 to n = 3: base 7, and 7^23 > 2^64, so the keys are Python ints
+    x = np.random.default_rng(5).integers(-3, 4, size=(2000, 23))
+    x[:50, :20] = 0  # some rows share long prefixes
+    keys = saw._flatten(x, 7)
+    assert keys.dtype == object
+    rows = list(map(tuple, x.tolist()))
+    assert sorted(range(len(rows)), key=keys.__getitem__) == sorted(
+        range(len(rows)), key=rows.__getitem__)
+    np.testing.assert_array_equal(saw._unflatten(keys, 7, 23), x)
 
 
 @pytest.mark.parametrize("family,d,kw,n_max,radius,mode", REFERENCE_SPECS)
@@ -261,14 +342,15 @@ def test_nn_visits_one_node_in_2d(d, n_max):
     ("uniform", 2, {"L": 2}, 4, 1.5, "rational"),
     ("nn", 3, {}, 4, None, "double"),
 ])
-def test_budget_is_exact_in_nodes(family, d, kw, n_max, radius, mode):
+def test_budget_is_exact_in_nodes(family, d, kw, n_max, radius, mode,
+                                  monkeypatch):
     dist = StepDistribution(family, d, **kw)
     _, nodes = enumerate_reference(dist, n_max, radius, mode)
-    enumerate_walks(dist, n_max, support_radius=radius, mode=mode,
-                    node_budget=nodes)
+    monkeypatch.setattr(saw, "DEFAULT_NODE_BUDGET", nodes)
+    enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
+    monkeypatch.setattr(saw, "DEFAULT_NODE_BUDGET", nodes - 1)
     with pytest.raises(BudgetExceeded):
-        enumerate_walks(dist, n_max, support_radius=radius, mode=mode,
-                        node_budget=nodes - 1)
+        enumerate_walks(dist, n_max, support_radius=radius, mode=mode)
 
 
 @pytest.fixture(scope="module")
@@ -307,9 +389,10 @@ class TestEnumeration:
             for x, v in cn.items():
                 assert cn[tuple(-a for a in x)] == v
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(saw, "DEFAULT_NODE_BUDGET", 100)
         with pytest.raises(BudgetExceeded):
-            enumerate_walks(StepDistribution("nn", 3), 10, node_budget=100)
+            enumerate_walks(StepDistribution("nn", 3), 10)
 
     def test_branching_guard(self):
         with pytest.raises(ValueError):

@@ -16,39 +16,56 @@ from lacelab.walk import dual_orthant, folded_dhat
 from conftest import chamber_points, index_orthant, traced_peak
 
 
+def eval_d(dist, x) -> float:
+    """D(x) at one point, from the family's definition: the oracle that the
+    support walk is checked against."""
+    x = np.asarray(x, dtype=np.int64)
+    if not np.any(x):
+        return 0.0
+    if dist.family == "power":
+        r = float(np.sqrt(np.sum((x / dist.L) ** 2)))
+        return max(r, 1.0) ** (-(dist.d + dist.alpha)) / dist.norm_const
+    inside = (np.sum(np.abs(x)) == 1 if dist.family == "nn"
+              else np.max(np.abs(x)) <= dist.L)
+    return 1.0 / dist.support_size if inside else 0.0
+
+
 class TestEval:
     def test_nn_values(self):
         dist = StepDistribution("nn", 2)
-        assert dist.eval_d((1, 0)) == 0.25
-        assert dist.eval_d((0, -1)) == 0.25
-        assert dist.eval_d((1, 1)) == 0.0
-        assert dist.eval_d((0, 0)) == 0.0
+        assert eval_d(dist, (1, 0)) == 0.25
+        assert eval_d(dist, (0, -1)) == 0.25
+        assert eval_d(dist, (1, 1)) == 0.0
+        assert eval_d(dist, (0, 0)) == 0.0
 
     def test_uniform_values(self):
         dist = StepDistribution("uniform", 2, L=2)
         inside = 1.0 / (5 ** 2 - 1)
-        assert dist.eval_d((2, -2)) == inside
-        assert dist.eval_d((1, 0)) == inside
-        assert dist.eval_d((3, 0)) == 0.0
-        assert dist.eval_d((0, 0)) == 0.0
+        assert eval_d(dist, (2, -2)) == inside
+        assert eval_d(dist, (1, 0)) == inside
+        assert eval_d(dist, (3, 0)) == 0.0
+        assert eval_d(dist, (0, 0)) == 0.0
 
     def test_power_plateau_and_decay(self):
         dist = StepDistribution("power", 1, L=4, alpha=1.5,
                                 support_radius=200)
         # |x/L| <= 1 sits on the plateau h = 1
-        assert dist.eval_d((2,)) == dist.eval_d((4,))
+        assert eval_d(dist, (2,)) == eval_d(dist, (4,))
         # beyond the plateau the ratio follows (x1/x2)^{d+alpha}
-        r = dist.eval_d((8,)) / dist.eval_d((16,))
+        r = eval_d(dist, (8,)) / eval_d(dist, (16,))
         assert abs(r - 2.0 ** 2.5) < 1e-12
 
     def test_exact_rationals(self):
-        assert StepDistribution("nn", 3).eval_d_exact((0, 0, 1)) \
-            == Fraction(1, 6)
-        assert StepDistribution("uniform", 1, L=2).eval_d_exact((2,)) \
-            == Fraction(1, 4)
+        # rational mode weighs every kept step D(x) = 1/|Omega| exactly
+        for dist, want in [(StepDistribution("nn", 3), Fraction(1, 6)),
+                           (StepDistribution("uniform", 1, L=2),
+                            Fraction(1, 4))]:
+            series = enumerate_walks(dist, 0)
+            assert series.weights == [want] * len(series.steps)
+            assert all(eval_d(dist, s) == float(want) for s in series.steps)
         with pytest.raises(ValueError):
-            StepDistribution("power", 1, alpha=1.0,
-                             support_radius=50).eval_d_exact((1,))
+            enumerate_walks(StepDistribution("power", 1, alpha=1.0,
+                                             support_radius=50), 0)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -128,13 +145,13 @@ class TestSupportWalk:
         offs, probs = dist.support()
         R = kw.get("support_radius", kw.get("L", 1))
         cube = [x for x in itertools.product(range(-R, R + 1), repeat=d)
-                if dist.eval_d(x) > 0]
+                if eval_d(dist, x) > 0]
         assert offs.dtype == np.int64
         assert len(offs) == dist.support_size == len(cube)
         got = [tuple(x) for x in offs.tolist()]
         if family == "power":
             assert got == cube  # lexicographic
-        np.testing.assert_allclose(probs, [dist.eval_d(x) for x in got],
+        np.testing.assert_allclose(probs, [eval_d(dist, x) for x in got],
                                    rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("family,d,kw", SUPPORTS)
