@@ -5,11 +5,14 @@ as easy as 1, 2, 3", SC'11): the uniform for key (seed, replica, counter)
 is SplitMix64 applied three times, so any draw can be made on its own and
 in any order.  counter_uniform is the one generator: from Python ints
 masked to 64 bits it makes one draw, and from uint64 arrays, which wrap
-the same way, it makes one draw per element with the same bits.
+the same way, it makes one draw per element with the same bits.  Each
+array round of SplitMix64 makes one fresh array and updates it in place.
 
 percolation_clusters grows the origin's cluster of many replicas at once,
 one breadth-first level at a time over flat index arrays, with one
-counter_uniform call per level for every bond the level probes.
+counter_uniform call per level for every bond the level probes.  The
+replicas of a batch, CLUSTER_BLOCK sites in all (256 replicas of a 32x32
+torus), share each level's fixed count of numpy calls.
 metropolis_run draws its uniforms in blocks of consecutive counters and
 reads each visit's flip threshold from a per-site table keyed by the
 site's spin and its neighbors' spins, so the local field is summed only
@@ -24,17 +27,35 @@ USE_NUMBA = False
 _MASK = (1 << 64) - 1
 _INV_2_53 = 1.0 / float(1 << 53)
 _SEED_KEY = 0xA0761D6478BD642F
+_C0 = np.uint64(0x9E3779B97F4A7C15)
+_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_C2 = np.uint64(0x94D049BB133111EB)
 
 # Counters per counter_uniform call in metropolis_run: bounds the memory
 # of the drawn uniforms whatever the chain length.
 DRAW_BLOCK = 4096
 # Sites per replica batch in percolation_clusters: bounds the memory of the
-# cluster flags and of a level's probes whatever the replica count.
-CLUSTER_BLOCK = 1 << 17
+# cluster flags (one byte per site, 256 KiB per batch) and of a level's
+# probes whatever the replica count.  Each level costs about 40 numpy calls
+# whatever its size, so a larger batch runs fewer levels.
+CLUSTER_BLOCK = 1 << 18
 
 
 def _splitmix64(x):
-    """SplitMix64 output for state x: a Python int or a uint64 array."""
+    """SplitMix64 output for state x: a Python int or a uint64 array.
+
+    An array is not modified: the first add makes the one fresh array that
+    the rest of the round updates in place, and uint64 arithmetic wraps as
+    the int path's mask does.
+    """
+    if isinstance(x, np.ndarray):
+        z = x + _C0
+        z ^= z >> 30
+        z *= _C1
+        z ^= z >> 27
+        z *= _C2
+        z ^= z >> 31
+        return z
     z = (x + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK

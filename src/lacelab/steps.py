@@ -554,6 +554,12 @@ def verify_conditions(dist: StepDistribution, grid_res: int = 16,
     """
     if grid_res < 4:
         raise ValueError("grid_res must be >= 4")
+    # kappa = 2 + eps and alpha - eps must sit strictly beside 2 and alpha
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if dist.family == "power" and not eps < dist.alpha:
+        raise ValueError(f"eps must be < alpha = {dist.alpha} for the power "
+                         f"family, got {eps}")
     d, L = dist.d, dist.L
     aw2 = dist.alpha_wedge_2
 

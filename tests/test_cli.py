@@ -288,6 +288,21 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     (["diag", "--input",
       '{"d": 1, "M": 8, "tau": 0.0, "ghat": {"a": 1}, "dhat": [1]}'],
      "wrong type"),
+    # this printed the moment of order -0.3 as finite and ok: true
+    (["dist-check", "--family", "power", "--alpha", "1.2", "--d", "3",
+      "--eps", "1.5"], r"eps must be < alpha = 1\.2"),
+    (["dist-check", "--family", "power", "--alpha", "1.2", "--d", "3",
+      "--eps", "1.2"], r"eps must be < alpha = 1\.2"),
+    # this listed kappa = 2 twice
+    (["dist-check", "--family", "nn", "--d", "2", "--eps", "0"],
+     "eps must be finite and > 0"),
+    (["dist-check", "--family", "nn", "--d", "2", "--eps", "-0.1"],
+     "eps must be finite and > 0"),
+    # these failed on JSON output without naming the flag
+    (["dist-check", "--family", "nn", "--d", "2", "--eps", "nan"],
+     "eps must be finite and > 0"),
+    (["dist-check", "--family", "uniform", "--d", "2", "--eps", "inf"],
+     "eps must be finite and > 0"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(tmp_path, capsys, argv,
                                               message):

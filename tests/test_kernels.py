@@ -88,6 +88,32 @@ class TestCounterUniform:
         assert kernels._splitmix64(np.zeros(1, np.uint64))[0] == \
             SPLITMIX64_FROM_ZERO
 
+    def test_array_rounds_are_the_int_rounds(self):
+        """The in-place array round gives the int round's bits, element by
+        element, and leaves the array it was given as it was."""
+        edges = [0, 1, 2 ** 63, 2 ** 64 - 1,
+                 2 ** 64 - 0x9E3779B97F4A7C15]  # the add wraps to 0
+        rng = np.random.default_rng(23)
+        states = np.concatenate([
+            np.array(edges, dtype=np.uint64),
+            rng.integers(0, 2 ** 64, size=10_000, dtype=np.uint64)])
+        before = states.copy()
+        got = kernels._splitmix64(states)
+        np.testing.assert_array_equal(states, before)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [kernels._splitmix64(int(x)) for x in before]
+
+    def test_array_keys_are_left_unmodified(self):
+        rng = np.random.default_rng(5)
+        replicas, counters = rng.integers(0, 2 ** 64, size=(2, 500),
+                                          dtype=np.uint64)
+        kept = replicas.copy(), counters.copy()
+        for replica, counter in [(replicas, counters), (7, counters),
+                                 (replicas, 7)]:
+            counter_uniform(9, replica, counter)
+            np.testing.assert_array_equal(replicas, kept[0])
+            np.testing.assert_array_equal(counters, kept[1])
+
 
 SCALAR_DFS_SPECS = [
     ("nn", 1, 1, 6, 0.5, 1.0),
@@ -166,13 +192,25 @@ class TestPercolationKernel:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
+    def test_the_default_block_over_several_batches(self):
+        # at 1 << 18, 256 replicas of the 32x32 torus per batch: two full
+        # batches and a ragged last one of 88
+        per_batch = kernels.CLUSTER_BLOCK // 32 ** 2
+        full = 600 // per_batch
+        assert full >= 2 and 600 % per_batch
+        got, want = _against_the_reference("nn", 2, 1, 32, 0.8, 1.0,
+                                           replicas=600)
+        assert np.any(got[0][full * per_batch:] > 1)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
-def _against_the_reference(family, d, L, M, z, R):
-    """(percolation_clusters, percolation_reference) outputs for 100
+
+def _against_the_reference(family, d, L, M, z, R, replicas=100):
+    """(percolation_clusters, percolation_reference) outputs for the
     replicas of the spec, at four targets."""
     grid = TorusGrid(d, M)
     cfg = PercConfig(grid, StepDistribution(family, d, L=L), z, R,
-                     seed=4, replicas=100)
+                     seed=4, replicas=replicas)
     targets = grid.flat_index([[0] * d, [1] + [0] * (d - 1),
                                [M // 2] * d, [M - 1] * d])
     got = percolation_clusters(*sampler_input(cfg), cfg.seed,
