@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation error, 2 an asserted check failed.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -270,6 +271,7 @@ def cmd_acceptance(args):
         raise CheckFailed("acceptance suite failed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lacelab",

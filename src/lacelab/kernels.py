@@ -64,9 +64,10 @@ def _splitmix64(x):
 
 def _key(x):
     """x as key material: an int masked to 64 bits, or a uint64 array."""
-    if isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray) and x.ndim:
         return x.astype(np.uint64, copy=False)
-    # int() accepts numpy integers, which cannot be masked directly
+    # int() accepts numpy integers and 0-d arrays, which cannot be masked
+    # directly: in uint64 scalar arithmetic _splitmix64's add would warn
     return int(x) & _MASK
 
 

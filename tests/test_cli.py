@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lacelab import cli
 from lacelab import saw as sw
 from lacelab import steps
 from lacelab import walk as wk
@@ -171,6 +172,41 @@ def test_unknown_arguments_exit_code(capsys):
     code = main(["rw-beta", "--family", "nn", "--d", "1", "--s", "7"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
+     "--R", "1", "--replicas", "200", "--seed", "9"],
+    ["ising", "--d", "1", "--M", "6", "--z", "0.4", "--sweeps", "600",
+     "--burn-in", "100", "--seed", "2"],
+    ["rw-beta", "--family", "nn", "--d", "1", "--s", "2", "--M", "8,16"],
+    ["saw", "--family", "nn", "--d", "2", "--nmax", "5", "--z", "0.3"],
+], ids=lambda argv: argv[0])
+def test_a_repeated_call_prints_the_same_bytes_after_failed_calls(capsys,
+                                                                  argv):
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    # a parse error and a validation error in between leave no trace
+    assert main(["rw-beta", "--family", "nn", "--d", "1", "--s", "7"]) == 1
+    assert main(["perc", "--family", "nn", "--d", "1", "--M", "6",
+                 "--z", "3.0", "--R", "1", "--replicas", "10",
+                 "--seed", "1"]) == 1
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["perc", "--help"]])
+def test_help_exits_0_every_time(capsys, argv):
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "usage: lacelab" in first
 
 
 def test_out_dir_env(tmp_path, capsys, monkeypatch):

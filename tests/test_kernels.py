@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,19 @@ class TestCounterUniform:
                 counter_uniform(seed, replica, counters), oracle)
             np.testing.assert_array_equal(
                 counter_uniform(seed, replica, counters[4321:]), oracle[4321:])
+
+    def test_a_0d_key_is_the_int_key(self):
+        """A 0-d replica or counter draws as the int it holds, silently."""
+        top = 2 ** 64 - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, replica, counter in [(1, 5, 3), (0, top, top),
+                                           (-3, 2 ** 40, 7)]:
+                want = counter_uniform(seed, replica, counter)
+                assert counter_uniform(
+                    seed, np.array(replica, dtype=np.uint64), counter) == want
+                assert counter_uniform(
+                    seed, replica, np.array(counter, dtype=np.uint64)) == want
 
     def test_array_draws_are_the_scalar_draws(self):
         """Each element of an array draw is the scalar draw of its key."""
