@@ -4,8 +4,9 @@ A configuration of n binary variables (bond states for percolation, spins
 for Ising) is an integer c in [0, 2^n); bit b of c is variable b's state.
 bit_chunks visits all 2^n configurations in order, in chunks of at most
 2^chunk_bits consecutive integers (CHUNK_BITS by default), and hands each
-chunk over as a bool array with one row per variable.  The oracles reduce whole chunks with numpy, so no Python loop
-runs per configuration, and a chunk bounds the working set.
+chunk over as a bool array with one row per variable.  The oracles reduce
+whole chunks with numpy, so no Python loop runs per configuration, and a
+chunk bounds the working set.
 """
 
 import numpy as np
