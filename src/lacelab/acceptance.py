@@ -19,13 +19,13 @@ from .steps import StepDistribution
 from .torus import TorusField, TorusGrid
 
 
-def criterion_1_fourier_closed_form(n_points: int = 10_000) -> dict:
+def criterion_1_fourier_closed_form() -> dict:
     """NN transform: closed form vs generic support sum at random k, 1e-14."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for d in (1, 2, 5):
         dist = StepDistribution("nn", d)
-        ks = rng.uniform(-np.pi, np.pi, size=(n_points, d))
+        ks = rng.uniform(-np.pi, np.pi, size=(10_000, d))
         closed = dist.fourier_d(ks)
         generic = dist.fourier_d_support_sum(ks)
         worst = max(worst, float(np.max(np.abs(closed - generic))))
@@ -171,7 +171,8 @@ PERC_INSTANCES = [
 ]
 
 
-def criterion_7_percolation(n_seeds: int = 50, replicas: int = 600) -> dict:
+def criterion_7_percolation() -> dict:
+    n_seeds, replicas = 50, 600
     details = []
     all_ok = True
     for (d, M, family, L, z, R) in PERC_INSTANCES:
@@ -199,7 +200,7 @@ def criterion_7_percolation(n_seeds: int = 50, replicas: int = 600) -> dict:
     return {"passed": all_ok, "instances": details}
 
 
-def criterion_8_ising(n_seeds: int = 50) -> dict:
+def criterion_8_ising() -> dict:
     # exact two-site identity
     J = 1.3
     z = 0.7
@@ -213,7 +214,7 @@ def criterion_8_ising(n_seeds: int = 50) -> dict:
     Jm = isg.coupling_matrix_from_torus(grid, table)
     exact = isg.exact_ising(isg.IsingConfig(J=Jm, z=0.4))
     hits = 0
-    for seed in range(n_seeds):
+    for seed in range(50):
         samp = isg.metropolis(isg.IsingConfig(
             J=Jm, z=0.4, sweeps=3000, burn_in=500, thinning=2,
             seed=seed, replicas=2, grid=grid))
@@ -250,7 +251,8 @@ def criterion_9_bootstrap_base() -> dict:
             "max_infrared_dev": max(deviations)}
 
 
-def criterion_10_inequalities(n_random: int = 100) -> dict:
+def criterion_10_inequalities() -> dict:
+    n_random = 100
     rng = np.random.default_rng(10)
     violations = dict.fromkeys(
         ("trig_lemma", "delta_vs_cos", "cos_split", "c_lambda_identity",

@@ -18,6 +18,10 @@ from .torus import (TorusField, TorusGrid, convolve, delta_k, dft,
 from .walk import beta_kspace, folded_dhat, nonzero_modes, resolvent
 
 F3_EXHAUSTIVE_MAX_SITES = 4096
+# above that size f3 is the max over F3_RNG_PAIRS pairs (k, l) drawn from
+# np.random.default_rng(F3_RNG_SEED)
+F3_RNG_PAIRS = 20000
+F3_RNG_SEED = 0
 U_CONSTANT = 200.0
 COS_G_CONSTANT = 300.0
 CROSS_CHECK_TOL = 1e-9  # bubble_triangle: relative k/x agreement of B, T
@@ -185,8 +189,7 @@ def u_weight(c_lam: np.ndarray, grid: TorusGrid, k, l):
     return U_CONSTANT / v[grid.flat_index(k)] * (a * b + b * c + a * c)
 
 
-def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
-                seed: int = 0) -> tuple:
+def bootstrap_f(inp: TwoPointInput) -> tuple:
     """f1 = tau, f2 = sup Ghat/Chat_lambda, f3 = sup |Delta_k Ghat| / U."""
     grid = inp.grid
     c_lam = inp.c_lambda()
@@ -210,9 +213,9 @@ def bootstrap_f(inp: TwoPointInput, rng_pairs: int = 20000,
                                       initial=f3))  # skips 0/0 pairs
         mode = "exhaustive"
     else:
-        # the same stream as rng_pairs draws of k then l, size d each
-        pairs = np.random.default_rng(seed).integers(
-            0, grid.M, size=(rng_pairs, 2, grid.d))
+        # the same stream as F3_RNG_PAIRS draws of k then l, size d each
+        pairs = np.random.default_rng(F3_RNG_SEED).integers(
+            0, grid.M, size=(F3_RNG_PAIRS, 2, grid.d))
         k, l = pairs[:, 0], pairs[:, 1]
         ratio = (np.abs(delta_k(TorusField(grid, g, "k"), k, l))
                  / u_weight(c_lam, grid, k, l))

@@ -86,7 +86,7 @@ def counter_uniform(seed, replica, counter):
     return (h >> 11) * _INV_2_53
 
 
-def percolation_clusters(neighbors, bond_ids, probs, seed, replicas, targets):
+def percolation_clusters(neighbors, bond_ids, probs, seed, replicas):
     """Grow the origin's cluster for each replica, one level at a time.
 
     Site s has a bond to neighbors[s, j] with id bond_ids[s, j], open with
@@ -102,14 +102,11 @@ def percolation_clusters(neighbors, bond_ids, probs, seed, replicas, targets):
     of them with one counter_uniform call, and makes the far ends of the
     open ones, each counted once, the next frontier.
 
-    Returns (sizes, hits): cluster size per replica and, per replica, a 0/1
-    row recording which target sites joined the origin's cluster.
+    Returns sizes, the cluster size per replica.
     """
     n_sites = len(neighbors)
     bond_ids = bond_ids.astype(np.uint64)
-    targets = np.asarray(targets, dtype=np.int64)
     sizes = np.ones(replicas, dtype=np.int64)
-    hits = np.empty((replicas, len(targets)), dtype=np.int64)
     per_batch = max(1, CLUSTER_BLOCK // n_sites)
     for first in range(0, replicas, per_batch):
         count = min(per_batch, replicas - first)
@@ -129,9 +126,7 @@ def percolation_clusters(neighbors, bond_ids, probs, seed, replicas, targets):
             sizes[first:first + count] += np.bincount(new // n_sites,
                                                       minlength=count)
             frontier = new
-        hits[first:first + count] = in_cluster.reshape(count, n_sites)[
-            :, targets]
-    return sizes, hits
+    return sizes
 
 
 def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,

@@ -36,6 +36,7 @@ from .steps import StepDistribution
 from .torus import TorusGrid, within_range
 
 EXACT_BOND_LIMIT = EXACT_LIMIT
+SE_BATCHES = 25  # batch_means_se: batches, when there are samples for them
 
 
 @dataclass(frozen=True)
@@ -118,18 +119,17 @@ class ClusterStats:
     chi_se: float
     theta_hat: float
     histogram: dict
-    pair_hits: dict
     samples: int
     e_R: float
 
 
-def batch_means_se(x: np.ndarray, batches: int = 25) -> float:
+def batch_means_se(x: np.ndarray) -> float:
     """Standard error of the mean from batch means; needs 2 samples."""
     n = len(x)
     if n < 2:
         raise ValueError("a standard error needs at least 2 samples, got %d"
                          % n)
-    b = max(2, min(batches, n // 2))
+    b = max(2, min(SE_BATCHES, n // 2))
     cut = (n // b) * b
     means = x[:cut].reshape(b, -1).mean(axis=1)
     return float(np.std(means, ddof=1) / math.sqrt(b))
@@ -160,28 +160,22 @@ def sampler_input(config: PercConfig):
             np.tile(probs, 2))
 
 
-def sample_cluster(config: PercConfig, targets=None) -> ClusterStats:
+def sample_cluster(config: PercConfig) -> ClusterStats:
     """Monte Carlo cluster-of-origin statistics over independent replicas."""
     grid = config.grid
-    if targets is None:
-        targets = []
-    target_flat = grid.flat_index(np.reshape(targets, (-1, grid.d)))
-    sizes, hits = percolation_clusters(*sampler_input(config), config.seed,
-                                       config.replicas, target_flat)
-    sizes = np.asarray(sizes, dtype=float)
+    sizes = np.asarray(percolation_clusters(*sampler_input(config),
+                                            config.seed, config.replicas),
+                       dtype=float)
     if np.any(sizes > grid.n_sites):
         raise AssertionError("cluster larger than the torus; sampler bug")
     hist_vals, hist_counts = np.unique(sizes.astype(int), return_counts=True)
     theta_cut = math.sqrt(grid.n_sites)
-    pair_hits = {tuple(t): float(np.mean(hits[:, i]))
-                 for i, t in enumerate(targets)}
     return ClusterStats(
         sizes=sizes,
         chi_hat=float(np.mean(sizes)),
         chi_se=batch_means_se(sizes),
         theta_hat=float(np.mean(sizes > theta_cut)),
         histogram={int(v): int(c) for v, c in zip(hist_vals, hist_counts)},
-        pair_hits=pair_hits,
         samples=config.replicas,
         e_R=range_tail(config))
 
@@ -359,24 +353,22 @@ def magnetization(size_law: np.ndarray, h: float) -> float:
     return float(np.sum((1.0 - np.exp(-k * h)) * size_law))
 
 
-def magnetization_tail(size_law: np.ndarray, n: int,
-                       eps: float = 1.0) -> dict:
-    """Cluster-tail sandwich through the magnetization.
+def magnetization_tail(size_law: np.ndarray, n: int) -> dict:
+    """Cluster-tail sandwich through the magnetization at h = 1/n.
 
     Upper: P(|C| >= n) <= (1 - e^{-1})^{-1} M(z, 1/n).
-    Lower: P(|C| >= n) >= M(z, eps/n) - (eps/n) sum_{k<n} P(|C| >= k).
+    Lower: P(|C| >= n) >= M(z, 1/n) - (1/n) sum_{k<n} P(|C| >= k).
     """
     tail = float(np.sum(size_law[n:]))
-    m_upper = magnetization(size_law, 1.0 / n)
-    upper = m_upper / (1.0 - math.exp(-1.0))
-    m_lower = magnetization(size_law, eps / n)
-    correction = (eps / n) * sum(float(np.sum(size_law[k:]))
+    m = magnetization(size_law, 1.0 / n)
+    upper = m / (1.0 - math.exp(-1.0))
+    correction = (1.0 / n) * sum(float(np.sum(size_law[k:]))
                                  for k in range(1, n))
-    lower = m_lower - correction
+    lower = m - correction
     slack = 1e-12
     return {
-        "n": n, "eps": eps, "tail": tail,
+        "n": n, "tail": tail,
         "upper": upper, "upper_holds": tail <= upper + slack,
         "lower": lower, "lower_holds": tail >= lower - slack,
-        "M_at_1_over_n": m_upper,
+        "M_at_1_over_n": m,
     }

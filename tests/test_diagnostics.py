@@ -106,6 +106,12 @@ class TestBootstrap:
         assert f3 == pytest.approx(worst, abs=1e-14)
 
     @staticmethod
+    def draw(monkeypatch, rng_pairs, seed):
+        """Make the sampled f3 draw rng_pairs pairs from seed."""
+        monkeypatch.setattr(dg, "F3_RNG_PAIRS", rng_pairs)
+        monkeypatch.setattr(dg, "F3_RNG_SEED", seed)
+
+    @staticmethod
     def scalar_f3(inp, rng_pairs, seed):
         """Python max of |Delta_k Ghat(l)| / U(k, l) over pairs redrawn one
         k and one l at a time; a 0/0 pair never wins it.  Also returns the
@@ -123,16 +129,17 @@ class TestBootstrap:
             worst = max(worst, ratio)
         return worst, undefined
 
-    def test_sampled_f3_matches_scalar_loop(self):
+    def test_sampled_f3_matches_scalar_loop(self, monkeypatch):
         # 72^2 = 5184 sites is above the exhaustive limit
         inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 72),
                                 0.45)
         assert inp.grid.n_sites > dg.F3_EXHAUSTIVE_MAX_SITES
-        _, _, f3, mode = dg.bootstrap_f(inp, rng_pairs=400, seed=3)
+        self.draw(monkeypatch, 400, 3)
+        _, _, f3, mode = dg.bootstrap_f(inp)
         assert mode == "sampled"
         assert f3 == self.scalar_f3(inp, 400, 3)[0]
 
-    def test_sampled_f3_skips_undefined_ratios(self):
+    def test_sampled_f3_skips_undefined_ratios(self, monkeypatch):
         # chi = 1e17 rounds lambda to 1, so C_lambda(0) = inf, U(0, l) = 0
         # and every drawn pair with k = 0 gives 0/0
         inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 66),
@@ -140,8 +147,9 @@ class TestBootstrap:
         inp.ghat[0, 0] = 1e17
         assert inp.lam == 1.0
         assert inp.grid.n_sites > dg.F3_EXHAUSTIVE_MAX_SITES
+        self.draw(monkeypatch, 2000, 7)
         with np.errstate(invalid="ignore", divide="ignore"):
-            _, _, f3, _ = dg.bootstrap_f(inp, rng_pairs=2000, seed=7)
+            _, _, f3, _ = dg.bootstrap_f(inp)
             worst, undefined = self.scalar_f3(inp, 2000, 7)
         assert undefined > 0
         assert np.isfinite(f3)
@@ -186,10 +194,11 @@ class TestBootstrap:
         assert mode == "exhaustive"
         assert f3 == np.max(ratio)
 
-    def test_sampled_mode_on_large_grid(self):
+    def test_sampled_mode_on_large_grid(self, monkeypatch):
         inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 96),
                                 0.3)
-        f1, f2, f3, mode = dg.bootstrap_f(inp, rng_pairs=500, seed=1)
+        self.draw(monkeypatch, 500, 1)
+        f1, f2, f3, mode = dg.bootstrap_f(inp)
         assert mode == "sampled"
         assert f3 >= 0.0
 

@@ -142,56 +142,42 @@ SCALAR_DFS_SPECS = [
 
 
 class TestPercolationKernel:
-    def _run(self, probs_val, seed=0, replicas=50, M=6, targets=(2,)):
+    def _run(self, probs_val, seed=0, replicas=50, M=6):
         ring = np.arange(M)
         neighbors = np.stack([(ring + 1) % M, (ring - 1) % M], axis=1)
         bond_ids = np.stack([ring, (ring - 1) % M], axis=1)
         probs = np.array([probs_val, probs_val])
         return percolation_clusters(neighbors, bond_ids, probs, seed,
-                                    replicas, np.array(targets, np.int64))
+                                    replicas)
 
     def test_closed_and_open_extremes(self):
-        sizes, hits = self._run(0.0)
-        assert np.all(np.asarray(sizes) == 1)
-        assert np.all(np.asarray(hits) == 0)
-        sizes, hits = self._run(1.0)
-        assert np.all(np.asarray(sizes) == 6)
-        assert np.all(np.asarray(hits) == 1)
+        assert np.all(self._run(0.0) == 1)
+        assert np.all(self._run(1.0) == 6)
 
     def test_sizes_within_torus(self):
-        sizes, _ = self._run(0.7, replicas=500)
-        s = np.asarray(sizes)
+        s = self._run(0.7, replicas=500)
         assert np.all((1 <= s) & (s <= 6))
 
     def test_replica_independence_of_order(self):
         # replicas draw disjoint key streams: prefix must not change
-        sizes_a, _ = self._run(0.5, replicas=10)
-        sizes_b, _ = self._run(0.5, replicas=30)
-        assert np.array_equal(np.asarray(sizes_a), np.asarray(sizes_b)[:10])
+        sizes_a = self._run(0.5, replicas=10)
+        sizes_b = self._run(0.5, replicas=30)
+        assert np.array_equal(sizes_a, sizes_b[:10])
 
     def test_a_table_without_bonds_leaves_every_origin_alone(self):
         neighbors = np.zeros((5, 0), dtype=np.int64)
-        sizes, hits = percolation_clusters(
-            neighbors, neighbors, np.zeros(0), 3, 20, np.array([0, 4]))
+        sizes = percolation_clusters(neighbors, neighbors, np.zeros(0), 3, 20)
         np.testing.assert_array_equal(sizes, np.ones(20))
-        np.testing.assert_array_equal(hits, [[1, 0]] * 20)
-
-    def test_no_targets_give_empty_hit_rows(self):
-        sizes, hits = self._run(0.5, replicas=30, targets=())
-        np.testing.assert_array_equal(sizes, self._run(0.5, replicas=30)[0])
-        assert hits.shape == (30, 0) and hits.dtype == np.int64
 
     @pytest.mark.parametrize("family,d,L,M,z,R", SCALAR_DFS_SPECS)
     def test_matches_the_scalar_dfs(self, family, d, L, M, z, R):
-        got, want = _against_the_reference(family, d, L, M, z, R)
-        sizes, hits = got
+        sizes, want = _against_the_reference(family, d, L, M, z, R)
         assert np.any(sizes > 1)
         if z == 3.9:
-            assert np.all(hits[:, 2] == 1)  # the antipode, in every replica
+            assert np.all(sizes == M ** d)  # every cluster fills the torus
         else:
             assert np.any(sizes < M ** d)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(sizes, want)
 
     @pytest.mark.parametrize("spec", [SCALAR_DFS_SPECS[i] for i in (0, 2, 4)],
                              ids=lambda spec: "-".join(map(str, spec)))
@@ -203,9 +189,7 @@ class TestPercolationKernel:
         block = {"one": n_sites - 1, "seven": 7 * n_sites,
                  "default": kernels.CLUSTER_BLOCK}[batch]
         monkeypatch.setattr(kernels, "CLUSTER_BLOCK", block)
-        got, want = _against_the_reference(*spec)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(*_against_the_reference(*spec))
 
     def test_the_default_block_over_several_batches(self):
         # at 1 << 18, 256 replicas of the 32x32 torus per batch: two full
@@ -215,30 +199,26 @@ class TestPercolationKernel:
         assert full >= 2 and 600 % per_batch
         got, want = _against_the_reference("nn", 2, 1, 32, 0.8, 1.0,
                                            replicas=600)
-        assert np.any(got[0][full * per_batch:] > 1)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
+        assert np.any(got[full * per_batch:] > 1)
+        np.testing.assert_array_equal(got, want)
 
 
 def _against_the_reference(family, d, L, M, z, R, replicas=100):
-    """(percolation_clusters, percolation_reference) outputs for the
-    replicas of the spec, at four targets."""
+    """(percolation_clusters, percolation_reference) cluster sizes for the
+    replicas of the spec."""
     grid = TorusGrid(d, M)
     cfg = PercConfig(grid, StepDistribution(family, d, L=L), z, R,
                      seed=4, replicas=replicas)
-    targets = grid.flat_index([[0] * d, [1] + [0] * (d - 1),
-                               [M // 2] * d, [M - 1] * d])
-    got = percolation_clusters(*sampler_input(cfg), cfg.seed,
-                               cfg.replicas, targets)
+    got = percolation_clusters(*sampler_input(cfg), cfg.seed, cfg.replicas)
     offs, probs = bond_offsets(cfg)
     want = percolation_reference(offs, grid.strides, probs, M,
                                  grid.n_sites, len(offs), cfg.seed,
-                                 cfg.replicas, targets)
+                                 cfg.replicas)
     return got, want
 
 
 def percolation_reference(coords, strides, probs, M, n_sites, n_offsets,
-                          seed, replicas, targets):
+                          seed, replicas):
     """percolation_clusters as a scalar DFS over torus coordinates.
 
     Each popped site probes, per offset j, its forward bond (id
@@ -247,7 +227,6 @@ def percolation_reference(coords, strides, probs, M, n_sites, n_offsets,
     """
     d = coords.shape[1]
     sizes = np.zeros(replicas, dtype=np.int64)
-    hits = np.zeros((replicas, len(targets)), dtype=np.int64)
     for rep in range(replicas):
         in_cluster = np.zeros(n_sites, dtype=np.uint8)
         in_cluster[0] = 1
@@ -267,8 +246,7 @@ def percolation_reference(coords, strides, probs, M, n_sites, n_offsets,
                         in_cluster[other] = 1
                         stack.append(other)
         sizes[rep] = np.count_nonzero(in_cluster)
-        hits[rep] = in_cluster[targets]
-    return sizes, hits
+    return sizes
 
 
 class TestMetropolisKernel:
