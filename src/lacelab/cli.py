@@ -16,7 +16,6 @@ import os
 import sys
 import time
 
-import numpy as np
 
 from . import __version__
 from . import acceptance as acc
@@ -58,8 +57,7 @@ def _emit(args, subcommand: str, spec: dict, seed, result: dict):
            "version": __version__, "result": result}
     # allow_nan=False: NaN or an infinity raises ValueError (exit 1) rather
     # than printing JSON that standard parsers reject
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_jsonify,
-                      allow_nan=False)
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     out = args.out
     if out is None and os.environ.get("LACELAB_OUT_DIR"):
         out = os.path.join(os.environ["LACELAB_OUT_DIR"],
@@ -72,18 +70,6 @@ def _emit(args, subcommand: str, spec: dict, seed, result: dict):
                       fh)
     else:
         print(text)
-
-
-def _jsonify(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError("not JSON-serializable: %r" % type(obj))
 
 
 def cmd_dist_check(args):
@@ -206,7 +192,7 @@ def cmd_ising(args):
     grid = TorusGrid(args.d, args.M)
     offs, _ = StepDistribution("nn", args.d).support()
     table = dict.fromkeys(map(tuple, offs.tolist()), args.J)
-    Jm = isg.coupling_matrix_from_torus(grid, table, R=args.R)
+    Jm = isg.coupling_matrix_from_torus(grid, table)
     cfg = isg.IsingConfig(J=Jm, z=args.z, h=args.h, sweeps=args.sweeps,
                           burn_in=args.burn_in, thinning=args.thinning,
                           seed=args.seed, replicas=args.replicas, grid=grid)
@@ -337,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=float, default=1.0)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--h", type=float, default=0.0)
-    p.add_argument("--R", type=float, default=None)
     p.add_argument("--sweeps", type=int, default=4000)
     p.add_argument("--burn-in", type=int, default=500)
     p.add_argument("--thinning", type=int, default=2)

@@ -132,7 +132,7 @@ def _mean(grid: TorusGrid, arr: np.ndarray) -> float:
 def bubble_triangle(inp: TwoPointInput):
     """B, T, nabla, B-tilde on the grid, cross-checked in x-space."""
     g = inp.ghat
-    if not is_symmetric(TorusField(inp.grid, g, "k"), tol=1e-9):
+    if not is_symmetric(TorusField(inp.grid, g, "k")):
         raise ValueError("ghat must be symmetric")
     grid = inp.grid
     B = inp.bubble()

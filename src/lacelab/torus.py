@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 REAL_DFT_TOL = 1e-10  # real_dft: largest |imag| / max(1, |real|)
+SYMMETRY_TOL = 1e-9  # is_symmetric: largest |f(-x) - f(x)| / max(1, |f|)
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,6 @@ def reflect(f: TorusField) -> TorusField:
     return TorusField(f.grid, np.roll(f.values[idx], 1, axis=tuple(range(f.grid.d))), f.space)
 
 
-def is_symmetric(f: TorusField, tol: float = 1e-10) -> bool:
+def is_symmetric(f: TorusField) -> bool:
     return bool(np.max(np.abs(reflect(f).values - f.values))
-                <= tol * max(1.0, float(np.max(np.abs(f.values)))))
+                <= SYMMETRY_TOL * max(1.0, float(np.max(np.abs(f.values)))))

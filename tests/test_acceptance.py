@@ -25,6 +25,7 @@ fixed inside lacelab.acceptance:
 
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -98,3 +99,10 @@ def test_run_all_reports_every_criterion(suite):
     assert len(summary["results"]) == 11
     for num in range(1, 12):
         assert ("criterion %2d:" % num) in out
+
+
+def test_the_summary_is_plain_json(suite):
+    # `lacelab acceptance` prints it with json.dumps and no fallback for
+    # numpy types
+    summary, _ = suite
+    assert json.loads(json.dumps(summary)) == summary

@@ -11,7 +11,7 @@ from lacelab import cli
 from lacelab import saw as sw
 from lacelab import steps
 from lacelab import walk as wk
-from lacelab.cli import _jsonify, main
+from lacelab.cli import main
 from lacelab.steps import StepDistribution
 
 from conftest import traced_peak
@@ -272,8 +272,8 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     # these ran with no bonds or steps: perc printed chi_hat = 1.0
     (["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
       "--R", "-1", "--seed", "1"], "R must be >= 0"),
-    (["ising", "--d", "1", "--M", "4", "--z", "0.4", "--R", "-1",
-      "--seed", "1"], "R must be >= 0"),
+    (["perc", "--family", "nn", "--d", "1", "--M", "6", "--z", "0.5",
+      "--R", "nan", "--seed", "1"], "R must be >= 0"),
     (["saw", "--family", "nn", "--d", "2", "--nmax", "3",
       "--support-radius", "-1"], "R must be >= 0"),
     (["saw", "--family", "power", "--alpha", "1.2", "--d", "2", "--nmax",
@@ -561,11 +561,6 @@ def test_free_input_builds_the_distribution_once(capsys, dist_inits, argv):
     assert code == 0
     assert dist_inits == [argv[2]]
     assert doc["spec"]["family"] == argv[2]
-
-
-def test_numpy_bools_serialise():
-    assert json.dumps({"holds": np.bool_(True)}, default=_jsonify) == \
-        '{"holds": true}'
 
 
 def test_perc_warns_once_per_run(capsys):
