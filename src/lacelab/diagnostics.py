@@ -24,7 +24,9 @@ F3_RNG_PAIRS = 20000
 F3_RNG_SEED = 0
 U_CONSTANT = 200.0
 COS_G_CONSTANT = 300.0
-CROSS_CHECK_TOL = 1e-9  # bubble_triangle: relative k/x agreement of B, T
+# bubble_triangle: k/x agreement of B and T, relative to the size of their
+# rounding error, M^-d sum_k Ghat^2 and M^-d sum_k |Ghat|^3
+CROSS_CHECK_TOL = 1e-9
 CHAIN_TOL = 1e-12  # chain_of_bubbles stops at an increment below this
 
 
@@ -49,6 +51,9 @@ class TwoPointInput:
 
     @property
     def lam(self) -> float:
+        if not self.chi > 0:  # written so that a NaN chi fails it too
+            raise ValueError("chi = Ghat(0) must be positive, got %r"
+                             % self.chi)
         lam = 1.0 - 1.0 / self.chi
         if not -1e-12 <= lam <= 1.0 + 1e-12:
             raise ValueError("lambda = 1 - 1/chi outside [0, 1]")
@@ -106,15 +111,20 @@ def serialize_input(inp: TwoPointInput) -> dict:
 def deserialize_input(doc: dict) -> TwoPointInput:
     """The TwoPointInput of a document serialize_input wrote; one that is
     not a JSON object, lacks one of its keys or holds a value of the wrong
-    type is a ValueError."""
+    type, such as a d or M that is not an integer, is a ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("the two-point input is not a JSON object")
     missing = [k for k in ("d", "M", "tau", "ghat", "dhat") if k not in doc]
     if missing:
         raise ValueError("the two-point input has no %s"
                          % ", ".join(missing))
+    for key in ("d", "M"):
+        if type(doc[key]) is not int:  # nor a bool
+            raise ValueError("the two-point input holds a value of the "
+                             "wrong type: %s must be an integer, got %r"
+                             % (key, doc[key]))
     try:
-        grid = TorusGrid(int(doc["d"]), int(doc["M"]))
+        grid = TorusGrid(doc["d"], doc["M"])
         return TwoPointInput(
             grid=grid,
             ghat=np.asarray(doc["ghat"], dtype=float).reshape(grid.shape),
@@ -146,7 +156,9 @@ def bubble_triangle(inp: TwoPointInput):
     if abs(B - B_x) > CROSS_CHECK_TOL * max(1.0, B):
         raise AssertionError("bubble k/x cross-check failed")
     T_x = field_at_zero(convolve(gg, gx))
-    if abs(T - T_x) > CROSS_CHECK_TOL * max(1.0, T):
+    # equals T when Ghat >= 0, as on every input the program builds
+    T_scale = _mean(grid, np.abs(g) ** 3)
+    if abs(T - T_x) > CROSS_CHECK_TOL * max(1.0, T_scale):
         raise AssertionError("triangle k/x cross-check failed")
     return B, T, nabla, B_tilde
 

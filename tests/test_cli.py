@@ -146,6 +146,21 @@ def test_diag_input_symmetric_within_the_ghat_tolerance(tmp_path, capsys):
     assert "ghat must be symmetric" in capsys.readouterr().err
 
 
+def test_diag_input_with_a_negative_triangle_exits_0(tmp_path, capsys):
+    # T = M^-d sum Ghat^3 < 0: the k/x cross-check is held to the size of
+    # the rounding error, M^-d sum |Ghat|^3 = 9.0e14, not to max(1, T) = 1,
+    # which the 0.28 the two sums differ by here exceeded
+    path = tmp_path / "inp.json"
+    path.write_text(json.dumps({
+        "d": 1, "M": 8, "tau": 0.5,
+        "ghat": [10000.1, -89999.8, -89999.7, -69999.3, 153275.4, -69999.3,
+                 -89999.7, -89999.8],
+        "dhat": [1.0, 0.5, 0.0, -0.5, -1.0, -0.5, 0.0, 0.5]}))
+    code, doc = run_cli(capsys, ["diag", "--input", str(path)])
+    assert code == 0
+    assert doc["result"]["T"] < 0
+
+
 def test_diag_requires_some_input(capsys):
     code = main(["diag"])
     capsys.readouterr()
@@ -339,6 +354,14 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
      "eps must be finite and > 0"),
     (["dist-check", "--family", "uniform", "--d", "2", "--eps", "inf"],
      "eps must be finite and > 0"),
+    # this ended in a ZeroDivisionError traceback, and a d of 1.5 was read
+    # as 1
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": 0.5, "ghat": [0.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], r"chi = Ghat\(0\) must be positive"),
+    (["diag", "--input",
+      '{"d": 1.5, "M": 4, "tau": 0.5, "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "d must be an integer, got 1.5"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(tmp_path, capsys, argv,
                                               message):
