@@ -82,7 +82,8 @@ def cmd_dist_check(args):
         "tail_bound": dist.tail_bound,
         "uncertainty": "exact up to grid resolution and reported tail bound",
     }
-    _emit(args, "dist-check", dist.to_spec(), None, result)
+    _emit(args, "dist-check", {**dist.to_spec(), "grid_res": args.grid_res,
+                               "eps": args.eps}, None, result)
     if not rep.ok:
         raise CheckFailed("a positivity condition failed on the grid")
 
@@ -158,7 +159,8 @@ def cmd_saw(args):
         "uncertainty": "series truncation remainder reported",
     }
     _emit(args, "saw", {**dist.to_spec(), "nmax": args.nmax,
-                        "mode": args.mode}, None, result)
+                        "mode": args.mode, "z": args.z,
+                        "support_radius": args.support_radius}, None, result)
 
 
 def cmd_perc(args):
@@ -211,7 +213,9 @@ def cmd_ising(args):
         result["within_4se"] = bool(
             abs(samp.chi_hat - exact.chi_hat) <= 4 * samp.chi_se)
     _emit(args, "ising", {"d": args.d, "M": args.M, "J": args.J, "z": args.z,
-                          "h": args.h, "sweeps": args.sweeps},
+                          "h": args.h, "sweeps": args.sweeps,
+                          "burn_in": args.burn_in, "thinning": args.thinning,
+                          "replicas": args.replicas},
           args.seed, result)
     if result.get("within_4se") is False:
         raise CheckFailed("MC estimate outside 4 standard errors of exact")
