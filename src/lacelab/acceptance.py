@@ -172,7 +172,7 @@ PERC_INSTANCES = [
 
 
 def criterion_7_percolation() -> dict:
-    n_seeds, replicas = 50, 600
+    replicas = 600
     details = []
     all_ok = True
     for (d, M, family, L, z, R) in PERC_INSTANCES:
@@ -182,7 +182,7 @@ def criterion_7_percolation() -> dict:
         graph = pc.exact_graph_from_config(cfg0)
         exact = pc.exact_small(graph, z, pivotal=False)
         hits = 0
-        for seed in range(n_seeds):
+        for seed in range(50):
             cfg = pc.PercConfig(grid, dist, z, R, seed=seed,
                                 replicas=replicas)
             stats = pc.sample_cluster(cfg)

@@ -16,7 +16,6 @@ import os
 import sys
 import time
 
-
 from . import __version__
 from . import acceptance as acc
 from . import diagnostics as dg
