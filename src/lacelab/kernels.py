@@ -13,10 +13,13 @@ one breadth-first level at a time over flat index arrays, with one
 counter_uniform call per level for every bond the level probes.  The
 replicas of a batch, CLUSTER_BLOCK sites in all (256 replicas of a 32x32
 torus), share each level's fixed count of numpy calls.
-metropolis_run draws its uniforms in blocks of consecutive counters and
-reads each visit's flip threshold from a per-site table keyed by the
-site's spin and its neighbors' spins, so the local field is summed only
-the first time a site meets a state.
+metropolis_run keeps a chain's state in one Python int that packs, per
+site, the site's spin and a copy of each neighbor's spin, so a visit reads
+its site's field with one shift and mask and a flip is one xor.  The field
+keys a per-site table of flip thresholds, so the local field is summed only
+the first time a site meets a state.  Uniforms are drawn in blocks of
+consecutive counters, and the kept states of a block are unpacked into
+int8 rows at its end.
 """
 
 import numpy as np
@@ -148,62 +151,98 @@ def metropolis_run(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
     phi_i * phi_{corr_targets[i, t]} averaged over the rows i of
     corr_targets (row i pairs site i with its partner for each t).
 
-    A visit does no float arithmetic once its site has met its current
-    state.  code[i] sets bit 0 when spin i is down and bit k + 1 when the
-    k-th entry of neighbor_idx[i] is down, so a neighbor listed twice owns
-    two bits.  A flip of spin j toggles the (site, bit) pairs of
-    watchers[j], its own bit 0 among them; a rejected visit changes
-    nothing.  tables[i] maps site i's code to its threshold t, and site i
-    flips when u * t < 1.  The first time site i meets a code, its local
-    field is summed in neighbor order and t = 1 + exp(delta) comes from
+    The chain's state is one Python int.  Site i owns the field of width
+    w = 1 + (largest row length) at bit w * i: its bit 0 is set when spin
+    i is down and its bit k + 1 when the k-th entry of neighbor_idx[i] is
+    down, so a neighbor listed twice owns two bits.  flips[j] sets every
+    bit that spin j's sign is copied into, its own bit 0 among them, so a
+    flip is state ^= flips[j]; a rejected visit changes nothing.  A visit
+    reads site i's code as state >> (w * i) & mask, tables[i] maps the code
+    to its threshold t, and site i flips when u * t < 1.  The first time
+    site i meets a code, its local field is summed in neighbor order from
+    the spins the code's bits hold, and t = 1 + exp(delta) comes from
     np.exp, shared across sites by delta (math.exp may round differently,
     and the test must keep its bits).  When delta >= 40, t is inf, which no
     u in [0, 1) accepts (0 * inf is nan).  Each visit thus tests the same
-    float as the draw-by-draw loop.
+    float as the draw-by-draw loop.  Kept sweeps append the state, and each
+    draw block's states are unpacked into their int8 rows at the block's
+    end, so the memory held beyond the rows is one block's.
 
     Returns (mag_series, corr_series) with one row per kept sample.
     """
-    z, h = float(z), float(h)
-    hot = counter_uniform(seed, replica, np.arange(n_sites, dtype=np.uint64))
-    spins = np.where(hot < 0.5, 1, -1).tolist()
-    code = [int(s < 0) for s in spins]
-    watchers = [[(j, 1)] for j in range(n_sites)]
-    for i, row in enumerate(neighbor_idx):
+    configs = _heat_bath_rows(neighbor_idx, neighbor_j, n_sites, float(z),
+                              float(h), seed, replica, sweeps, burn_in,
+                              thinning)
+    return _measure(configs, corr_targets)
+
+
+def _heat_bath_rows(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
+                    sweeps, burn_in, thinning):
+    """The int8 spin rows of metropolis_run's kept sweeps.
+
+    Its chain state and tables are freed before the rows are measured.
+    """
+    width = 1 + max(map(len, neighbor_idx), default=0)
+    mask = (1 << width) - 1
+    offsets = range(0, width * n_sites, width)
+    flips = [1 << off for off in offsets]
+    for off, row in zip(offsets, neighbor_idx):
         for k, nb in enumerate(row):
-            code[i] |= (spins[nb] < 0) << (k + 1)
-            watchers[nb].append((i, 2 << k))
+            flips[nb] |= 1 << (off + k + 1)
+    # from all spins up, flip each spin whose counter draws 1/2 or more
+    hot = counter_uniform(seed, replica, np.arange(n_sites, dtype=np.uint64))
+    state = 0
+    for flip, u in zip(flips, hot.tolist()):
+        if u >= 0.5:
+            state ^= flip
     kept = (sweeps - burn_in + thinning - 1) // thinning
     configs = np.empty((kept, n_sites), dtype=np.int8)
     tables = [{} for _ in range(n_sites)]
     threshold = {}
     per_block = max(1, DRAW_BLOCK // n_sites)
-    out = 0
+    visits = list(zip(offsets, flips, neighbor_j, tables))
+    states, out = [], 0
     for first in range(0, sweeps, per_block):
         last = min(first + per_block, sweeps)
         counters = np.arange(n_sites * (first + 1), n_sites * (last + 1),
                              dtype=np.uint64)
         draws = iter(counter_uniform(seed, replica, counters).tolist())
         for sweep in range(first, last):
-            # zip ends on tables, before it takes a draw of the next sweep
-            for i, (table, u) in enumerate(zip(tables, draws)):
-                t = table.get(code[i])
-                if t is None:
+            # zip ends on visits, before it takes a draw of the next sweep
+            for (off, flip, couplings, table), u in zip(visits, draws):
+                code = state >> off & mask
+                try:
+                    t = table[code]
+                except KeyError:
                     local = 0.0
-                    for nb, coupling in zip(neighbor_idx[i], neighbor_j[i]):
-                        local += coupling * spins[nb]
-                    delta = 2.0 * spins[i] * (z * local + h)
+                    for k, coupling in enumerate(couplings):
+                        local += coupling * (-1 if code >> (k + 1) & 1 else 1)
+                    delta = 2.0 * (-1 if code & 1 else 1) * (z * local + h)
                     if delta not in threshold:
                         threshold[delta] = (1.0 + float(np.exp(delta))
                                             if delta < 40.0 else np.inf)
-                    t = table[code[i]] = threshold[delta]
+                    t = table[code] = threshold[delta]
                 if u * t < 1.0:
-                    spins[i] = -spins[i]
-                    for site, bit in watchers[i]:
-                        code[site] ^= bit
+                    state ^= flip
             if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
-                configs[out] = spins
-                out += 1
-    return _measure(configs, corr_targets)
+                states.append(state)
+        if states:
+            configs[out:out + len(states)] = _unpack_spins(states, width,
+                                                           n_sites)
+            out += len(states)
+            states.clear()
+    return configs
+
+
+def _unpack_spins(states, width, n_sites):
+    """The int8 spin rows of packed states: spin i is down when bit
+    width * i is set."""
+    n_bytes = (width * n_sites + 7) // 8
+    packed = np.frombuffer(
+        b"".join(s.to_bytes(n_bytes, "little") for s in states),
+        dtype=np.uint8).reshape(len(states), n_bytes)
+    down = np.unpackbits(packed, axis=1, bitorder="little")
+    return 1 - 2 * down[:, :width * n_sites:width].astype(np.int8)
 
 
 def _measure(configs, corr_targets):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from lacelab import kernels
+from lacelab.ising import coupling_matrix_from_torus
 from lacelab.kernels import (counter_uniform, metropolis_run,
                              percolation_clusters)
 from lacelab.perc import PercConfig, bond_offsets, sampler_input
 from lacelab.steps import StepDistribution
 from lacelab.torus import TorusGrid
+
+from conftest import traced_peak
 
 # First output of SplitMix64 from state 0 (Steele, Lea & Flood, OOPSLA 2014).
 SPLITMIX64_FROM_ZERO = 0xE220A8397B1DCDAF
@@ -348,6 +351,34 @@ class TestMetropolisKernel:
         # sites 0 and 1 agree in every kept sweep; sites 0 and 3 do not always
         np.testing.assert_array_equal(corr[:, 0], 1.0)
         assert np.any(corr[:, 1] < 1.0)
+
+    def test_a_multi_word_state_matches_the_scalar_loop(self, monkeypatch):
+        # 100 sites of 5 bits each: the packed state spans many machine
+        # words, and a block of 2 sweeps ends inside the chain
+        monkeypatch.setattr(kernels, "DRAW_BLOCK", 250)
+        grid = TorusGrid(2, 10)
+        offs, _ = StepDistribution("nn", 2).support()
+        J = coupling_matrix_from_torus(
+            grid, {off: 0.5 + 0.25 * k
+                   for k, off in enumerate(map(tuple, offs.tolist()))})
+        idx = [np.flatnonzero(row).tolist() for row in J]
+        jj = [row[nz].tolist() for row, nz in zip(J, idx)]
+        targets = np.random.default_rng(10).integers(0, 100, size=(100, 3))
+        self._assert_matches_reference(idx, jj, 0.4, 0.1, 13, targets)
+
+    def test_only_one_block_of_states_is_held(self, monkeypatch):
+        # the rows are the only memory that grows with the chain: ten times
+        # the sweeps raise the peak by less than the larger rows' size
+        monkeypatch.setattr(kernels, "_measure", lambda configs, _: configs)
+        idx, jj = self._neighbors(6)
+        targets = np.zeros((6, 1), dtype=np.int64)
+        peaks = []
+        for sweeps in (3000, 30000):
+            with traced_peak() as traced:
+                configs = metropolis_run(idx, jj, 6, 0.4, 0.0, 0, 0, sweeps,
+                                         0, 1, targets)
+            peaks.append(traced.peak)
+        assert peaks[1] - peaks[0] <= configs.nbytes
 
 
 def metropolis_reference(neighbor_idx, neighbor_j, n_sites, z, h, seed,
