@@ -180,8 +180,11 @@ def cmd_perc(args):
         if len(graph.bonds) <= pc.EXACT_BOND_LIMIT:
             exact = pc.exact_small(graph, args.z, pivotal=False)
             result["chi_exact"] = exact["chi"]
+            # chi_hat, a mean of cluster sizes, moves in steps of 1/samples;
+            # when every sample is alike SE = 0 and a rounding gap would fail
             result["within_4se"] = bool(
-                abs(stats.chi_hat - exact["chi"]) <= 4 * stats.chi_se)
+                abs(stats.chi_hat - exact["chi"])
+                <= max(4 * stats.chi_se, 1.0 / stats.samples))
     _emit(args, "perc", {**dist.to_spec(), "M": args.M, "z": args.z,
                          "R": args.R, "replicas": args.replicas},
           args.seed, result)
@@ -209,8 +212,12 @@ def cmd_ising(args):
     if grid.n_sites <= isg.EXACT_SPIN_LIMIT:
         exact = isg.exact_ising(isg.IsingConfig(J=Jm, z=args.z, h=args.h))
         result["chi_exact"] = exact.chi_hat
+        # chi per sample moves in steps of 1/n_sites and chi_hat in steps of
+        # 1/(n_sites samples); when every sample is alike SE = 0 and a
+        # rounding gap would fail
         result["within_4se"] = bool(
-            abs(samp.chi_hat - exact.chi_hat) <= 4 * samp.chi_se)
+            abs(samp.chi_hat - exact.chi_hat)
+            <= max(4 * samp.chi_se, 1.0 / (grid.n_sites * samp.samples)))
     _emit(args, "ising", {"d": args.d, "M": args.M, "J": args.J, "z": args.z,
                           "h": args.h, "sweeps": args.sweeps,
                           "burn_in": args.burn_in, "thinning": args.thinning,

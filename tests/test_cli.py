@@ -105,6 +105,24 @@ def test_ising_subcommand(capsys):
     assert doc["result"]["equilibrated"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    # all 290 kept sweeps aligned: chi_hat = 6 while chi_exact rounds below
+    ["ising", "--d", "1", "--M", "6", "--z", "5.0", "--h", "3", "--seed", "1",
+     "--sweeps", "300", "--burn-in", "10", "--thinning", "1"],
+    # every cluster spans the ring: chi_hat = 4 while chi_exact rounds below
+    ["perc", "--family", "nn", "--d", "1", "--M", "4", "--z", "1.99999",
+     "--R", "1", "--replicas", "200", "--seed", "1"],
+], ids=["ising", "perc"])
+def test_a_check_with_zero_se_passes_within_the_mean_resolution(capsys,
+                                                                 argv):
+    code, doc = run_cli(capsys, argv)
+    result = doc["result"]
+    assert result["chi_se"] == 0.0
+    assert 0 < abs(result["chi_hat"] - result["chi_exact"]) < 1e-9
+    assert result["within_4se"] is True
+    assert code == 0
+
+
 def test_diag_subcommand_and_input_file(tmp_path, capsys):
     code, doc = run_cli(capsys, ["diag", "--family", "nn", "--d", "2",
                                  "--M", "8", "--z", "0.5"])
