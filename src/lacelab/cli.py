@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 an asserted check failed.
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
@@ -104,7 +105,8 @@ def cmd_rw_beta(args):
         "uncertainty": "truncation: grid refinement sequence reported; "
                        "tail bound %.3g" % dist.tail_bound,
     }
-    _emit(args, "rw-beta", dist.to_spec(), None, result)
+    _emit(args, "rw-beta", {**dist.to_spec(), "s": args.s, "M": ms}, None,
+          result)
 
 
 def cmd_beta_table(args):
@@ -229,9 +231,11 @@ def cmd_ising(args):
 
 def cmd_diag(args):
     if args.input:
-        with open(args.input) as fh:
-            inp = dg.deserialize_input(json.load(fh))
-        spec = {"input": args.input}
+        with open(args.input, "rb") as fh:
+            raw = fh.read()
+        inp = dg.deserialize_input(json.loads(raw))
+        spec = {"input": args.input,
+                "input_sha256": hashlib.sha256(raw).hexdigest()}
     elif args.family is None or args.d is None:
         raise ValueError("diag needs either --input or --family/--d")
     else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import re
@@ -139,6 +140,23 @@ def test_diag_subcommand_and_input_file(tmp_path, capsys):
     code, doc2 = run_cli(capsys, ["diag", "--input", str(path)])
     assert code == 0
     assert doc2["result"]["f1"] == pytest.approx(0.4)
+
+
+def test_diag_input_records_the_sha256_of_the_file(tmp_path, capsys):
+    # one path, two contents: the two documents' specs differ
+    from lacelab import diagnostics as dg
+    from lacelab.torus import TorusGrid
+    path = tmp_path / "inp.json"
+    specs = []
+    for z in (0.3, 0.4):
+        inp = dg.free_two_point(StepDistribution("nn", 1), TorusGrid(1, 8), z)
+        path.write_text(json.dumps(dg.serialize_input(inp)))
+        code, doc = run_cli(capsys, ["diag", "--input", str(path)])
+        assert code == 0
+        assert doc["spec"]["input_sha256"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()
+        specs.append(doc["spec"])
+    assert specs[0] != specs[1]
 
 
 def test_diag_input_symmetric_within_the_ghat_tolerance(tmp_path, capsys):

@@ -10,13 +10,14 @@ and say in CHANGES.md which fixtures moved and why.
 
 import contextlib
 import io
+import json
 import os
 import sys
 
 import pytest
 
 from lacelab import saw
-from lacelab.cli import main
+from lacelab.cli import build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")
@@ -140,6 +141,38 @@ def test_saw_builds_no_x_tuple_view(name, monkeypatch):
     assert code == want_code
     with open(golden_path(name)) as fh:
         assert text == fh.read()
+
+
+# Parsed options that change no result, so a spec may leave them out: the
+# subcommand is the document's own key, fn is its handler, out and csv name
+# output files, and assert_free sets only the exit code.
+UNREAD_OPTIONS = {"subcommand", "fn", "out", "csv", "assert_free"}
+# Step options a family does not read, and beta-table's sweep options that
+# it refuses for a family.
+FOREIGN_OPTIONS = {"nn": {"L", "alpha", "truncation"},
+                   "uniform": {"alpha", "truncation"},
+                   "power": set(), None: set()}
+BETA_TABLE_FOREIGN = {"nn": {"d", "L_values", "alpha"},
+                      "uniform": {"d_values", "alpha"},
+                      "power": {"d_values"}}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_the_spec_records_every_option_that_changes_the_result(name):
+    argv, _ = SPECS[name]
+    args = vars(build_parser().parse_args(argv))
+    with open(golden_path(name)) as fh:
+        doc = json.load(fh)
+    # beta-table records its sweep options in a nested dict
+    recorded = {"seed"}.union(doc["spec"], *(
+        v for v in doc["spec"].values() if isinstance(v, dict)))
+    family = args.get("family")
+    foreign = (BETA_TABLE_FOREIGN[family] if args["subcommand"] == "beta-table"
+               else FOREIGN_OPTIONS[family])
+    # diag without --input builds the free two-point function
+    unread = UNREAD_OPTIONS | ({"input"} if args.get("input") is None
+                               else set())
+    assert set(args) - recorded - unread - foreign == set()
 
 
 if __name__ == "__main__":
