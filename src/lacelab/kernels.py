@@ -226,11 +226,9 @@ def _heat_bath_rows(neighbor_idx, neighbor_j, n_sites, z, h, seed, replica,
                     state ^= flip
             if sweep >= burn_in and (sweep - burn_in) % thinning == 0:
                 states.append(state)
-        if states:
-            configs[out:out + len(states)] = _unpack_spins(states, width,
-                                                           n_sites)
-            out += len(states)
-            states.clear()
+        configs[out:out + len(states)] = _unpack_spins(states, width, n_sites)
+        out += len(states)
+        states.clear()
     return configs
 
 
