@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 an asserted check failed.
 import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import os
@@ -231,6 +230,8 @@ def cmd_ising(args):
 
 def cmd_diag(args):
     if args.input:
+        # hashlib loads OpenSSL, about 4 MB, which no other run needs
+        import hashlib
         with open(args.input, "rb") as fh:
             raw = fh.read()
         inp = dg.deserialize_input(json.loads(raw))
