@@ -111,43 +111,67 @@ class SpinSample:
 def exact_ising(config: IsingConfig) -> SpinSample:
     """Exact expectations by summing all 2^n spin configurations."""
     n = config.n_sites
-    corr, mag = _exact_moments(config)
-    chi = float(np.sum(corr[0]))
-    return SpinSample(g=corr[0].copy(), g_se=np.zeros(n), chi_hat=chi,
+    g, mag = _exact_moments(config.J, config.z, config.h)
+    return SpinSample(g=g, g_se=np.zeros(n), chi_hat=float(np.sum(g)),
                       chi_se=0.0, m_hat=mag, m_se=0.0, samples=1 << n)
 
 
 def exact_correlation_matrix(config: IsingConfig) -> np.ndarray:
-    """Full <phi_i phi_j> matrix from the exact sum."""
-    return _exact_moments(config)[0]
+    """Full <phi_i phi_j> matrix: row i is the exact oracle's row 0 on the
+    couplings relabelled so that spin i is spin 0."""
+    n = config.n_sites
+    corr = np.empty((n, n))
+    for i in range(n):
+        perm = np.arange(n)
+        perm[[0, i]] = perm[[i, 0]]
+        corr[i, perm] = _exact_moments(config.J[np.ix_(perm, perm)],
+                                       config.z, config.h)[0]
+    return corr
 
 
-def _exact_moments(config: IsingConfig):
-    """<phi_i phi_j> and <phi_0> in one pass of exact.bit_chunks.
+def _exact_moments(J: np.ndarray, z: float, h: float):
+    """<phi_0 phi_j> for every j, and <phi_0>, in one pass of
+    exact.bit_chunks.
+
+    Each chunk is a few high configurations times the same 2^low rows of
+    the low spins 0..low-1, low = min(n, SPIN_CHUNK_BITS - 2).  The low
+    spins' energy e_lo and their field on the high spins, cross = z J_hl
+    phi_lo, are built once from the first chunk; a chunk then costs
+    log w = phi_hi^T cross + e_hi + e_lo.  Summed over the high part are
+    W_lo (the weight of each low row) and, for each high spin j,
+    sum phi_j w phi_0; the low columns of row 0 are phi_lo (phi_0 W_lo)
+    at the end.
 
     Weights are exp(log w - ref) with ref the largest log-weight seen so
     far (a running log-sum-exp): when a later chunk holds a larger one, the
     sums so far are rescaled, so no weight overflows however strong the
     field.
     """
-    n = config.n_sites
-    corr, mag, total, ref = np.zeros((n, n)), 0.0, 0.0, -np.inf
-    for _, bits in bit_chunks(n, "spins", SPIN_CHUNK_BITS):
-        phi = np.where(bits, 1.0, -1.0)
-        logw = (0.5 * config.z * np.einsum("ic,ic->c", config.J @ phi, phi)
-                + config.h * phi.sum(axis=0))
+    n = J.shape[0]
+    low = min(n, SPIN_CHUNK_BITS - 2)
+    w_lo, corr_hi, ref = np.zeros(1 << low), np.zeros(n - low), -np.inf
+    for start, bits in bit_chunks(n, "spins", SPIN_CHUNK_BITS):
+        if start == 0:
+            phi_lo = np.where(bits[:low, :1 << low], 1.0, -1.0)
+            e_lo = (0.5 * z * np.einsum("ic,ic->c", J[:low, :low] @ phi_lo,
+                                        phi_lo) + h * phi_lo.sum(axis=0))
+            cross = z * (J[low:, :low] @ phi_lo)
+        phi_hi = np.where(bits[low:, ::1 << low], 1.0, -1.0)
+        e_hi = (0.5 * z * np.einsum("ic,ic->c", J[low:, low:] @ phi_hi,
+                                    phi_hi) + h * phi_hi.sum(axis=0))
+        logw = phi_hi.T @ cross + e_hi[:, None] + e_lo
         top = float(logw.max())
         if top > ref:
             scale = math.exp(ref - top)
-            corr *= scale
-            mag *= scale
-            total *= scale
+            w_lo *= scale
+            corr_hi *= scale
             ref = top
         w = np.exp(logw - ref)
-        total += float(w.sum())
-        mag += float(phi[0] @ w)
-        corr += (phi * w) @ phi.T
-    return corr / total, mag / total
+        w_lo += w.sum(axis=0)
+        corr_hi += phi_hi @ (w @ phi_lo[0])
+    total = float(w_lo.sum())
+    g = np.concatenate([phi_lo @ (phi_lo[0] * w_lo), corr_hi]) / total
+    return g, float(phi_lo[0] @ w_lo) / total
 
 
 def metropolis(config: IsingConfig) -> SpinSample:
