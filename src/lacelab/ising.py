@@ -4,8 +4,11 @@ sampler.
 Instances are explicit coupling matrices (n_sites x n_sites, symmetric,
 nonnegative, zero diagonal).  Up to EXACT_SPIN_LIMIT (20) spins, the exact
 oracle sums all 2^n configurations in one pass of the shared enumerator
-(exact.bit_chunks), giving <phi_i phi_j> and <phi_0> together; a running
-log-sum-exp keeps the weights finite under any field.  The helper
+(exact.bit_chunks), giving row 0 of <phi_i phi_j> and <phi_0> together: each
+chunk is split into low spins, whose rows repeat in every chunk and whose
+energy is built once, and a few high configurations, so a chunk costs one
+small matrix product and one exp.  A running log-sum-exp keeps the weights
+finite under any field.  The helper
 coupling_matrix_from_torus folds a translation-invariant coupling table
 onto a torus; note that on very small tori distinct offsets can alias onto
 the same pair, in which case their couplings add.
@@ -22,9 +25,10 @@ from .perc import batch_means_se
 from .torus import TorusGrid
 
 EXACT_SPIN_LIMIT = EXACT_LIMIT
-# The exact sum holds its float64 spins and one temporary of the same size
-# per chunk: 2 x 20 x 2^11 x 8 B = 0.66 MB at the spin limit, not the 2.6 MB
-# of the enumerator's default chunk.
+# The exact sum's own arrays are a few KB, since its float64 spins hold
+# only one chunk's low rows; its tracemalloc peak, 373 KiB from 11 spins up
+# to the spin limit, is the enumerator's int64 temporary for the low bits,
+# which the default 2^13 chunk would make about 1 MB.
 SPIN_CHUNK_BITS = 11
 
 
