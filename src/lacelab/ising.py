@@ -157,12 +157,10 @@ def _exact_moments(J: np.ndarray, z: float, h: float):
     for start, bits in bit_chunks(n, "spins", SPIN_CHUNK_BITS):
         if start == 0:
             phi_lo = np.where(bits[:low, :1 << low], 1.0, -1.0)
-            e_lo = (0.5 * z * np.einsum("ic,ic->c", J[:low, :low] @ phi_lo,
-                                        phi_lo) + h * phi_lo.sum(axis=0))
+            e_lo = _log_weights(J[:low, :low], z, h, phi_lo)
             cross = z * (J[low:, :low] @ phi_lo)
         phi_hi = np.where(bits[low:, ::1 << low], 1.0, -1.0)
-        e_hi = (0.5 * z * np.einsum("ic,ic->c", J[low:, low:] @ phi_hi,
-                                    phi_hi) + h * phi_hi.sum(axis=0))
+        e_hi = _log_weights(J[low:, low:], z, h, phi_hi)
         logw = phi_hi.T @ cross + e_hi[:, None] + e_lo
         top = float(logw.max())
         if top > ref:
@@ -176,6 +174,11 @@ def _exact_moments(J: np.ndarray, z: float, h: float):
     total = float(w_lo.sum())
     g = np.concatenate([phi_lo @ (phi_lo[0] * w_lo), corr_hi]) / total
     return g, float(phi_lo[0] @ w_lo) / total
+
+
+def _log_weights(J: np.ndarray, z: float, h: float, phi: np.ndarray):
+    """z/2 phi^T J phi + h sum phi for each column of phi."""
+    return 0.5 * z * np.einsum("ic,ic->c", J @ phi, phi) + h * phi.sum(axis=0)
 
 
 def metropolis(config: IsingConfig) -> SpinSample:
