@@ -1,12 +1,22 @@
+import importlib.util
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lacelab.ising import (IsingConfig, coupling_matrix_from_torus,
+from conftest import traced_peak
+from lacelab.ising import (SPIN_CHUNK_BITS, IsingConfig,
+                           coupling_matrix_from_torus,
                            exact_correlation_matrix, exact_ising, metropolis,
                            tau_and_g_relation_check)
 from lacelab.torus import TorusGrid
+
+_ORACLES = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracles", _ORACLES)
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 RING_TABLE = {(1,): 1.0, (-1,): 1.0}
 
@@ -131,6 +141,78 @@ class TestExact:
     def test_spin_limit_guard(self):
         with pytest.raises(ValueError):
             exact_correlation_matrix(IsingConfig(J=np.zeros((25, 25)), z=0.1))
+
+
+# the oracle's low spins are 0..LOW-1; from LOW + 1 spins on, a chunk holds
+# several high configurations, and from LOW + 3 on there are several chunks
+LOW = SPIN_CHUNK_BITS - 2
+
+
+def brute_force_ising(J, z, h):
+    """<phi_0 phi_j> and <phi_0>, one configuration at a time."""
+    n = len(J)
+    configs = [np.array(c, dtype=float)
+               for c in itertools.product((1.0, -1.0), repeat=n)]
+    logw = [0.5 * z * (phi @ J @ phi) + h * phi.sum() for phi in configs]
+    ref = max(logw)
+    total, mag, g = 0.0, 0.0, np.zeros(n)
+    for phi, lw in zip(configs, logw):
+        w = math.exp(lw - ref)
+        total += w
+        mag += w * phi[0]
+        g += w * phi[0] * phi
+    return g / total, mag / total
+
+
+def random_couplings(n, seed):
+    J = np.random.default_rng(seed).uniform(0.0, 0.3, (n, n))
+    J = J + J.T
+    np.fill_diagonal(J, 0.0)
+    return J
+
+
+class TestExactOracle:
+    """The exact oracle against two independent ones, to 1e-12 relative.
+
+    A small correlation is the difference of two sums of order 1, so its
+    rounding error is absolute: on the 20-ring at z = 0.4, g(8) = 4.4e-4
+    is off by about 1e-15 (2e-12 relative), hence the 1e-14 floor.
+    """
+
+    @pytest.mark.parametrize("M", [4, 6, 12, 16, 18, 20])
+    @pytest.mark.parametrize("z, h", [(0.4, 0.0), (0.4, 0.3), (0.4, -0.3),
+                                      (0.1, 400.0)])
+    def test_ring_matches_the_transfer_matrix(self, M, z, h):
+        J = coupling_matrix_from_torus(TorusGrid(1, M), RING_TABLE)
+        rec = exact_ising(IsingConfig(J=J, z=z, h=h))
+        want = oracles.ring_ising(M, z, h)
+        np.testing.assert_allclose(rec.g, want["g"], rtol=1e-12, atol=1e-14)
+        assert rec.chi_hat == pytest.approx(want["chi"], rel=1e-12)
+        assert rec.m_hat == pytest.approx(want["m"], rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, LOW + 1, LOW + 2, LOW + 3])
+    @pytest.mark.parametrize("h", [0.0, 0.25, -0.7])
+    def test_dense_couplings_match_a_brute_force_sum(self, n, h):
+        J = random_couplings(n, seed=n)
+        rec = exact_ising(IsingConfig(J=J, z=0.8, h=h))
+        g, m = brute_force_ising(J, 0.8, h)
+        np.testing.assert_allclose(rec.g, g, rtol=1e-12, atol=1e-14)
+        assert rec.m_hat == pytest.approx(m, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n, h", [(6, 0.0), (LOW + 3, 0.25)])
+    def test_correlation_matrix_row_0_is_the_oracle(self, n, h):
+        config = IsingConfig(J=random_couplings(n, seed=n), z=0.8, h=h)
+        corr = exact_correlation_matrix(config)
+        np.testing.assert_array_equal(corr[0], exact_ising(config).g)
+        np.testing.assert_allclose(corr, corr.T, rtol=1e-12)
+        np.testing.assert_allclose(np.diag(corr), 1.0, rtol=1e-12)
+
+    def test_memory_stays_below_half_a_mib_at_the_spin_limit(self):
+        config = IsingConfig(
+            J=coupling_matrix_from_torus(TorusGrid(1, 20), RING_TABLE), z=0.4)
+        with traced_peak() as traced:
+            exact_ising(config)
+        assert traced.peak <= 512 * 1024
 
 
 class TestMetropolis:
