@@ -25,10 +25,10 @@ from .perc import batch_means_se
 from .torus import TorusGrid
 
 EXACT_SPIN_LIMIT = EXACT_LIMIT
-# The exact sum's own arrays are a few KB, since its float64 spins hold
-# only one chunk's low rows; its tracemalloc peak, 373 KiB from 11 spins up
-# to the spin limit, is the enumerator's int64 temporary for the low bits,
-# which the default 2^13 chunk would make about 1 MB.
+# The exact sum's own arrays stay under 100 KB, since its float64 spins
+# hold the low rows of one chunk; its tracemalloc peak, 373 KiB from 11
+# spins up to the spin limit, is the enumerator's int64 temporary for the
+# low bits, which the default 2^13 chunk would make about 1 MB.
 SPIN_CHUNK_BITS = 11
 
 
