@@ -3,12 +3,12 @@ sampler.
 
 Instances are explicit coupling matrices (n_sites x n_sites, symmetric,
 nonnegative, zero diagonal).  Up to EXACT_SPIN_LIMIT (20) spins, the exact
-oracle sums all 2^n configurations in one pass of the shared enumerator
-(exact.bit_chunks), giving row 0 of <phi_i phi_j> and <phi_0> together: each
-chunk is split into low spins, whose rows repeat in every chunk and whose
-energy is built once, and a few high configurations, so a chunk costs one
-small matrix product and one exp.  A running log-sum-exp keeps the weights
-finite under any field.  The helper
+oracle sums all 2^n configurations from the shared enumerator
+(exact.split_configurations), giving row 0 of <phi_i phi_j> and <phi_0>
+together: the low spins' rows and energy are built once, and the high
+configurations follow 4 at a time, so a block costs one small matrix
+product and one exp.  A running log-sum-exp keeps the weights finite under
+any field.  The helper
 coupling_matrix_from_torus folds a translation-invariant coupling table
 onto a torus; note that on very small tori distinct offsets can alias onto
 the same pair, in which case their couplings add.
@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import EXACT_LIMIT, bit_chunks
+from .exact import EXACT_LIMIT, split_configurations
 from .kernels import metropolis_run
 from .perc import batch_means_se
 from .torus import TorusGrid
 
 EXACT_SPIN_LIMIT = EXACT_LIMIT
-# The exact sum's own arrays stay under 100 KB, since its float64 spins
-# hold the low rows of one chunk; its tracemalloc peak, 373 KiB from 11
-# spins up to the spin limit, is the enumerator's int64 temporary for the
-# low bits, which the default 2^13 chunk would make about 1 MB.
+# A block of the exact sum is 2^SPIN_CHUNK_BITS configurations: 4 high
+# ones times the 2^(SPIN_CHUNK_BITS - 2) rows of the low spins.  Its
+# tracemalloc peak is 160 KiB at 16 spins and 198 KiB at the spin limit.
 SPIN_CHUNK_BITS = 11
 
 
@@ -134,32 +133,33 @@ def exact_correlation_matrix(config: IsingConfig) -> np.ndarray:
 
 
 def _exact_moments(J: np.ndarray, z: float, h: float):
-    """<phi_0 phi_j> for every j, and <phi_0>, in one pass of
-    exact.bit_chunks.
+    """<phi_0 phi_j> for every j, and <phi_0>, from one call of
+    exact.split_configurations.
 
-    Each chunk is a few high configurations times the same 2^low rows of
-    the low spins 0..low-1, low = min(n, SPIN_CHUNK_BITS - 2).  The low
-    spins' energy e_lo and their field on the high spins, cross = z J_hl
-    phi_lo, are built once from the first chunk; a chunk then costs
-    log w = phi_hi^T cross + e_hi + e_lo.  Summed over the high part are
-    W_lo (the weight of each low row) and, for each high spin j,
-    sum phi_j w phi_0; the low columns of row 0 are phi_lo (phi_0 W_lo)
-    at the end.
+    The low spins 0..low-1, low = min(n, SPIN_CHUNK_BITS - 2), have 2^low
+    rows; their energy e_lo and their field on the high spins,
+    cross = z J_hl phi_lo, are built once.  The high configurations are
+    taken 4 at a time, 2^SPIN_CHUNK_BITS configurations per block, and a
+    block costs log w = phi_hi^T cross + e_hi + e_lo.  Summed over the
+    high part are W_lo (the weight of each low row) and, for each high
+    spin j, sum phi_j w phi_0; the low columns of row 0 are
+    phi_lo (phi_0 W_lo) at the end.
 
     Weights are exp(log w - ref) with ref the largest log-weight seen so
-    far (a running log-sum-exp): when a later chunk holds a larger one, the
-    sums so far are rescaled, so no weight overflows however strong the
-    field.
+    far (a running log-sum-exp): when a later block holds a larger one,
+    the sums so far are rescaled, so no weight overflows however strong
+    the field.
     """
     n = J.shape[0]
-    low = min(n, SPIN_CHUNK_BITS - 2)
+    low_bits, high_bits = split_configurations(n, "spins",
+                                               SPIN_CHUNK_BITS - 2)
+    low = len(low_bits)
+    phi_lo = np.where(low_bits, 1.0, -1.0)
+    e_lo = _log_weights(J[:low, :low], z, h, phi_lo)
+    cross = z * (J[low:, :low] @ phi_lo)
     w_lo, corr_hi, ref = np.zeros(1 << low), np.zeros(n - low), -np.inf
-    for start, bits in bit_chunks(n, "spins", SPIN_CHUNK_BITS):
-        if start == 0:
-            phi_lo = np.where(bits[:low, :1 << low], 1.0, -1.0)
-            e_lo = _log_weights(J[:low, :low], z, h, phi_lo)
-            cross = z * (J[low:, :low] @ phi_lo)
-        phi_hi = np.where(bits[low:, ::1 << low], 1.0, -1.0)
+    for start in range(0, high_bits.shape[1], 4):
+        phi_hi = np.where(high_bits[:, start:start + 4], 1.0, -1.0)
         e_hi = _log_weights(J[low:, low:], z, h, phi_hi)
         logw = phi_hi.T @ cross + e_hi[:, None] + e_lo
         top = float(logw.max())

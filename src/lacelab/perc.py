@@ -14,11 +14,12 @@ that table, probing a bond only when its far end is not yet in the
 cluster; the draw is keyed by (seed, replica, bond id), so the search
 order cannot change the sample.
 Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
-exact_small runs the shared enumerator (exact.bit_chunks) once over all
-2^bonds configurations, labels every cluster by min-label propagation,
-and yields chi, the cluster-size law, the connectivities from site 0 and
-dchi/dz together; with pivotal (the default) also the whole
-pair-connectivity matrix and the pivotal sum.  exact_pair_matrix and
+exact_small takes all 2^bonds configurations from the shared enumerator
+(exact.split_configurations), weighs and labels the clusters of the low
+bonds' configurations once by min-label propagation, extends both to each
+high configuration, and yields chi, the cluster-size law, the
+connectivities from site 0 and dchi/dz together; with pivotal (the
+default) also the whole pair-connectivity matrix and the pivotal sum.  exact_pair_matrix and
 russo_check read their numbers from it, and the size law drives the
 magnetization checks.
 """
@@ -30,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import EXACT_LIMIT, bit_chunks
+from .exact import CHUNK_BITS, EXACT_LIMIT, split_configurations
 from .kernels import percolation_clusters
 from .steps import StepDistribution
 from .torus import TorusGrid, within_range
@@ -215,7 +216,7 @@ def exact_graph_from_config(config: PercConfig) -> ExactGraph:
 def _cluster_labels(n_sites: int, ends: list, bits: np.ndarray) -> np.ndarray:
     """labels[i, r] = the smallest site joined to site i in configuration r.
 
-    Min-label propagation over a whole chunk of configurations at once:
+    Min-label propagation over many configurations at once:
     every open bond lowers both its ends to the smaller of their labels.
     The bonds are swept forwards and then backwards, until a sweep changes
     nothing.
@@ -238,13 +239,19 @@ def _cluster_labels(n_sites: int, ends: list, bits: np.ndarray) -> np.ndarray:
 def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     """Exact chi, cluster law, connectivities and dchi/dz by enumeration.
 
-    One pass of exact.bit_chunks over all 2^B bond configurations.  In each
-    chunk the weights w and their z-derivatives dw are built bond by bond, in
-    bond order, with the product rule (no division by p, which may be
-    subnormal), and _cluster_labels labels every cluster.  pair_conn[j] =
-    P(0 <-> j) sums w over the configurations where 0 and j share a label;
-    |C(0)| is the number of sites sharing site 0's label, so
-    chi = sum w |C(0)| and dchi/dz = sum dw |C(0)|.
+    One call of exact.split_configurations covers all 2^B bond
+    configurations: the low bonds 0..low-1, low = min(B, CHUNK_BITS), and
+    the high bonds after them.  The weights w of the low rows and their
+    z-derivatives dw are built once, bond by bond in bond order, with the
+    product rule (no division by p, which may be subnormal), and
+    _cluster_labels labels the low bonds' clusters once.  Each high
+    configuration then continues the product rule with its high bonds'
+    scalar factors, and merges the two clusters of each open high bond:
+    a label is the smallest site of its cluster, so the larger label of the
+    two gives way to the smaller.  pair_conn[j] = P(0 <-> j) sums w over
+    the configurations where 0 and j share a label; |C(0)| is the number of
+    sites sharing site 0's label, so chi = sum w |C(0)| and
+    dchi/dz = sum dw |C(0)|.
 
     With pivotal, the full report: pair_matrix[i, j] = P(i <-> j), every
     row summed as row 0 is (n times its cost), and pivotal_sum, which
@@ -255,7 +262,9 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     A bond whose probability is clipped at 0 or 1 has dp/dz = 0.
     """
     B, n = len(graph.bonds), graph.n_sites
-    chunks = bit_chunks(B, "bonds")  # raises above the limit, before w
+    # raises above the limit, before w
+    low_bits, high_bits = split_configurations(B, "bonds", CHUNK_BITS)
+    low, rows = low_bits.shape
     ends = [(u, v) for u, v, _ in graph.bonds]
     q = np.array([bond[2] for bond in graph.bonds], dtype=float)
     probs = np.clip(z * q, 0.0, 1.0)
@@ -264,19 +273,27 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
     sizes = np.empty(1 << B, dtype=np.min_scalar_type(-n))
     G = np.zeros((n if pivotal else 1, n))  # row 0 only, without pivotal
     dchi = 0.0
-    for start, bits in chunks:
-        rows = bits.shape[1]
-        wc, dwc = np.ones(rows), np.zeros(rows)
-        for b, open_b in enumerate(bits):
-            factor = np.where(open_b, probs[b], 1.0 - probs[b])
-            dwc = dwc * factor + wc * np.where(open_b, dprobs[b], -dprobs[b])
-            wc *= factor
-        labels = _cluster_labels(n, ends, bits)
+    w_lo, dw_lo = np.ones(rows), np.zeros(rows)
+    for b, open_b in enumerate(low_bits):
+        factor = np.where(open_b, probs[b], 1.0 - probs[b])
+        dw_lo = dw_lo * factor + w_lo * np.where(open_b, dprobs[b], -dprobs[b])
+        w_lo *= factor
+    labels_lo = _cluster_labels(n, ends[:low], low_bits)
+    for k, open_hi in enumerate(high_bits.T):
+        wc, dwc, labels = w_lo, dw_lo, labels_lo
+        for b, is_open in enumerate(open_hi.tolist(), start=low):
+            factor = probs[b] if is_open else 1.0 - probs[b]
+            dwc = dwc * factor + wc * (dprobs[b] if is_open else -dprobs[b])
+            wc = wc * factor
+            if is_open:
+                u, v = labels[ends[b][0]], labels[ends[b][1]]
+                labels = np.where(labels == np.maximum(u, v),
+                                  np.minimum(u, v), labels)
         size = np.count_nonzero(labels == labels[0], axis=0)
         G += [(labels == labels[i]) @ wc for i in range(len(G))]
         dchi += float(np.sum(dwc * size))
-        w[start:start + rows] = wc
-        sizes[start:start + rows] = size
+        w[k * rows:(k + 1) * rows] = wc
+        sizes[k * rows:(k + 1) * rows] = size
     pivotal_sum = 0.0
     if pivotal:
         for b in np.flatnonzero(dprobs):

@@ -118,8 +118,8 @@ class TestExact:
 
     @pytest.mark.parametrize("z,h", [(0.1, 400.0), (0.3, 0.2)])
     def test_odd_ring_in_a_field_matches_transfer_matrix(self, z, h):
-        # 17 spins span two enumeration chunks, and for h > 0 the heaviest
-        # configuration (all up) lies in the second one
+        # 17 spins span 64 blocks of high configurations, and for h > 0 the
+        # heaviest configuration (all up) lies in the last one
         M = 17
         Jm = np.zeros((M, M))
         for i in range(M):
@@ -143,8 +143,8 @@ class TestExact:
             exact_correlation_matrix(IsingConfig(J=np.zeros((25, 25)), z=0.1))
 
 
-# the oracle's low spins are 0..LOW-1; from LOW + 1 spins on, a chunk holds
-# several high configurations, and from LOW + 3 on there are several chunks
+# the oracle's low spins are 0..LOW-1; from LOW + 1 spins on, a block holds
+# several high configurations, and from LOW + 3 on there are several blocks
 LOW = SPIN_CHUNK_BITS - 2
 
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lacelab import perc
+from lacelab.exact import CHUNK_BITS
 from lacelab.perc import (ClusterStats, ExactGraph, PercConfig,
                           batch_means_se, bond_offsets,
                           exact_graph_from_config, exact_pair_matrix,
@@ -189,6 +191,18 @@ def scalar_oracle(graph, z):
     return rec
 
 
+def close(a, b):
+    return np.all(np.abs(np.asarray(a) - b)
+                  <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+
+def assert_matches_scalar_oracle(rec, want):
+    for key in ("chi", "dchi_dz", "pivotal_sum", "size_law", "pair_matrix"):
+        assert np.all(np.isfinite(rec[key])), key
+        assert close(rec[key], want[key]), (key, rec[key], want[key])
+    assert close(rec["pair_conn"], want["pair_matrix"][0])
+
+
 class TestExactOracle:
     def test_single_bond_by_hand(self):
         graph = ExactGraph(2, [(0, 1, 1.0)])
@@ -240,15 +254,7 @@ class TestExactOracle:
         graph = ExactGraph(*instance)
         want = scalar_oracle(graph, z)
         rec = exact_small(graph, z, pivotal=True)
-
-        def close(a, b):
-            return np.all(np.abs(np.asarray(a) - b)
-                          <= 1e-12 * np.maximum(1.0, np.abs(b)))
-        for key in ("chi", "dchi_dz", "pivotal_sum", "size_law",
-                    "pair_matrix"):
-            assert np.all(np.isfinite(rec[key])), key
-            assert close(rec[key], want[key]), (key, rec[key], want[key])
-        assert close(rec["pair_conn"], want["pair_matrix"][0])
+        assert_matches_scalar_oracle(rec, want)
         assert close(rec["theta"], sum(want["size_law"][
             int(math.sqrt(graph.n_sites)) + 1:]))
         assert close(exact_pair_matrix(graph, z), want["pair_matrix"])
@@ -266,6 +272,62 @@ class TestExactOracle:
         assert rec["match"]
         assert rec["upper_holds"]
         assert rec["lower_holds"]
+
+
+# Thirteen low bonds on sites 0..7: sites 0..3 and 4..7 are never joined by
+# a low bond, and no low bond touches sites 8 and 9.
+LOW_BONDS = [(0, 1, 0.5), (1, 2, 0.9), (2, 3, 0.5), (3, 0, 0.7), (0, 2, 0.3),
+             (1, 3, 0.6), (4, 5, 0.5), (5, 6, 0.9), (6, 7, 0.5), (7, 4, 0.7),
+             (4, 6, 0.3), (5, 7, 0.6), (2, 1, 0.8)]
+
+
+class TestHighBonds:
+    """exact_small past CHUNK_BITS bonds, where each high configuration
+    continues the low bonds' weights and merges their clusters."""
+
+    @pytest.mark.parametrize("high", [
+        # joins two low clusters
+        [(3, 5, 0.9)],
+        # closes a cycle inside one; q = 0 to a site no low bond touches
+        [(0, 3, 0.9), (3, 8, 0.0)],
+        # a chain through site 8, which no low bond touches; p clipped to 1
+        [(2, 8, 0.9), (8, 6, 0.5), (1, 5, 3.0)],
+    ], ids=["join", "cycle-q0", "chain-p1"])
+    def test_matches_scalar_oracle(self, high):
+        assert len(LOW_BONDS) == CHUNK_BITS
+        graph = ExactGraph(10, LOW_BONDS + high)
+        assert_matches_scalar_oracle(exact_small(graph, 0.4),
+                                     scalar_oracle(graph, 0.4))
+
+    def test_russo_instance_keeps_its_bits(self):
+        # the 16-bond instance of perfbench's "russo uniform L=2 d=1 M=8",
+        # eight chunks of 2^13 configurations; the values are those the
+        # oracle gave when it rebuilt the low bonds in every chunk
+        cfg = PercConfig(TorusGrid(1, 8), StepDistribution("uniform", 1, L=2),
+                         0.5, 2.0, seed=0)
+        rec = exact_small(exact_graph_from_config(cfg), 1.6)
+        assert rec["chi"] == float.fromhex("0x1.53fb6ff68b251p+2")
+        assert rec["dchi_dz"] == float.fromhex("0x1.d035097438c7ep+1")
+        assert rec["pivotal_sum"] == float.fromhex("0x1.d035097438c7dp+1")
+        assert rec["size_law"].tolist() == [float.fromhex(x) for x in (
+            "0x0.0p+0", "0x1.096bb98c7e33dp-3", "0x1.31c3c76a8d3efp-4",
+            "0x1.2cdf5dd357c7cp-4", "0x1.429d166600c13p-4",
+            "0x1.583fc1a1a23afp-4", "0x1.c07b8e5e5a5c5p-4",
+            "0x1.6f10cfea56517p-3", "0x1.1542d85b9ddd3p-2")]
+
+    @pytest.mark.parametrize("n_bonds", [3, CHUNK_BITS + 3])
+    def test_clusters_are_labelled_once_per_call(self, monkeypatch, n_bonds):
+        calls = []
+        labels = perc._cluster_labels
+
+        def counting_labels(n_sites, ends, bits):
+            calls.append(bits.shape[1])
+            return labels(n_sites, ends, bits)
+
+        monkeypatch.setattr(perc, "_cluster_labels", counting_labels)
+        graph = ExactGraph(10, (LOW_BONDS * 2)[:n_bonds])
+        exact_small(graph, 0.4)
+        assert calls == [1 << min(n_bonds, CHUNK_BITS)]
 
 
 class TestSampler:
