@@ -8,13 +8,14 @@ oracle sums all 2^n configurations from the shared enumerator
 together: the low spins' rows and energy are built once, and the high
 configurations follow 4 at a time, so a block costs one small matrix
 product and one exp.  A running log-sum-exp keeps the weights finite under
-any field.  The helper
+any field whose log-weights fit in a float.  The helper
 coupling_matrix_from_torus folds a translation-invariant coupling table
 onto a torus; note that on very small tori distinct offsets can alias onto
 the same pair, in which case their couplings add.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,11 +149,18 @@ def _exact_moments(J: np.ndarray, z: float, h: float):
     Weights are exp(log w - ref) with ref the largest log-weight seen so
     far (a running log-sum-exp): when a later block holds a larger one,
     the sums so far are rescaled, so no weight overflows however strong
-    the field.
+    the field.  |log w| <= z/2 sum|J| + |h| n, and a bound above half the
+    float maximum raises ValueError before the sum, so that neither
+    log w nor log w - ref can overflow.
     """
     n = J.shape[0]
     low_bits, high_bits = split_configurations(n, "spins",
                                                SPIN_CHUNK_BITS - 2)
+    with np.errstate(over="ignore"):
+        bound = 0.5 * z * float(np.abs(J).sum()) + abs(h) * n
+    if not bound <= 0.5 * sys.float_info.max:
+        raise ValueError("exact Ising log-weights overflow: |log w| may "
+                         "reach z/2 sum|J| + |h| n = %r" % bound)
     low = len(low_bits)
     phi_lo = np.where(low_bits, 1.0, -1.0)
     e_lo = _log_weights(J[:low, :low], z, h, phi_lo)

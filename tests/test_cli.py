@@ -398,6 +398,13 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     (["diag", "--input",
       '{"d": 1.5, "M": 4, "tau": 0.5, "ghat": [2.0, 1.0, 1.0, 1.0], '
       '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "d must be an integer, got 1.5"),
+    # the exact oracle's log-weights would overflow into NaN
+    (["ising", "--d", "1", "--M", "4", "--z", "0.3", "--h", "5e307",
+      "--seed", "1", "--sweeps", "40", "--burn-in", "10"],
+     "exact Ising log-weights overflow"),
+    (["ising", "--d", "1", "--M", "4", "--z", "1e308", "--seed", "1",
+      "--sweeps", "40", "--burn-in", "10"],
+     "exact Ising log-weights overflow"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(tmp_path, capsys, argv,
                                               message):

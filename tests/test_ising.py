@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +207,19 @@ class TestExactOracle:
         np.testing.assert_array_equal(corr[0], exact_ising(config).g)
         np.testing.assert_allclose(corr, corr.T, rtol=1e-12)
         np.testing.assert_allclose(np.diag(corr), 1.0, rtol=1e-12)
+
+    def test_log_weights_up_to_half_the_float_maximum(self):
+        # |log w| <= z/2 sum|J| + |h| n = 4|h| here; half the float maximum
+        # is 8.99e307
+        J = coupling_matrix_from_torus(TorusGrid(1, 4), RING_TABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = exact_ising(IsingConfig(J=J, z=0.3, h=2.2e307))
+        assert rec.m_hat == 1.0 and rec.chi_hat == 4.0
+        with pytest.raises(ValueError, match="log-weights overflow"):
+            exact_ising(IsingConfig(J=J, z=0.3, h=-2.3e307))
+        with pytest.raises(ValueError, match="log-weights overflow"):
+            exact_correlation_matrix(IsingConfig(J=J, z=1e308))
 
     def test_memory_stays_below_half_a_mib_at_the_spin_limit(self):
         config = IsingConfig(
