@@ -15,13 +15,13 @@ cluster; the draw is keyed by (seed, replica, bond id), so the search
 order cannot change the sample.
 Instances of at most EXACT_BOND_LIMIT (20) bonds get an exact oracle:
 exact_small takes all 2^bonds configurations from the shared enumerator
-(exact.split_configurations), weighs and labels the clusters of the low
-bonds' configurations once by min-label propagation, extends both to each
+(exact.split_configurations), weighs the low bonds' configurations and
+labels their clusters (min-label propagation) once, extends both to each
 high configuration, and yields chi, the cluster-size law, the
 connectivities from site 0 and dchi/dz together; with pivotal (the
-default) also the whole pair-connectivity matrix and the pivotal sum.  exact_pair_matrix and
-russo_check read their numbers from it, and the size law drives the
-magnetization checks.
+default) also the whole pair-connectivity matrix and the pivotal sum.
+exact_pair_matrix and russo_check read their numbers from it, and the size
+law drives the magnetization checks.
 """
 
 import math
@@ -286,9 +286,9 @@ def exact_small(graph: ExactGraph, z: float, pivotal: bool = True) -> dict:
             dwc = dwc * factor + wc * (dprobs[b] if is_open else -dprobs[b])
             wc = wc * factor
             if is_open:
-                u, v = labels[ends[b][0]], labels[ends[b][1]]
-                labels = np.where(labels == np.maximum(u, v),
-                                  np.minimum(u, v), labels)
+                u, v = ends[b]
+                labels = np.where(labels == np.maximum(labels[u], labels[v]),
+                                  np.minimum(labels[u], labels[v]), labels)
         size = np.count_nonzero(labels == labels[0], axis=0)
         G += [(labels == labels[i]) @ wc for i in range(len(G))]
         dchi += float(np.sum(dwc * size))
