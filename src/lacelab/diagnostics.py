@@ -14,7 +14,7 @@ import numpy as np
 from .steps import StepDistribution
 from .torus import (TorusField, TorusGrid, convolve, delta_k, dft,
                     field_at_zero, is_symmetric, one_minus_cos_sum, real_dft,
-                    real_idft)
+                    real_idft, reflect)
 from .walk import beta_kspace, folded_dhat, nonzero_modes, resolvent
 
 F3_EXHAUSTIVE_MAX_SITES = 4096
@@ -27,7 +27,6 @@ COS_G_CONSTANT = 300.0
 # bubble_triangle: k/x agreement of B and T, relative to the size of their
 # rounding error, M^-d sum_k Ghat^2 and M^-d sum_k |Ghat|^3
 CROSS_CHECK_TOL = 1e-9
-CHAIN_TOL = 1e-12  # chain_of_bubbles stops at an increment below this
 
 
 @dataclass
@@ -111,28 +110,37 @@ def serialize_input(inp: TwoPointInput) -> dict:
 def deserialize_input(doc: dict) -> TwoPointInput:
     """The TwoPointInput of a document serialize_input wrote; one that is
     not a JSON object, lacks one of its keys or holds a value of the wrong
-    type, such as a d or M that is not an integer, is a ValueError."""
+    type, such as a d or M that is not an integer or a tau that is not a
+    number, or a NaN or an infinity in tau, ghat or dhat, is a
+    ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("the two-point input is not a JSON object")
     missing = [k for k in ("d", "M", "tau", "ghat", "dhat") if k not in doc]
     if missing:
         raise ValueError("the two-point input has no %s"
                          % ", ".join(missing))
-    for key in ("d", "M"):
-        if type(doc[key]) is not int:  # nor a bool
+    for key, types, name in (("d", (int,), "an integer"),
+                             ("M", (int,), "an integer"),
+                             ("tau", (int, float), "a number")):
+        if type(doc[key]) not in types:  # nor a bool or a string
             raise ValueError("the two-point input holds a value of the "
-                             "wrong type: %s must be an integer, got %r"
-                             % (key, doc[key]))
+                             "wrong type: %s must be %s, got %r"
+                             % (key, name, doc[key]))
     try:
         grid = TorusGrid(doc["d"], doc["M"])
-        return TwoPointInput(
+        inp = TwoPointInput(
             grid=grid,
             ghat=np.asarray(doc["ghat"], dtype=float).reshape(grid.shape),
             tau=float(doc["tau"]),
             dhat=np.asarray(doc["dhat"], dtype=float).reshape(grid.shape))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # or an int beyond a float
         raise ValueError("the two-point input holds a value of the wrong "
                          "type: %s" % exc) from None
+    for key in ("tau", "ghat", "dhat"):
+        if not np.all(np.isfinite(getattr(inp, key))):
+            raise ValueError("the two-point input's %s must be finite, "
+                             "got NaN or an infinity" % key)
+    return inp
 
 
 def _mean(grid: TorusGrid, arr: np.ndarray) -> float:
@@ -155,7 +163,8 @@ def bubble_triangle(inp: TwoPointInput):
     B_x = field_at_zero(gg)
     if abs(B - B_x) > CROSS_CHECK_TOL * max(1.0, B):
         raise AssertionError("bubble k/x cross-check failed")
-    T_x = field_at_zero(convolve(gg, gx))
+    # (G*G*G)(0) = sum_x (G*G)(x) G(-x)
+    T_x = float(np.sum(gg.values * reflect(gx).values))
     # equals T when Ghat >= 0, as on every input the program builds
     T_scale = _mean(grid, np.abs(g) ** 3)
     if abs(T - T_x) > CROSS_CHECK_TOL * max(1.0, T_scale):
@@ -174,21 +183,16 @@ def g_tilde_field(inp: TwoPointInput) -> TorusField:
 
 
 def chain_of_bubbles(inp: TwoPointInput) -> dict:
-    """Mass of the bubble chain sum_j (Gtilde^2)^{*j}; needs B_tilde < 1/2."""
-    gt = g_tilde_field(inp)
-    link = TorusField(inp.grid, gt.values ** 2, "x")
-    b_tilde = float(np.sum(link.values))
+    """Mass of the bubble chain sum_{j>=1} (Gtilde^2)^{*j}; needs
+    B_tilde < 1/2.  On the torus the mass of a convolution is the product
+    of the masses, so the j-th term has mass B_tilde^j and the chain
+    B_tilde / (1 - B_tilde).  bound_holds, mass <= 2 B_tilde, is then the
+    statement B_tilde <= 1/2."""
+    b_tilde = float(np.sum(g_tilde_field(inp).values ** 2))
     if b_tilde >= 0.5:
         return {"B_tilde": b_tilde, "converged": False, "psi_mass": None,
                 "bound_holds": None}
-    mass = b_tilde
-    term = link
-    while True:
-        term = convolve(term, link)
-        inc = float(np.sum(term.values))
-        mass += inc
-        if abs(inc) < CHAIN_TOL:
-            break
+    mass = b_tilde / (1.0 - b_tilde)
     return {"B_tilde": b_tilde, "converged": True, "psi_mass": mass,
             "bound_holds": mass <= 2.0 * b_tilde + 1e-12}
 

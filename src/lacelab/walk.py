@@ -24,9 +24,11 @@ tests on the largest index j_d.  The whole dual grid is built only by
 folded_dhat, for the TwoPointInput of diag and infrared.
 
 x-space oracle: beta_xspace folds D onto the torus (StepDistribution.fold),
-transforms it by FFT (real_dft) and convolves with the zero-mode-removed
-Green's function.  The two sides are independent constructions that must
-agree to rounding (Parseval).  Convergence to the infinite-lattice integral
+transforms it by one FFT (real_dft) and takes beta_kspace of the whole
+transformed grid, with the same k = 0 exclusion.  A convolution chain of D
+and the critical Green's function would add only Parseval's identity, so
+the independent content is fold + FFT against the family's transform on
+the chamber; the two must agree to rounding.  Convergence to the infinite-lattice integral
 is probed by refining the grid M -> 2M -> 4M in k-space and judged by
 refinement_divergent; beta_on_grids folds only its first grid.
 """
@@ -46,7 +48,7 @@ except ImportError:  # not on every platform
 
 from .steps import StepDistribution
 from .torus import (TorusField, TorusGrid, convolve, field_at_zero,
-                    real_dft, real_idft, reflect)
+                    real_dft)
 
 # A refinement sequence is flagged divergent when successive increments
 # fail to shrink.  Convergent cases contract geometrically, but barely
@@ -256,13 +258,6 @@ def beta_kspace(dhat, s: int) -> float:
     return float(np.sum(term(vals)) / dhat.size)
 
 
-def _critical(dhat: np.ndarray) -> np.ndarray:
-    vals = np.zeros_like(dhat)
-    mask = nonzero_modes(dhat.shape)
-    vals[mask] = 1.0 / (1.0 - dhat[mask])
-    return vals
-
-
 def return_probability(dist: StepDistribution, grid: TorusGrid, n: int) -> float:
     """D^{*n}(0) by repeated torus convolution."""
     if n < 0:
@@ -298,15 +293,8 @@ class BetaReport:
 
 
 def _beta_xspace(dm: TorusField, s: int) -> float:
-    """The same beta through x-space convolutions of D_M and C_1, with C_1
-    built from the FFT of the fold."""
-    c1 = real_idft(TorusField(dm.grid, _critical(real_dft(dm)), "k"))
-    u = convolve(dm, c1)  # D * C_1
-    if s == 2:
-        # (D*C1*D*C1)(0) = sum_x u(x) u(-x)
-        return float(np.sum(u.values * reflect(u).values))
-    uu = convolve(u, u)
-    return field_at_zero(convolve(uu, c1))
+    """The same beta from the FFT of the fold D_M on the whole dual grid."""
+    return beta_kspace(real_dft(dm), s)
 
 
 def refinement_divergent(values) -> bool:
@@ -336,8 +324,8 @@ def beta_on_grids(dist: StepDistribution, grids, s: int) -> BetaReport:
         s=s, M=grids[0].M, beta_kspace=seq[0][1],
         beta_xspace=_beta_xspace(dm, s),
         sup_d=dist.sup_d,
-        zero_mode_policy="k=0 dual point excluded; x-space C_1 built from "
-                         "the transform with its zero mode removed",
+        zero_mode_policy="k=0 dual point excluded, from the chamber sum "
+                         "and from the x-space side's FFT of the fold",
         refinement=seq, divergent=refinement_divergent([v for _, v in seq]),
         analytic_threshold=dist.alpha_wedge_2 * s,
         analytic_finite=dist.d > dist.alpha_wedge_2 * s,

@@ -3,6 +3,7 @@ import json
 import pathlib
 import re
 import shlex
+import sys
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from lacelab import cli
 from lacelab import saw as sw
 from lacelab import steps
+from lacelab import torus
 from lacelab import walk as wk
 from lacelab.cli import main
 from lacelab.steps import StepDistribution
@@ -405,6 +407,33 @@ def test_rw_beta_folds_each_grid_once(capsys, fold_calls, argv, folds):
     (["ising", "--d", "1", "--M", "4", "--z", "1e308", "--seed", "1",
       "--sweeps", "40", "--burn-in", "10"],
      "exact Ising log-weights overflow"),
+    # these ran for ever (a NaN B_tilde entered the bubble chain's loop),
+    # or read a NaN in ghat as an asymmetric ghat
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": 0.5, "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, NaN, -1.0, 0.0]}'], "dhat must be finite"),
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": 0.5, "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -Infinity, 0.0]}'], "dhat must be finite"),
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": NaN, "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "tau must be finite"),
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": Infinity, "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "tau must be finite"),
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": 0.5, "ghat": [2.0, NaN, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "ghat must be finite"),
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": 0.5, "ghat": [2.0, 1.0, Infinity, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "ghat must be finite"),
+    # these were read as tau = 0.1 and tau = 1.0
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": "0.1", "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "tau must be a number, got '0.1'"),
+    (["diag", "--input",
+      '{"d": 1, "M": 4, "tau": true, "ghat": [2.0, 1.0, 1.0, 1.0], '
+      '"dhat": [1.0, 0.0, -1.0, 0.0]}'], "tau must be a number, got True"),
 ])
 def test_invalid_inputs_exit_1_with_a_message(tmp_path, capsys, argv,
                                               message):
@@ -643,6 +672,38 @@ def test_perc_warns_once_per_run(capsys):
     messages = sorted(str(w.message).split(";")[0] for w in caught)
     assert messages == ["bond probability clipped at 1",
                         "offset at half the torus period excluded"]
+
+
+@pytest.fixture
+def convolutions(monkeypatch):
+    """Counts the torus.convolve calls, under every name a lacelab module
+    imported it as."""
+    counts = {"calls": 0}
+    convolve = torus.convolve
+
+    def counting_convolve(f, g):
+        counts["calls"] += 1
+        return convolve(f, g)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "lacelab":
+            for attr, value in list(vars(module).items()):
+                if value is convolve:
+                    monkeypatch.setattr(module, attr, counting_convolve)
+    return counts
+
+
+@pytest.mark.parametrize("argv,calls", [
+    # the x-space side of beta built C_1 and convolved 2 or 3 times
+    (["rw-beta", "--family", "nn", "--d", "3", "--s", "3", "--M", "8,16"],
+     0),
+    # the bubble and the triangle share G*G; the chain's mass is a formula
+    (["diag", "--family", "nn", "--d", "2", "--M", "8", "--z", "0.5"], 1),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_torus_convolutions(capsys, convolutions, argv, calls):
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert convolutions["calls"] == calls
 
 
 class TestPowerDistCheck:

@@ -9,6 +9,8 @@ from lacelab import diagnostics as dg
 from lacelab.steps import StepDistribution
 from lacelab.torus import TorusField, TorusGrid, delta_k
 
+from test_torus import convolve_direct
+
 finite_angle = st.floats(-np.pi, np.pi, allow_nan=False)
 
 
@@ -73,6 +75,26 @@ class TestDiagrams:
         assert rec["B_tilde"] < 0.5
         assert rec["psi_mass"] <= 2.0 * rec["B_tilde"] + 1e-12
         assert rec["bound_holds"]
+
+    @pytest.mark.parametrize("d,M,z", [(1, 8, 0.5), (2, 4, 0.7)])
+    def test_chain_mass_is_the_sum_of_its_convolution_powers(self, d, M, z):
+        inp = dg.free_two_point(StepDistribution("nn", d), TorusGrid(d, M), z)
+        rec = dg.chain_of_bubbles(inp)
+        assert 0.2 < rec["B_tilde"] < 0.5  # dozens of terms count
+        # sum_j (Gtilde^2)^{*j} term by term, until a term no longer moves it
+        link = TorusField(inp.grid, dg.g_tilde_field(inp).values ** 2, "x")
+        want, term = 0.0, link
+        while want + float(np.sum(term.values)) != want:
+            want += float(np.sum(term.values))
+            term = convolve_direct(term, link)
+        assert rec["psi_mass"] == pytest.approx(want, rel=1e-12)
+
+    def test_chain_of_an_empty_link(self):
+        inp = dg.free_two_point(StepDistribution("nn", 2), TorusGrid(2, 4),
+                                0.0)
+        assert dg.chain_of_bubbles(inp) == {"B_tilde": 0.0, "converged": True,
+                                            "psi_mass": 0.0,
+                                            "bound_holds": True}
 
     def test_chain_flags_divergence(self):
         # tau close to critical on a small grid pushes B_tilde past 1/2

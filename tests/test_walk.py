@@ -8,7 +8,7 @@ import pytest
 from lacelab.steps import StepDistribution
 from lacelab import walk
 from lacelab.torus import TorusGrid, real_dft
-from lacelab.walk import (_beta_term, _critical, beta, beta_kspace,
+from lacelab.walk import (_beta_term, _beta_xspace, beta, beta_kspace,
                           beta_scaling_table, beta_separable,
                           bound_diagnostics, dual_orthant, folded_dhat,
                           nonzero_modes, refinement_divergent, resolvent,
@@ -64,13 +64,6 @@ class TestGreens:
         chat = resolvent(dhat, z)
         assert np.max(np.abs(chat * (1.0 - z * dhat) - 1.0)) < 1e-12
 
-    def test_critical_zero_mode_removed(self):
-        dist = StepDistribution("nn", 2)
-        grid = TorusGrid(2, 8)
-        c1 = _critical(folded_dhat(dist, grid))
-        assert c1[0, 0] == 0.0
-        assert np.all(c1.ravel()[1:] != 0.0)
-
     def test_z_range(self):
         with pytest.raises(ValueError):
             resolvent(folded_dhat(StepDistribution("nn", 1), TorusGrid(1, 4)),
@@ -85,6 +78,31 @@ class TestBeta:
             dist = StepDistribution(family, d, L=L, alpha=alpha)
             rep = beta(dist, TorusGrid(d, 8), s, refinements=1)
             assert abs(rep.beta_kspace - rep.beta_xspace) < 1e-12
+
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("d,M", [(1, 16), (2, 8), (3, 8), (4, 6),
+                                     (5, 4), (6, 4), (7, 4)])
+    @pytest.mark.parametrize("family,L,alpha,radius", [
+        ("nn", 1, None, None), ("uniform", 2, None, None),
+        ("power", 1, 1.2, 2)])
+    def test_xspace_equals_the_chamber_sum(self, family, L, alpha, radius,
+                                           d, M, s):
+        # the FFT of the fold against the family's transform on the chamber
+        dist = StepDistribution(family, d, L=L, alpha=alpha,
+                                support_radius=radius)
+        rep = beta(dist, TorusGrid(d, M), s, refinements=1)
+        assert rep.beta_xspace == pytest.approx(rep.beta_kspace, rel=1e-12)
+
+    def test_xspace_peak_memory(self):
+        # nn d = 5, M = 16: a field of 2^20 sites, 8 MiB.  The convolution
+        # chain with the critical Green's function peaked at 64 MiB; the
+        # FFT of the fold reads 40 MiB (48 MiB at s = 3, whose term keeps
+        # one more temporary)
+        grid = TorusGrid(5, 16)
+        dm = StepDistribution("nn", 5).fold(grid)
+        with traced_peak() as traced:
+            _beta_xspace(dm, 2)
+        assert traced.peak <= 6 * dm.values.nbytes
 
     def test_divergence_flags(self):
         rep1 = beta(StepDistribution("nn", 1), TorusGrid(1, 8), 2)
