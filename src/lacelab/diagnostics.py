@@ -133,7 +133,7 @@ def deserialize_input(doc: dict) -> TwoPointInput:
             ghat=np.asarray(doc["ghat"], dtype=float).reshape(grid.shape),
             tau=float(doc["tau"]),
             dhat=np.asarray(doc["dhat"], dtype=float).reshape(grid.shape))
-    except (TypeError, OverflowError) as exc:  # or an int beyond a float
+    except TypeError as exc:
         raise ValueError("the two-point input holds a value of the wrong "
                          "type: %s" % exc) from None
     for key in ("tau", "ghat", "dhat"):

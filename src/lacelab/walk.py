@@ -28,9 +28,10 @@ transforms it by one FFT (real_dft) and takes beta_kspace of the whole
 transformed grid, with the same k = 0 exclusion.  A convolution chain of D
 and the critical Green's function would add only Parseval's identity, so
 the independent content is fold + FFT against the family's transform on
-the chamber; the two must agree to rounding.  Convergence to the infinite-lattice integral
-is probed by refining the grid M -> 2M -> 4M in k-space and judged by
-refinement_divergent; beta_on_grids folds only its first grid.
+the chamber; the two must agree to rounding.  Convergence to the
+infinite-lattice integral is probed by refining the grid M -> 2M -> 4M in
+k-space and judged by refinement_divergent; beta_on_grids folds only its
+first grid.
 """
 
 import math
